@@ -20,30 +20,49 @@
 /// assert_eq!(g, vec![2.0, 4.0, 4.0]);
 /// ```
 pub fn arbitrate(capacity: f64, demands: &[f64]) -> Vec<f64> {
+    let mut grants = Vec::new();
+    arbitrate_into(capacity, demands, &mut Vec::new(), &mut grants);
+    grants
+}
+
+/// [`arbitrate`] into caller-owned buffers: `grants` is cleared and
+/// filled with one grant per demand; `order` is sort scratch. With warm
+/// buffers a per-period loop allocates nothing here.
+pub fn arbitrate_into(
+    capacity: f64,
+    demands: &[f64],
+    order: &mut Vec<usize>,
+    grants: &mut Vec<f64>,
+) {
     assert!(capacity >= 0.0, "capacity must be non-negative");
-    let n = demands.len();
-    if n == 0 {
-        return Vec::new();
-    }
     debug_assert!(demands.iter().all(|d| *d >= 0.0 && d.is_finite()));
+    grants.clear();
     let total: f64 = demands.iter().sum();
     if total <= capacity {
-        return demands.to_vec();
+        grants.extend_from_slice(demands);
+        return;
     }
-    // Water-filling: process demands in ascending order.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| demands[a].partial_cmp(&demands[b]).expect("NaN demand"));
-    let mut grants = vec![0.0; n];
+    // Water-filling: process demands in ascending order, equal demands
+    // in index order (the tie-break makes the in-place unstable sort
+    // order exactly as a stable one would).
+    order.clear();
+    order.extend(0..demands.len());
+    order.sort_unstable_by(|&a, &b| {
+        demands[a]
+            .partial_cmp(&demands[b])
+            .expect("NaN demand")
+            .then(a.cmp(&b))
+    });
+    grants.resize(demands.len(), 0.0);
     let mut remaining_capacity = capacity;
-    let mut remaining = n;
-    for &i in &order {
+    let mut remaining = demands.len();
+    for &i in order.iter() {
         let fair = remaining_capacity / remaining as f64;
         let g = demands[i].min(fair);
         grants[i] = g;
         remaining_capacity -= g;
         remaining -= 1;
     }
-    grants
 }
 
 /// Weighted max–min fairness: like [`arbitrate`] but shares in proportion
@@ -128,6 +147,62 @@ mod tests {
         assert!(arbitrate(5.0, &[]).is_empty());
         let g = arbitrate(0.0, &[1.0, 2.0]);
         assert!(g.iter().all(|x| close(*x, 0.0)));
+    }
+
+    /// The pre-`arbitrate_into` implementation, verbatim (stable sort,
+    /// fresh vectors): the reference the buffer-reusing form must equal
+    /// bit for bit.
+    fn arbitrate_reference(capacity: f64, demands: &[f64]) -> Vec<f64> {
+        let n = demands.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let total: f64 = demands.iter().sum();
+        if total <= capacity {
+            return demands.to_vec();
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| demands[a].partial_cmp(&demands[b]).expect("NaN demand"));
+        let mut grants = vec![0.0; n];
+        let mut remaining_capacity = capacity;
+        let mut remaining = n;
+        for &i in &order {
+            let fair = remaining_capacity / remaining as f64;
+            let g = demands[i].min(fair);
+            grants[i] = g;
+            remaining_capacity -= g;
+            remaining -= 1;
+        }
+        grants
+    }
+
+    #[test]
+    fn arbitrate_into_equals_the_reference_with_reused_buffers() {
+        // Ties above the water level are where sort stability shows: the
+        // successive `remaining_capacity / remaining` quotients differ in
+        // the last bit, so which index gets which matters.
+        let cases: [(f64, &[f64]); 7] = [
+            (5.0, &[]),
+            (10.0, &[1.0, 2.0, 3.0]),
+            (6.0, &[1.0, 2.0, 3.0]),
+            (7.0, &[0.0, 5.0, 2.5, 8.0, 1.0, 9.0]),
+            (1.0, &[0.7, 0.7, 0.7, 0.1, 0.7, 0.7, 0.7]),
+            (0.0, &[1.0, 2.0]),
+            (
+                100_000.3,
+                &[120_000.0, 33_333.3, 120_000.0, 99_999.9, 33_333.3],
+            ),
+        ];
+        let (mut order, mut grants) = (Vec::new(), Vec::new());
+        for (capacity, demands) in cases {
+            arbitrate_into(capacity, demands, &mut order, &mut grants);
+            let want = arbitrate_reference(capacity, demands);
+            assert_eq!(grants.len(), want.len());
+            for (g, w) in grants.iter().zip(&want) {
+                assert_eq!(g.to_bits(), w.to_bits(), "{capacity} / {demands:?}");
+            }
+            assert_eq!(arbitrate(capacity, demands), want);
+        }
     }
 
     #[test]

@@ -10,7 +10,11 @@ use crate::ids::{ContainerId, NodeId};
 use crate::node::{Node, NodeSpec};
 use escra_simcore::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+
+/// Containers per slab chunk (a power of two, so the chunk and the slot
+/// in it are a shift and a mask of the raw id).
+const CHUNK_BITS: u32 = 6;
+const CHUNK: usize = 1 << CHUNK_BITS;
 
 /// Placement strategy for new containers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -72,7 +76,18 @@ pub enum ContainerEvent {
 #[derive(Debug, Clone)]
 pub struct Cluster {
     nodes: Vec<Node>,
-    containers: BTreeMap<ContainerId, Container>,
+    /// Every container ever deployed, as a slab indexed by the raw id:
+    /// container `i` lives at `containers[i / CHUNK][i % CHUNK]`. Ids are
+    /// minted only by [`Cluster::deploy`], densely from 0, so the index
+    /// needs no map, and iteration is in id order. Fixed-size chunks
+    /// rather than one flat `Vec`: growing never moves a `Container`
+    /// (a doubling `Vec` holds old and new copies at once at its peak).
+    containers: Vec<Vec<Container>>,
+    /// Ids of containers in `Starting` state, ascending — the only ones
+    /// [`Cluster::tick`] has to visit. Maintained by `deploy`, `oom_kill`
+    /// and `restart`; entries whose container left `Starting` some other
+    /// way (terminated) are dropped by the next `tick`.
+    starting: Vec<ContainerId>,
     next_container: u64,
     placement: Placement,
     rr_cursor: usize,
@@ -90,7 +105,8 @@ impl Cluster {
             .collect();
         Cluster {
             nodes,
-            containers: BTreeMap::new(),
+            containers: Vec::new(),
+            starting: Vec::new(),
             next_container: 0,
             placement: Placement::RoundRobin,
             rr_cursor: 0,
@@ -117,27 +133,35 @@ impl Cluster {
 
     /// All containers (including starting/terminated), in id order.
     pub fn containers(&self) -> impl Iterator<Item = &Container> {
-        self.containers.values()
+        self.containers.iter().flatten()
     }
 
     /// Mutable iterator over containers, in id order.
+    ///
+    /// Lifecycle changes must go through [`Cluster::oom_kill`] /
+    /// [`Cluster::restart`], not `Container`'s own methods: `tick` only
+    /// visits containers the cluster knows to be starting.
     pub fn containers_mut(&mut self) -> impl Iterator<Item = &mut Container> {
-        self.containers.values_mut()
+        self.containers.iter_mut().flatten()
     }
 
     /// A container by id.
+    #[inline]
     pub fn container(&self, id: ContainerId) -> Option<&Container> {
-        self.containers.get(&id)
+        let (chunk, slot) = slab_index(id)?;
+        self.containers.get(chunk)?.get(slot)
     }
 
     /// A container by id, mutably.
+    #[inline]
     pub fn container_mut(&mut self, id: ContainerId) -> Option<&mut Container> {
-        self.containers.get_mut(&id)
+        let (chunk, slot) = slab_index(id)?;
+        self.containers.get_mut(chunk)?.get_mut(slot)
     }
 
     /// Number of containers ever deployed.
     pub fn container_count(&self) -> usize {
-        self.containers.len()
+        self.next_container as usize
     }
 
     /// Total OOM kills across the cluster's lifetime (§VI-E reports these).
@@ -177,7 +201,13 @@ impl Cluster {
         let node_id = self.nodes[node_idx].id();
         let container = Container::new(id, spec, node_id, now);
         self.nodes[node_idx].place(id);
-        self.containers.insert(id, container);
+        let (chunk, _) = slab_index(id).expect("issued ids fit a usize");
+        if chunk == self.containers.len() {
+            self.containers.push(Vec::with_capacity(CHUNK));
+        }
+        self.containers[chunk].push(container);
+        // The newest id is the largest: appending keeps the list sorted.
+        self.starting.push(id);
         self.events
             .push((now, ContainerEvent::Created(id, node_id)));
         Ok(id)
@@ -191,13 +221,36 @@ impl Cluster {
     /// Returns [`ClusterError::UnknownContainer`] for unknown ids.
     pub fn oom_kill(&mut self, id: ContainerId, now: SimTime) -> Result<(), ClusterError> {
         let c = self
-            .containers
-            .get_mut(&id)
+            .container_mut(id)
             .ok_or(ClusterError::UnknownContainer(id))?;
         c.oom_kill(now);
+        self.note_starting(id);
         self.total_oom_kills += 1;
         self.events.push((now, ContainerEvent::OomKilled(id)));
         Ok(())
+    }
+
+    /// Restarts a container without an OOM (a VPA-style resize, see
+    /// [`Container::restart`]). Emits no event of its own; `tick` reports
+    /// `Restarted` once the container is back up.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::UnknownContainer`] for unknown ids.
+    pub fn restart(&mut self, id: ContainerId, now: SimTime) -> Result<(), ClusterError> {
+        let c = self
+            .container_mut(id)
+            .ok_or(ClusterError::UnknownContainer(id))?;
+        c.restart(now);
+        self.note_starting(id);
+        Ok(())
+    }
+
+    /// Puts `id` on the pending-start list (sorted, no duplicates).
+    fn note_starting(&mut self, id: ContainerId) {
+        if let Err(at) = self.starting.binary_search(&id) {
+            self.starting.insert(at, id);
+        }
     }
 
     /// Terminates a container permanently and frees its node slot.
@@ -207,8 +260,7 @@ impl Cluster {
     /// Returns [`ClusterError::UnknownContainer`] for unknown ids.
     pub fn terminate(&mut self, id: ContainerId, now: SimTime) -> Result<(), ClusterError> {
         let c = self
-            .containers
-            .get_mut(&id)
+            .container_mut(id)
             .ok_or(ClusterError::UnknownContainer(id))?;
         let node = c.node();
         c.terminate();
@@ -218,20 +270,49 @@ impl Cluster {
     }
 
     /// Advances all container lifecycles to `now` (promoting finished
-    /// restarts) and emits `Restarted` events for promotions.
+    /// restarts) and emits `Restarted` events for promotions, in id
+    /// order. Visits only the pending-start list, not every container
+    /// ever deployed.
     pub fn tick(&mut self, now: SimTime) {
-        for c in self.containers.values_mut() {
-            let was_starting = matches!(c.state(), ContainerState::Starting { .. });
-            c.tick(now);
-            if was_starting && c.is_running() {
-                self.events.push((now, ContainerEvent::Restarted(c.id())));
+        debug_assert!(
+            self.containers().all(|c| {
+                !matches!(c.state(), ContainerState::Starting { .. })
+                    || self.starting.binary_search(&c.id()).is_ok()
+            }),
+            "a Starting container is missing from the pending-start list: \
+             restart and kill through Cluster, not Container"
+        );
+        let Cluster {
+            containers,
+            starting,
+            events,
+            ..
+        } = self;
+        starting.retain(|&id| {
+            let (chunk, slot) = slab_index(id).expect("listed ids were issued here");
+            let c = &mut containers[chunk][slot];
+            if !matches!(c.state(), ContainerState::Starting { .. }) {
+                return false;
             }
-        }
+            c.tick(now);
+            let promoted = c.is_running();
+            if promoted {
+                events.push((now, ContainerEvent::Restarted(id)));
+            }
+            !promoted
+        });
     }
 
     /// Drains pending lifecycle events (the watcher feed).
     pub fn drain_events(&mut self) -> Vec<(SimTime, ContainerEvent)> {
         std::mem::take(&mut self.events)
+    }
+
+    /// Discards pending lifecycle events, keeping the feed's buffer: for
+    /// embeddings with no watcher, which would otherwise grow the feed
+    /// for the whole run.
+    pub fn discard_events(&mut self) {
+        self.events.clear();
     }
 
     /// Containers on `node` that are currently running.
@@ -242,11 +323,19 @@ impl Cluster {
                 n.containers()
                     .iter()
                     .copied()
-                    .filter(|id| self.containers[id].is_running())
+                    .filter(|&id| self.container(id).is_some_and(|c| c.is_running()))
                     .collect()
             })
             .unwrap_or_default()
     }
+}
+
+/// `(chunk, slot)` of `id` in the container slab; `None` when the raw id
+/// does not fit a `usize` (so it was never issued).
+#[inline]
+fn slab_index(id: ContainerId) -> Option<(usize, usize)> {
+    let raw = usize::try_from(id.as_u64()).ok()?;
+    Some((raw >> CHUNK_BITS, raw & (CHUNK - 1)))
 }
 
 #[cfg(test)]
@@ -326,6 +415,98 @@ mod tests {
         );
         let err = cl.terminate(bogus, SimTime::ZERO).unwrap_err();
         assert_eq!(err.to_string(), "unknown container ctr-99");
+    }
+
+    #[test]
+    fn tick_promotes_exactly_the_pods_whose_ready_at_has_passed() {
+        use escra_simcore::time::SimDuration;
+        let mut cl = small_cluster();
+        let delays_ms = [300, 100, 200, 100];
+        let ids: Vec<ContainerId> = delays_ms
+            .iter()
+            .map(|&ms| {
+                let s = spec("p").with_restart_delay(SimDuration::from_millis(ms));
+                cl.deploy(s, SimTime::ZERO).unwrap()
+            })
+            .collect();
+        cl.discard_events();
+        let restarted = |cl: &mut Cluster| -> Vec<ContainerId> {
+            cl.drain_events()
+                .into_iter()
+                .map(|(_, e)| match e {
+                    ContainerEvent::Restarted(id) => id,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect()
+        };
+        cl.tick(SimTime::from_millis(99));
+        assert!(restarted(&mut cl).is_empty());
+        // `ready_at == now` counts; several promotions come in id order.
+        cl.tick(SimTime::from_millis(100));
+        assert_eq!(restarted(&mut cl), vec![ids[1], ids[3]]);
+        // A kill while others are still starting re-enters the list in
+        // id order, and a terminated starter drops out without an event.
+        cl.oom_kill(ids[1], SimTime::from_millis(150)).unwrap();
+        cl.restart(ids[3], SimTime::from_millis(150)).unwrap();
+        cl.terminate(ids[2], SimTime::from_millis(150)).unwrap();
+        cl.discard_events();
+        cl.tick(SimTime::from_millis(249));
+        assert!(restarted(&mut cl).is_empty());
+        cl.tick(SimTime::from_millis(300));
+        assert_eq!(restarted(&mut cl), vec![ids[0], ids[1], ids[3]]);
+        assert!(!cl.container(ids[2]).unwrap().is_running());
+        cl.tick(SimTime::from_secs(10));
+        assert!(restarted(&mut cl).is_empty());
+    }
+
+    #[test]
+    fn restart_goes_through_the_cluster() {
+        let mut cl = small_cluster();
+        let a = cl.deploy(spec("a"), SimTime::ZERO).unwrap();
+        cl.tick(SimTime::from_secs(3));
+        cl.restart(a, SimTime::from_secs(4)).unwrap();
+        assert_eq!(cl.container(a).unwrap().restarts(), 1);
+        assert_eq!(cl.total_oom_kills(), 0);
+        cl.tick(SimTime::from_secs(5));
+        assert!(!cl.container(a).unwrap().is_running());
+        cl.tick(SimTime::from_secs(6));
+        assert!(cl.container(a).unwrap().is_running());
+        let bogus = ContainerId::new(u64::MAX);
+        assert_eq!(
+            cl.restart(bogus, SimTime::ZERO),
+            Err(ClusterError::UnknownContainer(bogus))
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "missing from the pending-start list")]
+    fn a_restart_that_bypasses_the_cluster_fails_the_next_tick() {
+        let mut cl = small_cluster();
+        let a = cl.deploy(spec("a"), SimTime::ZERO).unwrap();
+        cl.tick(SimTime::from_secs(3));
+        cl.container_mut(a).unwrap().restart(SimTime::from_secs(4));
+        cl.tick(SimTime::from_secs(10));
+    }
+
+    #[test]
+    fn ids_index_the_slab_across_chunk_boundaries() {
+        let mut cl = small_cluster();
+        let n = 3 * CHUNK + 5;
+        for i in 0..n {
+            let id = cl.deploy(spec("c"), SimTime::ZERO).unwrap();
+            assert_eq!(id, ContainerId::new(i as u64));
+        }
+        assert_eq!(cl.container_count(), n);
+        for i in 0..n {
+            let id = ContainerId::new(i as u64);
+            assert_eq!(cl.container(id).unwrap().id(), id);
+            assert_eq!(cl.container_mut(id).unwrap().id(), id);
+        }
+        assert!(cl.container(ContainerId::new(n as u64)).is_none());
+        assert!(cl.container_mut(ContainerId::new(u64::MAX)).is_none());
+        let order: Vec<u64> = cl.containers().map(|c| c.id().as_u64()).collect();
+        assert_eq!(order, (0..n as u64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -915,6 +915,9 @@ impl<'a> Sim<'a> {
         while t < end {
             let t_next = t + period;
             self.cluster.tick(t);
+            // No Container Watcher subscribes in this driver: drop the
+            // lifecycle feed each window instead of letting it grow.
+            self.cluster.discard_events();
             self.round_arrivals(t, t_next);
             self.round_bg_bernoulli(t);
             self.round_cull(t);
@@ -984,6 +987,7 @@ impl<'a> Sim<'a> {
                     // window start — exactly like the serial loop.
                     let ws = t - period;
                     self.cluster.tick(ws);
+                    self.cluster.discard_events();
                     self.round_arrivals(ws, t);
                     if !self.exact {
                         self.round_bg_bernoulli(ws);
@@ -1798,7 +1802,9 @@ pub(crate) fn apply_limit_updates(
                 c.mem.set_limit_bytes(mem.max(1));
             }
             if restart && u.requires_restart {
-                c.restart(now);
+                // Through the cluster, so its `tick` knows to bring the
+                // container back up.
+                cluster.restart(u.container, now).expect("just resolved");
             }
         }
     }

@@ -263,6 +263,9 @@ pub fn run_serverless(cfg: &ServerlessConfig, profile: &ActionProfile) -> Server
     // Per-node Exec membership, rebuilt in one pass over the pods per
     // window (the old loop rescanned every pod once per node).
     let mut node_exec: Vec<Vec<usize>> = vec![Vec::new(); cluster.nodes().len()];
+    // The one action buffer every Controller call appends to and
+    // `drive_actions` drains.
+    let mut actions: Vec<Action> = Vec::new();
     // Final simulated time: the last window boundary reached (or the
     // window start when a finished job breaks the run mid-grid).
     let mut t_final = SimTime::ZERO;
@@ -274,6 +277,9 @@ pub fn run_serverless(cfg: &ServerlessConfig, profile: &ActionProfile) -> Server
         let t = t_next - period;
         rounds_executed += 1;
         cluster.tick(t);
+        // No Container Watcher subscribes here: drop the lifecycle feed
+        // each window instead of letting it grow for the whole run.
+        cluster.discard_events();
 
         // Promote started pods, claim work.
         for pod in pods.iter_mut() {
@@ -458,15 +464,17 @@ pub fn run_serverless(cfg: &ServerlessConfig, profile: &ActionProfile) -> Server
                     accountant.record(t_next, OOM_EVENT_WIRE_BYTES);
                     let current_limit_bytes =
                         cluster.container(cid).expect("pod").mem.limit_bytes();
-                    let actions = ctl.handle(
+                    ctl.handle_into(
                         t_next,
                         ToController::OomEvent {
                             container: cid,
                             shortfall_bytes,
                             current_limit_bytes,
                         },
+                        &mut actions,
                     );
-                    let killed = drive_actions(&mut cluster, &mut agents, ctl, actions, t_next);
+                    let killed =
+                        drive_actions(&mut cluster, &mut agents, ctl, &mut actions, t_next);
                     if !killed {
                         let _ = cluster
                             .container_mut(cid)
@@ -510,20 +518,21 @@ pub fn run_serverless(cfg: &ServerlessConfig, profile: &ActionProfile) -> Server
                     ContainerState::Running
                 ) {
                     accountant.record(t_next, CPU_STATS_WIRE_BYTES);
-                    let actions = ctl.handle(
+                    ctl.handle_into(
                         t_next,
                         ToController::CpuStats {
                             container: pod.cid,
                             stats,
                         },
+                        &mut actions,
                     );
-                    drive_actions(&mut cluster, &mut agents, ctl, actions, t_next);
+                    drive_actions(&mut cluster, &mut agents, ctl, &mut actions, t_next);
                 }
             }
         }
         if let Some(ctl) = controller.as_mut() {
-            let actions = ctl.tick(t_next);
-            drive_actions(&mut cluster, &mut agents, ctl, actions, t_next);
+            ctl.tick_into(t_next, &mut actions);
+            drive_actions(&mut cluster, &mut agents, ctl, &mut actions, t_next);
         }
 
         // Idle-timeout teardown.
@@ -538,6 +547,7 @@ pub fn run_serverless(cfg: &ServerlessConfig, profile: &ActionProfile) -> Server
         }
         for pi in removed.into_iter().rev() {
             let cid = pods[pi].cid;
+            let node = cluster.container(cid).expect("pod").node();
             let _ = cluster.terminate(cid, t_next);
             if let Some(ctl) = controller.as_mut() {
                 let _ = ctl.deregister_container(cid);
@@ -545,11 +555,11 @@ pub fn run_serverless(cfg: &ServerlessConfig, profile: &ActionProfile) -> Server
             if let Some(s) = scaler.as_mut() {
                 s.forget(cid);
             }
-            // Drop the agents' high-water seq entries with the pod: a
-            // reused ContainerId (e.g. after a controller restart or
-            // under a different shard's seq space) must start fresh
-            // instead of inheriting the dead pod's stale-discard mark.
-            for agent in agents.iter_mut() {
+            // Drop the pod's high-water seq entries so the Agent's maps
+            // stay bounded under churn. Only the hosting node's Agent
+            // ever applies a command for this id (and the cluster never
+            // reissues an id), so it is the only one holding any.
+            if let Some(agent) = agent_for(&mut agents, node) {
                 agent.forget_container(cid);
             }
             pods.swap_remove(pi);
@@ -610,8 +620,8 @@ pub fn run_serverless(cfg: &ServerlessConfig, profile: &ActionProfile) -> Server
             let horizon = schedule.front().copied().unwrap_or(end);
             while next_round <= horizon && next_round - period < end {
                 if let Some(ctl) = controller.as_mut() {
-                    let actions = ctl.tick(next_round);
-                    drive_actions(&mut cluster, &mut agents, ctl, actions, next_round);
+                    ctl.tick_into(next_round, &mut actions);
+                    drive_actions(&mut cluster, &mut agents, ctl, &mut actions, next_round);
                 }
                 while next_second <= next_round {
                     metrics.record_limits(next_second, 0.0, 0.0);
@@ -659,7 +669,7 @@ fn spawn_pod(
     let cid = cluster.deploy(spec, now).expect("pool has nodes");
     if let Some(ctl) = controller.as_mut() {
         let node = cluster.container(cid).expect("pod").node();
-        if let Ok(actions) = ctl.register_container(
+        if let Ok(mut actions) = ctl.register_container(
             cid,
             app_id,
             node,
@@ -667,7 +677,7 @@ fn spawn_pod(
             cfg.openwhisk.pod_mem_mib * MIB,
         ) {
             accountant.record(now, escra_core::telemetry::REGISTER_WIRE_BYTES);
-            drive_actions(cluster, agents, ctl, actions, now);
+            drive_actions(cluster, agents, ctl, &mut actions, now);
         }
     }
     if let Some(s) = scaler.as_mut() {
@@ -685,42 +695,41 @@ fn spawn_pod(
 }
 
 /// Applies controller actions, feeding reclamation reports back; returns
-/// whether any container was killed. Shared with the trace-driven
+/// whether any container was killed. `actions` is the caller's reusable
+/// buffer and comes back empty. Shared with the trace-driven
 /// mega-scenario driver ([`crate::trace_sim`]).
 pub(crate) fn drive_actions(
     cluster: &mut Cluster,
     agents: &mut [Agent],
     controller: &mut Controller,
-    actions: Vec<Action>,
+    actions: &mut Vec<Action>,
     now: SimTime,
 ) -> bool {
     let mut killed = false;
-    let mut pending = actions;
     let mut depth = 0;
-    while !pending.is_empty() && depth < 4 {
+    while !actions.is_empty() && depth < 4 {
         depth += 1;
         let mut entries = Vec::new();
-        for action in &pending {
+        for action in actions.drain(..) {
             match action {
                 Action::KillContainer(cid) => {
-                    let _ = cluster.oom_kill(*cid, now);
+                    let _ = cluster.oom_kill(cid, now);
                     killed = true;
                 }
                 Action::Agent { node, cmd } => {
-                    if let Some(agent) = agent_for(agents, *node) {
-                        if let AgentReport::Reclaimed(mut e) = agent.apply(cluster, *cmd) {
+                    if let Some(agent) = agent_for(agents, node) {
+                        if let AgentReport::Reclaimed(mut e) = agent.apply(cluster, cmd) {
                             entries.append(&mut e);
                         }
                     }
                 }
             }
         }
-        pending = if entries.is_empty() {
-            Vec::new()
-        } else {
-            controller.on_reclaim_report(now, &entries)
-        };
+        if !entries.is_empty() {
+            actions.extend(controller.on_reclaim_report(now, &entries));
+        }
     }
+    actions.clear();
     killed
 }
 

@@ -28,17 +28,17 @@
 //! arrival (piecewise-constant rate from the trace's per-minute grid;
 //! the per-minute restart is exact by memorylessness).
 
-use crate::microsim::{apply_limit_updates, ReportPlan};
+use crate::microsim::{agent_for, apply_limit_updates, ReportPlan};
 use crate::policy::BaselineScalerKind;
 use crate::serverless_sim::drive_actions;
 use escra_baselines::{PeriodicScaler, UsageSample};
-use escra_cfs::{node::arbitrate, ChargeOutcome, MIB};
-use escra_cluster::{AppId, Cluster, ContainerId, ContainerSpec, ContainerState, NodeSpec};
+use escra_cfs::{node::arbitrate_into, ChargeOutcome, CpuPeriodStats, MIB};
+use escra_cluster::{AppId, Cluster, ContainerId, ContainerSpec, NodeSpec};
 use escra_core::telemetry::{
     CpuStatsColumns, CpuStatsEntry, ToController, CPU_STATS_ENTRY_BYTES, CPU_STATS_HEADER_BYTES,
     OOM_EVENT_WIRE_BYTES, REGISTER_WIRE_BYTES,
 };
-use escra_core::{Agent, Controller, EscraConfig};
+use escra_core::{Action, Agent, Controller, EscraConfig};
 use escra_metrics::{RunMetrics, ServerlessStats};
 use escra_simcore::events::EventQueue;
 use escra_simcore::rng::SimRng;
@@ -175,6 +175,45 @@ struct AppRt {
     active: bool,
 }
 
+/// One node's unflushed telemetry, kept in the wire form the run ships
+/// ([`TraceSimConfig::columnar`]) and reused across flushes.
+#[derive(Debug)]
+enum NodeBuf {
+    Columns(CpuStatsColumns),
+    Rows(Vec<CpuStatsEntry>),
+}
+
+impl NodeBuf {
+    fn push(&mut self, container: ContainerId, stats: CpuPeriodStats) {
+        match self {
+            NodeBuf::Columns(cols) => cols.push(container, &stats),
+            NodeBuf::Rows(rows) => rows.push(CpuStatsEntry { container, stats }),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            NodeBuf::Columns(cols) => cols.len(),
+            NodeBuf::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// Hands the buffered datagram to the Controller and empties the
+    /// buffer, keeping its capacity.
+    fn flush(&mut self, ctl: &mut Controller, now: SimTime, out: &mut Vec<Action>) {
+        match self {
+            NodeBuf::Columns(cols) => {
+                ctl.ingest_cpu_columns_at(now, cols, out);
+                cols.clear();
+            }
+            NodeBuf::Rows(rows) => {
+                ctl.ingest_cpu_batch_at(now, rows, out);
+                rows.clear();
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum TraceEv {
     /// A window close.
@@ -222,10 +261,19 @@ struct TraceSim<'a> {
     apps: Vec<AppRt>,
     active: Vec<usize>,
     // Per-node telemetry buffers + their ReportPlan-derived schedule.
-    node_buf: Vec<Vec<CpuStatsEntry>>,
+    node_buf: Vec<NodeBuf>,
     next_flush: Vec<SimTime>,
     node_period: Vec<SimDuration>,
+    // Per-node busy pods `(app, pod)` of the current window and, in
+    // step, their CPU demands.
     node_exec: Vec<Vec<(usize, usize)>>,
+    node_want: Vec<Vec<f64>>,
+    // Scratch reused by every window, so a steady-state round allocates
+    // nothing: arbitration output + sort order, and the one action
+    // buffer every Controller call appends to and `drive_actions` drains.
+    grants: Vec<f64>,
+    order: Vec<usize>,
+    actions: Vec<Action>,
     metrics: RunMetrics,
     serverless: ServerlessStats,
     next_second: SimTime,
@@ -327,6 +375,17 @@ impl<'a> TraceSim<'a> {
                 }
             })
             .collect();
+        let mut metrics = RunMetrics::new(if cfg.escra.is_some() {
+            "escra-trace".to_string()
+        } else if let Some(k) = &cfg.baseline {
+            format!("{}-trace", k.name())
+        } else {
+            "static-trace".to_string()
+        });
+        // One aggregate-limit sample per simulated second, known up
+        // front: long sparse traces are mostly these two series.
+        metrics.cpu_limit_series.reserve_exact(60 * minutes);
+        metrics.mem_limit_series.reserve_exact(60 * minutes);
         TraceSim {
             workload,
             cfg,
@@ -344,17 +403,23 @@ impl<'a> TraceSim<'a> {
             agents,
             apps,
             active: Vec::new(),
-            node_buf: vec![Vec::new(); n_nodes],
+            node_buf: (0..n_nodes)
+                .map(|_| {
+                    if cfg.columnar {
+                        NodeBuf::Columns(CpuStatsColumns::new())
+                    } else {
+                        NodeBuf::Rows(Vec::new())
+                    }
+                })
+                .collect(),
             next_flush,
             node_period,
             node_exec: vec![Vec::new(); n_nodes],
-            metrics: RunMetrics::new(if cfg.escra.is_some() {
-                "escra-trace".to_string()
-            } else if let Some(k) = &cfg.baseline {
-                format!("{}-trace", k.name())
-            } else {
-                "static-trace".to_string()
-            }),
+            node_want: vec![Vec::new(); n_nodes],
+            grants: Vec::new(),
+            order: Vec::new(),
+            actions: Vec::new(),
+            metrics,
             serverless: ServerlessStats::new(),
             next_second: SimTime::from_secs(1),
             total_pods: 0,
@@ -422,32 +487,34 @@ impl<'a> TraceSim<'a> {
     }
 
     /// One full window `[t_next - period, t_next)`, resolved at its close.
+    ///
+    /// Each phase below resolves a pod's container in the cluster once
+    /// and works through that one borrow.
     fn round(&mut self, t_next: SimTime, q: &mut EventQueue<TraceEv>) {
         let t = t_next - self.period;
         self.rounds_executed += 1;
         self.cluster.tick(t);
+        // No Container Watcher subscribes here: drop the lifecycle feed
+        // each window instead of letting it grow for the whole run.
+        self.cluster.discard_events();
 
         // Promote started pods; assign queued arrivals; scale out.
         for k in 0..self.active.len() {
             let ai = self.active[k];
-            for pi in 0..self.apps[ai].pods.len() {
-                if matches!(self.apps[ai].pods[pi].state, PodState::Starting)
+            let app = &mut self.apps[ai];
+            for pod in app.pods.iter_mut() {
+                if matches!(pod.state, PodState::Starting)
                     && self
                         .cluster
-                        .container(self.apps[ai].pods[pi].cid)
+                        .container(pod.cid)
                         .is_some_and(|c| c.is_running())
                 {
-                    self.apps[ai].pods[pi].state = PodState::Idle { since: t };
+                    pod.state = PodState::Idle { since: t };
                 }
-            }
-            for pi in 0..self.apps[ai].pods.len() {
-                if self.apps[ai].pending.is_empty() {
-                    break;
-                }
-                if let PodState::Idle { .. } = self.apps[ai].pods[pi].state {
-                    let arrival = self.apps[ai].pending.pop_front().expect("non-empty");
-                    let work = self.workload.apps[ai].sample_exec_us(&mut self.apps[ai].rng_exec);
-                    self.apps[ai].pods[pi].state = PodState::Exec {
+                if let (PodState::Idle { .. }, Some(&arrival)) = (pod.state, app.pending.front()) {
+                    app.pending.pop_front();
+                    let work = self.workload.apps[ai].sample_exec_us(&mut app.rng_exec);
+                    pod.state = PodState::Exec {
                         arrival,
                         exec_start: t,
                         work_us: work,
@@ -456,13 +523,9 @@ impl<'a> TraceSim<'a> {
                 }
             }
             let cap = self.cfg.max_pods_per_app.max(1);
-            let mut to_spawn = self.apps[ai]
-                .pending
-                .len()
-                .min(cap.saturating_sub(self.apps[ai].pods.len()));
-            while to_spawn > 0 {
+            let to_spawn = app.pending.len().min(cap.saturating_sub(app.pods.len()));
+            for _ in 0..to_spawn {
                 self.spawn_pod(ai, t);
-                to_spawn -= 1;
             }
         }
         self.peak_pods = self.peak_pods.max(self.total_pods);
@@ -471,84 +534,76 @@ impl<'a> TraceSim<'a> {
         for k in 0..self.active.len() {
             let ai = self.active[k];
             for (pi, pod) in self.apps[ai].pods.iter().enumerate() {
-                if let PodState::Exec { .. } = pod.state {
+                if let PodState::Exec { remaining_us, .. } = pod.state {
                     let c = self.cluster.container(pod.cid).expect("pod container");
                     if c.is_running() {
-                        self.node_exec[c.node().as_u64() as usize].push((ai, pi));
+                        let node = c.node().as_u64() as usize;
+                        self.node_exec[node].push((ai, pi));
+                        self.node_want[node].push(
+                            remaining_us
+                                .min(TRACE_PARALLELISM * self.period_us)
+                                .min(c.cpu.runtime_remaining_us()),
+                        );
                     }
                 }
             }
         }
+        let capacity = self.cfg.node_cores as f64 * self.period_us;
         for node in 0..self.node_exec.len() {
             if self.node_exec[node].is_empty() {
                 continue;
             }
-            let capacity = self.cfg.node_cores as f64 * self.period_us;
-            let mut want = Vec::with_capacity(self.node_exec[node].len());
-            for &(ai, pi) in &self.node_exec[node] {
-                let c = self
-                    .cluster
-                    .container(self.apps[ai].pods[pi].cid)
-                    .expect("pod container");
-                let remaining = match self.apps[ai].pods[pi].state {
-                    PodState::Exec { remaining_us, .. } => remaining_us,
-                    _ => 0.0,
-                };
-                want.push(
-                    remaining
-                        .min(TRACE_PARALLELISM * self.period_us)
-                        .min(c.cpu.runtime_remaining_us()),
-                );
-            }
-            let grants = arbitrate(capacity, &want);
-            for (g, &(ai, pi)) in self.node_exec[node].iter().enumerate() {
-                let granted = grants[g];
-                let cid = self.apps[ai].pods[pi].cid;
-                if let PodState::Exec {
+            arbitrate_into(
+                capacity,
+                &self.node_want[node],
+                &mut self.order,
+                &mut self.grants,
+            );
+            for (&granted, &(ai, pi)) in self.grants.iter().zip(&self.node_exec[node]) {
+                let pod = &mut self.apps[ai].pods[pi];
+                let PodState::Exec {
                     arrival,
                     exec_start,
                     work_us,
                     remaining_us,
-                } = self.apps[ai].pods[pi].state
-                {
-                    let c = self.cluster.container_mut(cid).expect("pod container");
-                    c.cpu.consume(granted);
-                    let left = remaining_us - granted;
-                    if left <= 1.0 {
-                        // Completed mid-window; interpolate completion.
-                        let frac = if granted > 0.0 {
-                            (remaining_us / granted).clamp(0.0, 1.0)
-                        } else {
-                            1.0
-                        };
-                        let done_at = t + self.period.mul_f64(frac);
-                        let total = done_at.duration_since(arrival);
-                        self.serverless.record_completion(
-                            SimDuration::from_secs_f64(work_us / TRACE_PARALLELISM / 1e6),
-                            done_at.duration_since(exec_start),
-                            total,
-                        );
-                        self.metrics.latency.record_success(total);
-                        self.apps[ai].pods[pi].state = PodState::Idle { since: done_at };
+                } = &mut pod.state
+                else {
+                    unreachable!("only Exec pods are gathered");
+                };
+                let c = self.cluster.container_mut(pod.cid).expect("pod container");
+                c.cpu.consume(granted);
+                let left = *remaining_us - granted;
+                if left <= 1.0 {
+                    // Completed mid-window; interpolate completion.
+                    let frac = if granted > 0.0 {
+                        (*remaining_us / granted).clamp(0.0, 1.0)
                     } else {
-                        if c.cpu.runtime_remaining_us() <= self.period_us * 0.01 {
-                            c.cpu.mark_throttled();
-                        }
-                        self.apps[ai].pods[pi].state = PodState::Exec {
-                            arrival,
-                            exec_start,
-                            work_us,
-                            remaining_us: left,
-                        };
+                        1.0
+                    };
+                    let done_at = t + self.period.mul_f64(frac);
+                    let total = done_at.duration_since(*arrival);
+                    self.serverless.record_completion(
+                        SimDuration::from_secs_f64(*work_us / TRACE_PARALLELISM / 1e6),
+                        done_at.duration_since(*exec_start),
+                        total,
+                    );
+                    self.metrics.latency.record_success(total);
+                    pod.state = PodState::Idle { since: done_at };
+                } else {
+                    if c.cpu.runtime_remaining_us() <= self.period_us * 0.01 {
+                        c.cpu.mark_throttled();
                     }
+                    *remaining_us = left;
                 }
             }
-        }
-        for members in self.node_exec.iter_mut() {
-            members.clear();
+            self.node_exec[node].clear();
+            self.node_want[node].clear();
         }
 
-        // Memory targets + OOM handling.
+        // Memory targets + OOM handling. A pass of its own, ahead of the
+        // telemetry close: an OOM here can launch a reclamation sweep
+        // that shrinks the limits of pods earlier in the order, and the
+        // slack their period close records must see that.
         for k in 0..self.active.len() {
             let ai = self.active[k];
             for pi in 0..self.apps[ai].pods.len() {
@@ -558,20 +613,18 @@ impl<'a> TraceSim<'a> {
 
         // Telemetry: close the CPU period for every pod; buffer stats of
         // running ones on their node (flushed on the node's schedule).
+        let window_secs = self.period_us / 1e6;
         for k in 0..self.active.len() {
             let ai = self.active[k];
-            for pi in 0..self.apps[ai].pods.len() {
-                let cid = self.apps[ai].pods[pi].cid;
-                let c = self.cluster.container_mut(cid).expect("pod container");
+            for pod in self.apps[ai].pods.iter_mut() {
+                let c = self.cluster.container_mut(pod.cid).expect("pod container");
                 let stats = c.cpu.end_period();
-                self.apps[ai].pods[pi].sec_usage_us += stats.usage_us;
-                let c = self.cluster.container(cid).expect("pod container");
-                if !matches!(c.state(), ContainerState::Running) {
+                pod.sec_usage_us += stats.usage_us;
+                if !c.is_running() {
                     continue;
                 }
                 self.container_periods += 1;
                 self.throttled_periods += stats.throttled as u64;
-                let window_secs = self.period_us / 1e6;
                 self.serverless.record_wasted(
                     c.cpu.quota_cores() * window_secs - stats.usage_us / 1e6,
                     (c.mem.limit_bytes().saturating_sub(c.mem.usage_bytes())) as f64 / MIB as f64
@@ -584,19 +637,12 @@ impl<'a> TraceSim<'a> {
                     c.mem.limit_bytes() as f64 / MIB as f64 * window_secs,
                 );
                 if self.controller.is_some() {
-                    let node = c.node().as_u64() as usize;
-                    self.node_buf[node].push(CpuStatsEntry {
-                        container: cid,
-                        stats,
-                    });
+                    self.node_buf[c.node().as_u64() as usize].push(pod.cid, stats);
                 }
             }
         }
         self.flush_due(t_next);
-        if let Some(ctl) = self.controller.as_mut() {
-            let actions = ctl.tick(t_next);
-            drive_actions(&mut self.cluster, &mut self.agents, ctl, actions, t_next);
-        }
+        self.controller_tick(t_next);
 
         // Idle-timeout teardown.
         for k in 0..self.active.len() {
@@ -607,6 +653,7 @@ impl<'a> TraceSim<'a> {
                     if t_next.duration_since(since) >= self.cfg.idle_timeout);
                 if dead {
                     let cid = self.apps[ai].pods[pi].cid;
+                    let node = self.cluster.container(cid).expect("pod container").node();
                     let _ = self.cluster.terminate(cid, t_next);
                     if let Some(ctl) = self.controller.as_mut() {
                         let _ = ctl.deregister_container(cid);
@@ -614,7 +661,9 @@ impl<'a> TraceSim<'a> {
                     if let Some(s) = self.scaler.as_mut() {
                         s.forget(cid);
                     }
-                    for agent in self.agents.iter_mut() {
+                    // Only the hosting node's Agent ever applied a
+                    // command for this pod, so only it holds seq entries.
+                    if let Some(agent) = agent_for(&mut self.agents, node) {
                         agent.forget_container(cid);
                     }
                     self.apps[ai].pods.swap_remove(pi);
@@ -693,16 +742,7 @@ impl<'a> TraceSim<'a> {
             let horizon = q.peek_time().unwrap_or(self.end);
             while next_round <= horizon && next_round - self.period < self.end {
                 self.flush_due(next_round);
-                if let Some(ctl) = self.controller.as_mut() {
-                    let actions = ctl.tick(next_round);
-                    drive_actions(
-                        &mut self.cluster,
-                        &mut self.agents,
-                        ctl,
-                        actions,
-                        next_round,
-                    );
-                }
+                self.controller_tick(next_round);
                 while self.next_second <= next_round {
                     self.metrics.record_limits(self.next_second, 0.0, 0.0);
                     self.next_second += SimDuration::from_secs(1);
@@ -717,55 +757,68 @@ impl<'a> TraceSim<'a> {
         }
     }
 
+    /// The Controller's periodic work (reclamation sweeps, grant retries).
+    fn controller_tick(&mut self, now: SimTime) {
+        if let Some(ctl) = self.controller.as_mut() {
+            ctl.tick_into(now, &mut self.actions);
+            drive_actions(
+                &mut self.cluster,
+                &mut self.agents,
+                ctl,
+                &mut self.actions,
+                now,
+            );
+        }
+    }
+
     /// Charges `pods[ai][pi]` toward its state's memory target, routing a
     /// would-be OOM through the controller (grant or kill) or the vanilla
     /// kernel killer.
     fn pod_memory(&mut self, ai: usize, pi: usize, now: SimTime) {
-        let cid = self.apps[ai].pods[pi].cid;
-        if !self.cluster.container(cid).is_some_and(|c| c.is_running()) {
-            return;
-        }
+        let pod = &self.apps[ai].pods[pi];
+        let cid = pod.cid;
         let app = &self.workload.apps[ai];
-        let target = match self.apps[ai].pods[pi].state {
+        let target = match pod.state {
             PodState::Exec { .. } => app.mem_mib * MIB,
             _ => app.idle_mem_mib * MIB,
         };
-        let usage = self.cluster.container(cid).expect("pod").mem.usage_bytes();
+        let c = self.cluster.container_mut(cid).expect("pod container");
+        if !c.is_running() {
+            return;
+        }
+        let usage = c.mem.usage_bytes();
         if target <= usage {
-            self.cluster
-                .container_mut(cid)
-                .expect("pod")
-                .mem
-                .uncharge(usage - target);
+            c.mem.uncharge(usage - target);
             return;
         }
         let delta = target - usage;
-        let outcome = self
-            .cluster
-            .container_mut(cid)
-            .expect("pod")
-            .mem
-            .try_charge(delta);
-        let ChargeOutcome::WouldOom { shortfall_bytes } = outcome else {
+        let ChargeOutcome::WouldOom { shortfall_bytes } = c.mem.try_charge(delta) else {
             return;
         };
+        let current_limit_bytes = c.mem.limit_bytes();
         let killed = if let Some(ctl) = self.controller.as_mut() {
             self.control_bytes += OOM_EVENT_WIRE_BYTES;
-            let current_limit_bytes = self.cluster.container(cid).expect("pod").mem.limit_bytes();
-            let actions = ctl.handle(
+            ctl.handle_into(
                 now,
                 ToController::OomEvent {
                     container: cid,
                     shortfall_bytes,
                     current_limit_bytes,
                 },
+                &mut self.actions,
             );
-            let killed = drive_actions(&mut self.cluster, &mut self.agents, ctl, actions, now);
+            let killed = drive_actions(
+                &mut self.cluster,
+                &mut self.agents,
+                ctl,
+                &mut self.actions,
+                now,
+            );
             if !killed {
                 let _ = self
                     .cluster
                     .container_mut(cid)
-                    .expect("pod")
+                    .expect("pod container")
                     .mem
                     .try_charge(delta);
             }
@@ -774,8 +827,7 @@ impl<'a> TraceSim<'a> {
             if let Some(s) = self.scaler.as_mut() {
                 // Tell the baseline so its next recommendation can
                 // raise the memory limit.
-                let limit = self.cluster.container(cid).expect("pod").mem.limit_bytes();
-                s.on_oom(cid, limit);
+                s.on_oom(cid, current_limit_bytes);
             }
             self.cluster.oom_kill(cid, now).expect("pod exists");
             true
@@ -803,20 +855,19 @@ impl<'a> TraceSim<'a> {
             while self.next_flush[n] <= now {
                 self.next_flush[n] += self.node_period[n];
             }
-            if self.node_buf[n].is_empty() {
+            if self.node_buf[n].len() == 0 {
                 continue;
             }
             self.control_bytes +=
                 CPU_STATS_HEADER_BYTES + self.node_buf[n].len() as u64 * CPU_STATS_ENTRY_BYTES;
-            let mut actions = Vec::new();
-            if self.cfg.columnar {
-                let columns = CpuStatsColumns::from_entries(&self.node_buf[n]);
-                ctl.ingest_cpu_columns_at(now, &columns, &mut actions);
-            } else {
-                ctl.ingest_cpu_batch_at(now, &self.node_buf[n], &mut actions);
-            }
-            self.node_buf[n].clear();
-            drive_actions(&mut self.cluster, &mut self.agents, ctl, actions, now);
+            self.node_buf[n].flush(ctl, now, &mut self.actions);
+            drive_actions(
+                &mut self.cluster,
+                &mut self.agents,
+                ctl,
+                &mut self.actions,
+                now,
+            );
         }
     }
 
@@ -836,7 +887,7 @@ impl<'a> TraceSim<'a> {
         let cid = self.cluster.deploy(spec, now).expect("cluster has nodes");
         if let Some(ctl) = self.controller.as_mut() {
             let node = self.cluster.container(cid).expect("pod").node();
-            if let Ok(actions) = ctl.register_container(
+            if let Ok(mut actions) = ctl.register_container(
                 cid,
                 AppId::new(ai as u64),
                 node,
@@ -844,7 +895,7 @@ impl<'a> TraceSim<'a> {
                 app.mem_mib * 2 * MIB,
             ) {
                 self.control_bytes += REGISTER_WIRE_BYTES;
-                drive_actions(&mut self.cluster, &mut self.agents, ctl, actions, now);
+                drive_actions(&mut self.cluster, &mut self.agents, ctl, &mut actions, now);
             }
         }
         if let Some(s) = self.scaler.as_mut() {
@@ -966,6 +1017,42 @@ mod tests {
                 b.rounds_executed + b.rounds_fast_forwarded
             );
         }
+    }
+
+    #[test]
+    fn a_long_churny_run_leaves_the_watcher_feed_bounded() {
+        // Bursts every other minute with a 5 s idle timeout: each burst
+        // cold-starts its pods and the quiet minute tears them all down,
+        // ten times over. Nothing subscribes to the cluster's lifecycle
+        // feed here, so the driver has to drop it as it goes.
+        let w = TraceWorkload {
+            apps: (0..12)
+                .map(|i| TraceApp {
+                    name: format!("churn-{i}"),
+                    rpm: [60.0, 0.0].repeat(10),
+                    exec_ms_mu: 50f64.ln(),
+                    exec_ms_sigma: 0.5,
+                    mem_mib: 64,
+                    idle_mem_mib: 16,
+                })
+                .collect(),
+            minutes: 20,
+        };
+        let mut cfg = small_cfg(true, 9);
+        cfg.idle_timeout = SimDuration::from_secs(5);
+        let mut sim = TraceSim::new(&w, &cfg);
+        let out = sim.run();
+        assert!(out.pods_spawned > 100, "spawned {}", out.pods_spawned);
+        // Unbounded, the feed would hold three events per pod ever
+        // spawned (Created, Restarted, Terminated); bounded, at most the
+        // last executed window's.
+        let feed = sim.cluster.drain_events().len();
+        assert!(
+            feed <= 3 * out.peak_pods,
+            "feed holds {feed} events after {} pods (peak {})",
+            out.pods_spawned,
+            out.peak_pods
+        );
     }
 
     #[test]

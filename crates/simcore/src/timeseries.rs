@@ -5,8 +5,88 @@
 //! helpers for per-second averaging and pairwise differencing (the
 //! "savings" panels).
 
-use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
+use crate::time::{SimDuration, SimTime};
+use serde::{Deserialize, Serialize, Value};
+use std::fmt;
+
+/// The sample times of a series. Recorders sample on a grid — once a
+/// second, once a report period — so the times are kept as
+/// `first + i × step` for as long as that holds (three words, however
+/// long the run) and are spelled out only once a sample breaks the grid.
+/// Prints and serializes as the plain list of times either way.
+#[derive(Clone)]
+enum Times {
+    Grid {
+        first: SimTime,
+        step: SimDuration,
+        len: usize,
+    },
+    List(Vec<SimTime>),
+}
+
+impl Times {
+    const EMPTY: Times = Times::Grid {
+        first: SimTime::ZERO,
+        step: SimDuration::ZERO,
+        len: 0,
+    };
+
+    fn len(&self) -> usize {
+        match self {
+            Times::Grid { len, .. } => *len,
+            Times::List(list) => list.len(),
+        }
+    }
+
+    /// The `i`-th sample time (`i < len`).
+    fn get(&self, i: usize) -> SimTime {
+        match self {
+            Times::Grid { first, step, .. } => *first + *step * i as u64,
+            Times::List(list) => list[i],
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = SimTime> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    fn push(&mut self, t: SimTime) {
+        if let Times::Grid { first, step, len } = self {
+            let on_grid = match *len {
+                0 => {
+                    *first = t;
+                    true
+                }
+                1 if t >= *first => {
+                    *step = t - *first;
+                    true
+                }
+                n => n >= 2 && t == *first + *step * n as u64,
+            };
+            if on_grid {
+                *len += 1;
+                return;
+            }
+            // Off the grid: spell the times out from here on.
+            *self = Times::List(self.iter().collect());
+        }
+        if let Times::List(list) = self {
+            list.push(t);
+        }
+    }
+}
+
+impl fmt::Debug for Times {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for Times {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(|t| t.to_value()).collect())
+    }
+}
 
 /// An append-only series of `(time, value)` samples.
 ///
@@ -21,7 +101,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TimeSeries {
     name: String,
-    times: Vec<SimTime>,
+    times: Times,
     values: Vec<f64>,
 }
 
@@ -30,9 +110,19 @@ impl TimeSeries {
     pub fn new(name: impl Into<String>) -> Self {
         TimeSeries {
             name: name.into(),
-            times: Vec::new(),
+            times: Times::EMPTY,
             values: Vec::new(),
         }
+    }
+
+    /// Reserves room for exactly `additional` more samples: a recorder
+    /// that knows its sample count up front (one per simulated second)
+    /// then never regrows, and holds no doubling slack at the end.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        if let Times::List(list) = &mut self.times {
+            list.reserve_exact(additional);
+        }
+        self.values.reserve_exact(additional);
     }
 
     /// The series name (used as a column header in reports).
@@ -47,7 +137,7 @@ impl TimeSeries {
     /// Panics in debug builds if `t` is earlier than the last sample.
     pub fn record(&mut self, t: SimTime, value: f64) {
         debug_assert!(
-            self.times.last().is_none_or(|last| *last <= t),
+            self.is_empty() || self.times.get(self.len() - 1) <= t,
             "time series must be recorded in order"
         );
         self.times.push(t);
@@ -61,7 +151,7 @@ impl TimeSeries {
 
     /// True when no samples are recorded.
     pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+        self.times.len() == 0
     }
 
     /// Most recent value.
@@ -71,7 +161,7 @@ impl TimeSeries {
 
     /// Iterates over `(time, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.times.iter().copied().zip(self.values.iter().copied())
+        self.times.iter().zip(self.values.iter().copied())
     }
 
     /// Mean of all values (0.0 when empty).
@@ -182,6 +272,40 @@ mod tests {
         let b = series(&[(0, 4.0), (1000, 7.0)]);
         let s = a.savings_vs(&b, 1);
         assert_eq!(s, vec![(0.0, 6.0), (1.0, 3.0)]);
+    }
+
+    #[test]
+    fn grid_times_print_serialize_and_iterate_as_the_plain_list() {
+        // On the grid throughout, off it at every position, a repeated
+        // first time (step zero), and a single sample.
+        let cases: [&[u64]; 7] = [
+            &[],
+            &[700],
+            &[1000, 2000, 3000, 4000, 5000],
+            &[1000, 2000, 3000, 3500, 4500],
+            &[1000, 2000, 2500],
+            &[5, 5, 5, 6, 7],
+            &[0, 100, 200, 300, 300, 1_000_000],
+        ];
+        for ms in cases {
+            let want: Vec<SimTime> = ms.iter().map(|&m| SimTime::from_millis(m)).collect();
+            let mut ts = TimeSeries::new("t");
+            for (i, &t) in want.iter().enumerate() {
+                ts.record(t, i as f64);
+            }
+            assert_eq!(ts.len(), want.len());
+            assert_eq!(ts.iter().map(|(t, _)| t).collect::<Vec<_>>(), want);
+            assert_eq!(format!("{:?}", ts.times), format!("{want:?}"));
+            assert_eq!(format!("{:#?}", ts.times), format!("{want:#?}"));
+            assert_eq!(ts.times.to_value(), want.to_value());
+        }
+        // A run that stays on its grid never spells the times out.
+        let mut ts = TimeSeries::new("t");
+        ts.reserve_exact(10_000);
+        for s in 1..=10_000 {
+            ts.record(SimTime::from_secs(s), 0.0);
+        }
+        assert!(matches!(ts.times, Times::Grid { len: 10_000, .. }));
     }
 
     #[test]
