@@ -1,0 +1,134 @@
+//! Golden `microsim` regression test: pins the *whole* `MicroSimOutput`
+//! — `metrics`, `network`, `controller_stats`, `fault_stats` and the
+//! engine counters in `sim` — for two apps × two seeds under Escra, each
+//! faultless on the aligned schedule and again under a jittered
+//! `ReportPlan` with a loss + duplication `FaultPlan`, plus one cell per
+//! profile-seeded policy (static, Autopilot, VPA, tiny autoscaler,
+//! ARC-V), as a committed fixture.
+//!
+//! The fixture was generated *before* the driver lost its second engine
+//! and its four copy-pasted scaler arms, so a green run proves that
+//! refactor changed no simulated number. `{:?}` on an `f64` prints the
+//! shortest round-trip form, so equal digests mean bit-equal numbers.
+//!
+//! Regenerate (only when an intentional simulator change invalidates the
+//! numbers) with:
+//!
+//! ```text
+//! GOLDEN_REGEN=1 cargo test --test golden_microsim
+//! ```
+
+use escra::baselines::VpaConfig;
+use escra::harness::{run, MicroSimConfig, MicroSimOutput, Policy, ReportPlan};
+use escra::metrics::trace_fingerprint;
+use escra::net::FaultPlan;
+use escra::simcore::time::SimDuration;
+use escra::workloads::{hipster_shop, teastore, MicroserviceApp, WorkloadKind};
+use std::path::Path;
+
+/// `escra_bench::SEED` (the committed-artifact master seed) and a second
+/// unrelated one.
+const SEEDS: [u64; 2] = [20220701, 7];
+/// Matches `escra_bench::SMOKE_RUN_SECS` (the CI smoke duration).
+const RUN_SECS: u64 = 8;
+
+fn cells() -> Vec<(&'static str, MicroserviceApp, WorkloadKind)> {
+    vec![
+        ("Teastore/fixed", teastore(), WorkloadKind::paper_fixed()),
+        (
+            "HipsterShop/burst",
+            hipster_shop(),
+            WorkloadKind::paper_burst(),
+        ),
+    ]
+}
+
+fn cfg(app: &MicroserviceApp, wl: &WorkloadKind, policy: Policy, seed: u64) -> MicroSimConfig {
+    MicroSimConfig::new(app.clone(), wl.clone(), policy, seed)
+        .with_duration(SimDuration::from_secs(RUN_SECS))
+}
+
+/// One pinned line per run: the readable scalars, and a fingerprint of
+/// each output field's full `Debug` rendering.
+fn digest_line(label: &str, out: &MicroSimOutput) -> String {
+    format!(
+        "{label} policy={} succ={} fail={} oom={} bytes={} sim={:?} metrics={:016x} \
+         network={:016x} controller={:016x} faults={:016x}\n",
+        out.metrics.policy,
+        out.metrics.latency.successes(),
+        out.metrics.latency.failures(),
+        out.metrics.oom_kills,
+        out.network.as_ref().map_or(0, |n| n.total_bytes()),
+        out.sim,
+        trace_fingerprint(&format!("{:?}", out.metrics)),
+        trace_fingerprint(&format!("{:?}", out.network)),
+        trace_fingerprint(&format!("{:?}", out.controller_stats)),
+        trace_fingerprint(&format!("{:?}", out.fault_stats)),
+    )
+}
+
+fn render() -> String {
+    let mut out = String::new();
+    for (cell, app, wl) in cells() {
+        for seed in SEEDS {
+            let plain = cfg(&app, &wl, Policy::escra_default(), seed);
+            out.push_str(&digest_line(
+                &format!("cell={cell} seed={seed} plan=none faults=none"),
+                &run(&plain),
+            ));
+            let faulty = plain
+                .with_report_plan(ReportPlan {
+                    period_multipliers: vec![1, 2, 3],
+                    jitter_frac: 0.5,
+                })
+                .with_faults(FaultPlan::none().with_loss(0.05).with_duplicates(0.05));
+            out.push_str(&digest_line(
+                &format!("cell={cell} seed={seed} plan=jittered faults=loss+dup"),
+                &run(&faulty),
+            ));
+        }
+    }
+    // One cell per profile-seeded policy: the arms `Sim::new` builds
+    // through `PeriodicScaler::track`, and the static one beside them.
+    let (cell, app, wl) = cells().swap_remove(0);
+    for policy in [
+        Policy::static_1_5x(),
+        Policy::autopilot_default(),
+        Policy::Vpa(VpaConfig::default()),
+        Policy::tiny_default(),
+        Policy::arc_v_default(),
+    ] {
+        let seed = SEEDS[0];
+        out.push_str(&digest_line(
+            &format!("cell={cell} seed={seed}"),
+            &run(&cfg(&app, &wl, policy, seed)),
+        ));
+    }
+    out
+}
+
+#[test]
+fn microsim_digests_match_committed_fixture() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/microsim_digests.txt");
+    let rendered = render();
+    if std::env::var("GOLDEN_REGEN").is_ok() {
+        std::fs::create_dir_all(fixture.parent().expect("fixture dir")).expect("mkdir");
+        std::fs::write(&fixture, &rendered).expect("write fixture");
+        eprintln!("regenerated {}", fixture.display());
+        return;
+    }
+    let committed = std::fs::read_to_string(&fixture).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); run with GOLDEN_REGEN=1",
+            fixture.display()
+        )
+    });
+    for (i, (want, got)) in committed.lines().zip(rendered.lines()).enumerate() {
+        assert_eq!(want, got, "microsim golden diverged at line {}", i + 1);
+    }
+    assert_eq!(
+        committed.lines().count(),
+        rendered.lines().count(),
+        "microsim golden line count changed"
+    );
+}
