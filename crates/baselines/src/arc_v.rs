@@ -360,7 +360,7 @@ mod tests {
         let up = a.recommend();
         assert_eq!(up.len(), 1);
         let cpu = up[0].cpu_limit_cores.unwrap();
-        assert!(cpu < 1.0 && cpu >= 0.2, "cpu {cpu}");
+        assert!((0.2..1.0).contains(&cpu), "cpu {cpu}");
     }
 
     #[test]

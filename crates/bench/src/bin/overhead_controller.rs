@@ -88,7 +88,7 @@ fn setup() -> Controller {
 
 /// Alternate busy/idle telemetry so both decision paths run.
 fn stats_for(round: u64, i: u64) -> CpuPeriodStats {
-    let throttled = (round + i) % 7 == 0;
+    let throttled = (round + i).is_multiple_of(7);
     CpuPeriodStats {
         quota_cores: 1.0,
         usage_us: if throttled { 100_000.0 } else { 30_000.0 },
@@ -323,9 +323,7 @@ fn extract_number(json: &str, key: &str) -> Option<f64> {
     let at = json.find(&pat)?;
     let rest = &json[at + pat.len()..];
     let rest = &rest[rest.find(':')? + 1..];
-    let end = rest
-        .find(|c| c == ',' || c == '}' || c == '\n')
-        .unwrap_or(rest.len());
+    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
     rest[..end].trim().parse().ok()
 }
 

@@ -1,31 +1,19 @@
-//! Simulator-core gates: the serial-tick vs event-heap **identity
-//! check** and the 10k-node **scale smoke**.
+//! Simulator-core gate: the 10k-node **scale smoke**.
 //!
-//! * `--identity` — runs committed paper scenarios (Teastore and
-//!   HipsterShop cells at the smoke duration, Escra and Static policies)
-//!   once on the frozen [`SimEngine::SerialTick`] reference loop and
-//!   once on [`SimEngine::EventHeap`] with tick-coupled physics, and
-//!   fails unless every observable output (metrics, network bytes,
-//!   controller stats, fault stats, profiles) is byte-for-byte
-//!   identical. This is the gate that let the experiment bins move onto
-//!   the event engine.
-//! * default mode — a synthetic 10 000-node cluster hosting 12 000
-//!   containers under Escra, driven on the event heap with exact
-//!   physics for millions of container-periods. Wall-time and
-//!   throughput (container-periods/s, heap events/s) go to
-//!   `BENCH_sim.json`; `--record` commits the numbers as the baseline
-//!   and `--check` fails on a >2× throughput regression (generous,
-//!   because shared CI hosts are noisy).
+//! A synthetic 10 000-node cluster hosting 12 000 containers under
+//! Escra, driven on the event heap for millions of container-periods.
+//! Wall-time and throughput (container-periods/s, heap events/s) go to
+//! `BENCH_sim.json`; `--record` commits the numbers as the baseline and
+//! `--check` fails on a >2× throughput regression (generous, because
+//! shared CI hosts are noisy).
 //!
 //! `--smoke` shortens the scale run (still ≥ 1M container-periods).
 
-use escra_bench::{write_json, SEED, SMOKE_RUN_SECS};
-use escra_harness::{run, MicroSimConfig, MicroSimOutput, Policy, SimEngine, SimPhysics};
+use escra_bench::{write_json, SEED};
+use escra_harness::{run, MicroSimConfig, Policy};
 use escra_metrics::Table;
 use escra_simcore::time::SimDuration;
-use escra_workloads::{
-    hipster_shop, teastore, MicroserviceApp, RequestClass, ServiceTier, WorkloadKind,
-};
+use escra_workloads::{MicroserviceApp, RequestClass, ServiceTier, WorkloadKind};
 use std::time::Instant;
 
 /// Committed baseline written by `--record`, validated by `--check`.
@@ -35,65 +23,6 @@ const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_si
 const SCALE_NODES: usize = 10_000;
 /// Replicas per tier in the synthetic scale app (2 tiers).
 const SCALE_REPLICAS: usize = 6_000;
-
-/// Everything observable about a run except the engine counters (which
-/// legitimately differ between drivers).
-fn digest(out: &MicroSimOutput) -> String {
-    format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}",
-        out.metrics, out.network, out.controller_stats, out.fault_stats, out.profiles
-    )
-}
-
-/// The committed identity scenarios: two real apps × two policies at the
-/// smoke duration, master seed — the same cells the experiment matrix
-/// commits to EXPERIMENTS.md.
-fn identity_scenarios() -> Vec<(String, MicroSimConfig)> {
-    let mut out = Vec::new();
-    for (app_name, app, workload) in [
-        ("Teastore", teastore(), WorkloadKind::Fixed { rps: 150.0 }),
-        ("HipsterShop", hipster_shop(), WorkloadKind::paper_exp()),
-    ] {
-        for policy in [Policy::escra_default(), Policy::static_1_5x()] {
-            let label = format!("{app_name}/{}", policy.name());
-            out.push((
-                label,
-                MicroSimConfig::new(app.clone(), workload.clone(), policy, SEED)
-                    .with_duration(SimDuration::from_secs(SMOKE_RUN_SECS)),
-            ));
-        }
-    }
-    out
-}
-
-fn run_identity_gate() {
-    let mut checked = 0usize;
-    for (label, cfg) in identity_scenarios() {
-        let serial = run(&cfg.clone().with_engine(SimEngine::SerialTick));
-        let heap = run(&cfg
-            .clone()
-            .with_engine(SimEngine::EventHeap)
-            .with_physics(SimPhysics::TickCoupled));
-        let (ds, dh) = (digest(&serial), digest(&heap));
-        if ds != dh {
-            let at = ds
-                .bytes()
-                .zip(dh.bytes())
-                .position(|(a, b)| a != b)
-                .unwrap_or(ds.len().min(dh.len()));
-            eprintln!("FAIL: serial-tick and event-heap outputs diverge on {label} at byte {at}");
-            std::process::exit(1);
-        }
-        println!(
-            "identity: {label} OK ({} bytes, {} rounds, {} heap events)",
-            ds.len(),
-            heap.sim.rounds,
-            heap.sim.heap_events
-        );
-        checked += 1;
-    }
-    println!("serial-tick vs event-heap identity: OK ({checked} scenarios)");
-}
 
 /// A synthetic two-tier application sized for the scale run. Tier
 /// parameters mirror Teastore-class services; background chains are
@@ -147,31 +76,20 @@ fn extract_number(json: &str, key: &str) -> Option<f64> {
     let at = json.find(&pat)?;
     let rest = &json[at + pat.len()..];
     let rest = &rest[rest.find(':')? + 1..];
-    let end = rest
-        .find(|c| c == ',' || c == '}' || c == '\n')
-        .unwrap_or(rest.len());
+    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
     rest[..end].trim().parse().ok()
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let identity = args.iter().any(|a| a == "--identity");
     let smoke = args.iter().any(|a| a == "--smoke");
     let check = args.iter().any(|a| a == "--check");
     let record = args.iter().any(|a| a == "--record");
     for a in &args {
         assert!(
-            matches!(
-                a.as_str(),
-                "--identity" | "--smoke" | "--check" | "--record"
-            ),
-            "unknown flag {a:?} (expected --identity, --smoke, --check, --record)"
+            matches!(a.as_str(), "--smoke" | "--check" | "--record"),
+            "unknown flag {a:?} (expected --smoke, --check, --record)"
         );
-    }
-
-    if identity {
-        run_identity_gate();
-        return;
     }
 
     let duration_secs = if smoke { 10 } else { 50 };

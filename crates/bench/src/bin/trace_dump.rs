@@ -66,6 +66,7 @@ fn recorder(class: u16) -> TraceRecorder {
 /// The control plane under trace: one sequential Controller or the
 /// app-sharded front-end. Decisions (and therefore the comparable trace)
 /// are identical — that is the property this bin exists to demonstrate.
+#[allow(clippy::large_enum_variant)] // one Plane per run; size is irrelevant
 enum Plane {
     Serial {
         controller: Controller<TraceRecorder>,

@@ -199,9 +199,7 @@ fn extract_number(json: &str, key: &str) -> Option<f64> {
     let at = json.find(&pat)?;
     let rest = &json[at + pat.len()..];
     let rest = &rest[rest.find(':')? + 1..];
-    let end = rest
-        .find(|c| c == ',' || c == '}' || c == '\n')
-        .unwrap_or(rest.len());
+    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
     rest[..end].trim().parse().ok()
 }
 
@@ -246,7 +244,7 @@ fn main() {
         run_trace_sim(&s.input, &shard_cfg(s.seed, nodes_per_shard))
     };
     let start = Instant::now();
-    let outs = run_sweep(scenarios(SEED, shards.clone()), threads, &f);
+    let outs = run_sweep(scenarios(SEED, shards.clone()), threads, f);
     let wall = start.elapsed().as_secs_f64();
 
     let summaries: Vec<ShardSummary> = outs
@@ -255,7 +253,7 @@ fn main() {
         .map(|(i, o)| summarize(i, shard_sizes[i], o))
         .collect();
     if serial_check {
-        let serial_outs = run_serial(scenarios(SEED, shards), &f);
+        let serial_outs = run_serial(scenarios(SEED, shards), f);
         let serial_summaries: Vec<ShardSummary> = serial_outs
             .iter()
             .enumerate()

@@ -457,8 +457,8 @@ mod tests {
     fn quantization_rounds_to_nearest_unit() {
         let stats = CpuPeriodStats {
             quota_cores: 1.2345678,
-            unused_runtime_us: 41_999.5001,
-            usage_us: 58_000.4999,
+            unused_runtime_us: 41_999.500_1,
+            usage_us: 58_000.499_9,
             throttled: false,
         };
         let (q, un, us, t) = stats.to_fixed_point();

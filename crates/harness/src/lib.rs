@@ -12,6 +12,9 @@
 //!   (Figs. 7–9);
 //! * [`trace_sim`] — the trace-driven mega-scenario driver (one
 //!   Distributed Container per traced app, tens of thousands of apps);
+//!   both pod-pool drivers stand on one private `pod_host` (cluster +
+//!   Controller/Agents or baseline scaler, pod deploy/teardown, memory
+//!   charge and OOM paths, per-second sampling);
 //! * [`tracking`] — the Fig. 2 single-container CPU-tracking experiment;
 //! * [`sweep`] — the deterministic parallel sweep runner the benchmark
 //!   grids execute on (bit-identical to serial execution).
@@ -20,6 +23,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod microsim;
+mod pod_host;
 pub mod policy;
 pub mod queueing;
 pub mod serverless_sim;
@@ -29,7 +33,7 @@ pub mod tracking;
 
 pub use microsim::{
     controller_addr, node_addr, profile_run, run, run_with_profiles, MicroSimConfig,
-    MicroSimOutput, ReportPlan, SimEngine, SimPhysics, SimStats,
+    MicroSimOutput, ReportPlan, SimStats,
 };
 pub use policy::{BaselineScalerKind, Policy};
 pub use sweep::{default_threads, run_serial, run_sweep, scenario_seed, scenarios, Scenario};

@@ -1,11 +1,10 @@
 //! The policies an experiment can run under.
 
 use escra_baselines::{
-    ArcVConfig, ArcVScaler, AutopilotConfig, PeriodicScaler, TinyAutoscaler, TinyAutoscalerConfig,
-    VpaConfig,
+    ArcVConfig, ArcVScaler, AutopilotConfig, AutopilotScaler, PeriodicScaler, TinyAutoscaler,
+    TinyAutoscalerConfig, VpaConfig, VpaScaler,
 };
 use escra_core::EscraConfig;
-use escra_simcore::time::SimDuration;
 
 /// Which allocation policy manages the containers during a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,14 +69,19 @@ impl Policy {
 
     /// Whether this policy needs a profiling pre-run to seed limits.
     pub fn needs_profile(&self) -> bool {
-        matches!(
-            self,
-            Policy::Static { .. }
-                | Policy::Autopilot(_)
-                | Policy::Vpa(_)
-                | Policy::Tiny(_)
-                | Policy::ArcV(_)
-        )
+        !matches!(self, Policy::Escra(_))
+    }
+
+    /// The policy's [`PeriodicScaler`], if it is one (Escra and static
+    /// limits are not).
+    pub(crate) fn build_scaler(&self) -> Option<Box<dyn PeriodicScaler>> {
+        Some(match self {
+            Policy::Escra(_) | Policy::Static { .. } => return None,
+            Policy::Autopilot(cfg) => Box::new(AutopilotScaler::new(cfg.clone())),
+            Policy::Vpa(cfg) => Box::new(VpaScaler::new(*cfg)),
+            Policy::Tiny(cfg) => BaselineScalerKind::Tiny(*cfg).build(),
+            Policy::ArcV(cfg) => BaselineScalerKind::ArcV(*cfg).build(),
+        })
     }
 }
 
@@ -107,14 +111,6 @@ impl BaselineScalerKind {
         match self {
             BaselineScalerKind::Tiny(cfg) => Box::new(TinyAutoscaler::new(*cfg)),
             BaselineScalerKind::ArcV(cfg) => Box::new(ArcVScaler::new(*cfg)),
-        }
-    }
-
-    /// The scaler's recommendation period.
-    pub fn update_period(&self) -> SimDuration {
-        match self {
-            BaselineScalerKind::Tiny(cfg) => cfg.update_period,
-            BaselineScalerKind::ArcV(cfg) => cfg.update_period,
         }
     }
 }
@@ -148,11 +144,11 @@ mod tests {
         let arc = BaselineScalerKind::ArcV(ArcVConfig::default());
         assert_eq!(tiny.name(), "tiny");
         assert_eq!(arc.name(), "arc-v");
-        assert!(!tiny.update_period().is_zero());
-        assert!(!arc.update_period().is_zero());
         let mut s = tiny.build();
+        assert!(!s.update_period().is_zero());
         assert!(s.recommend().is_empty(), "no observations yet");
         let mut s = arc.build();
+        assert!(!s.update_period().is_zero());
         assert!(s.recommend().is_empty());
     }
 }

@@ -89,21 +89,6 @@ pub fn drain_fifo(
     out
 }
 
-/// Removes every job whose request index satisfies `expired`, returning
-/// the dropped request indices (timeout culling).
-pub fn cull_queue<F: Fn(usize) -> bool>(queue: &mut VecDeque<StageJob>, expired: F) -> Vec<usize> {
-    let mut dropped = Vec::new();
-    queue.retain(|j| {
-        if expired(j.request) {
-            dropped.push(j.request);
-            false
-        } else {
-            true
-        }
-    });
-    dropped
-}
-
 /// Total queued work in core-microseconds.
 pub fn backlog_us(queue: &VecDeque<StageJob>) -> f64 {
     queue.iter().map(|j| j.remaining_us).sum()
@@ -225,13 +210,5 @@ mod tests {
         assert!(out.completions[1].1 <= SimTime::from_millis(103));
         assert!((out.consumed_us - 20_000.0).abs() < 1e-6);
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn cull_drops_expired() {
-        let mut q: VecDeque<StageJob> = [job(0, 1.0, 0), job(1, 1.0, 0), job(2, 1.0, 0)].into();
-        let dropped = cull_queue(&mut q, |r| r == 1);
-        assert_eq!(dropped, vec![1]);
-        assert_eq!(q.len(), 2);
     }
 }

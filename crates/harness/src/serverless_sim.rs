@@ -6,23 +6,22 @@
 //! with Escra enabled the whole namespace is treated as one Distributed
 //! Container and pods are right-sized continuously.
 //!
-//! The run is driven by `Round` events on the discrete-event heap
-//! ([`escra_simcore::events::EventQueue`]). While the invoker is
-//! completely idle — no pods, no pending activations — the driver
-//! fast-forwards across the gap to the next arrival instead of
-//! executing empty windows (see [`ServerlessConfig::fast_forward_idle`]),
-//! so the long inter-iteration gaps of ImageProcess cost almost nothing.
+//! All pod activity resolves inside fixed windows, so the run is one
+//! chain of window closes. While the invoker is completely idle — no
+//! pods, no pending activations — the driver fast-forwards across the
+//! gap to the next arrival instead of executing empty windows (see
+//! [`ServerlessConfig::fast_forward_idle`]), so the long inter-iteration
+//! gaps of ImageProcess cost almost nothing. Everything done to a pod
+//! that `trace_sim` does too lives in [`crate::pod_host`].
 
-use crate::microsim::{agent_for, apply_limit_updates};
+use crate::pod_host::PodHost;
 use crate::policy::BaselineScalerKind;
-use escra_baselines::{PeriodicScaler, UsageSample};
-use escra_cfs::{node::arbitrate, ChargeOutcome, MIB};
-use escra_cluster::{AppId, Cluster, ContainerId, ContainerSpec, ContainerState, NodeSpec};
-use escra_core::telemetry::{ToController, CPU_STATS_WIRE_BYTES, OOM_EVENT_WIRE_BYTES};
-use escra_core::{Action, Agent, AgentReport, Controller, EscraConfig};
+use escra_cfs::{node::arbitrate, MIB};
+use escra_cluster::{AppId, ContainerId, ContainerSpec, ContainerState, NodeSpec};
+use escra_core::telemetry::{ToController, CPU_STATS_WIRE_BYTES};
+use escra_core::EscraConfig;
 use escra_metrics::RunMetrics;
 use escra_net::BandwidthAccountant;
-use escra_simcore::events::EventQueue;
 use escra_simcore::rng::SimRng;
 use escra_simcore::time::{SimDuration, SimTime};
 use escra_workloads::serverless::{
@@ -53,9 +52,9 @@ pub struct ServerlessConfig {
     pub openwhisk: OpenWhiskConfig,
     /// `Some` enables Escra management of the namespace.
     pub escra: Option<EscraConfig>,
-    /// `Some` runs a [`PeriodicScaler`] baseline (tiny autoscaler or
-    /// ARC-V) over the pod population instead — mutually exclusive with
-    /// `escra`.
+    /// `Some` runs a [`PeriodicScaler`](escra_baselines::PeriodicScaler)
+    /// baseline (tiny autoscaler or ARC-V) over the pod population
+    /// instead — mutually exclusive with `escra`.
     pub baseline: Option<BaselineScalerKind>,
     /// Scales the Escra global limits (the paper's "80 % fewer
     /// cores/MiB" GridSearch case uses 0.8).
@@ -143,16 +142,8 @@ struct Pod {
     cid: ContainerId,
     state: PodState,
     /// CPU-time consumed since the last 1 s sample, in µs — the usage
-    /// integral a baseline [`PeriodicScaler`] observes.
+    /// integral a baseline scaler observes.
     sec_usage_us: f64,
-}
-
-/// The serverless heap event: a window close. All pod activity is
-/// resolved inside windows, so a single `Round` chain (plus the idle
-/// fast-forward) is the whole taxonomy here.
-#[derive(Debug, Clone, Copy)]
-enum SlsEv {
-    Round,
 }
 
 /// Maximum cores one action can exploit (slightly above 1 vCPU: some
@@ -161,576 +152,371 @@ enum SlsEv {
 const ACTION_PARALLELISM: f64 = 1.2;
 
 /// Runs one serverless experiment.
-// The index loop over `pods` mutates sibling state (cluster, job) while
-// reading pod entries, which an iterator borrow cannot express.
-#[allow(clippy::needless_range_loop)]
 pub fn run_serverless(cfg: &ServerlessConfig, profile: &ActionProfile) -> ServerlessOutput {
-    let period = cfg
-        .escra
-        .as_ref()
-        .map(|c| c.report_period)
-        .unwrap_or(SimDuration::from_millis(100));
-    let period_us = period.as_micros() as f64;
-    let app_id = AppId::new(0);
-    let mut cluster = Cluster::new(vec![
-        NodeSpec {
-            cores: cfg.node_cores,
-            mem_bytes: 64 * 1024 * MIB,
-        };
-        cfg.worker_nodes
-    ]);
-    let mut rng = SimRng::new(cfg.seed).fork(0x736c73); // "sls"
-    let mut accountant = BandwidthAccountant::new();
-    let mut controller = cfg.escra.as_ref().map(|ecfg| {
-        let mut c = Controller::new(ecfg.clone());
-        let pool_mem =
-            (cfg.openwhisk.container_pool_mem_mib as f64 * cfg.resource_scale) as u64 * MIB;
-        let pool_cpu = cfg.openwhisk.implied_global_cpu_cores() * cfg.resource_scale;
-        c.register_app(app_id, pool_cpu, pool_mem);
-        c
-    });
-    let mut agents: Vec<Agent> = cluster.nodes().iter().map(|n| Agent::new(n.id())).collect();
+    let mut invoker = Invoker::new(cfg, profile);
+    let mut next_round = Some(SimTime::ZERO + invoker.host.period);
+    while let Some(t_next) = next_round {
+        next_round = invoker.round(t_next);
+    }
+    let metrics = invoker.host.finish(invoker.t_final);
+    ServerlessOutput {
+        metrics,
+        job_latency: invoker.job_latency,
+        peak_pods: invoker.peak_pods,
+        network: cfg.escra.as_ref().map(|_| invoker.host.accountant),
+        rounds_executed: invoker.rounds_executed,
+        rounds_fast_forwarded: invoker.rounds_fast_forwarded,
+    }
+}
 
-    assert!(
-        cfg.escra.is_none() || cfg.baseline.is_none(),
-        "escra and a baseline scaler are mutually exclusive"
-    );
-    let mut scaler: Option<Box<dyn PeriodicScaler>> = cfg.baseline.as_ref().map(|k| k.build());
-    let scaler_update_secs = cfg
-        .baseline
-        .as_ref()
-        .map(|k| (k.update_period().as_micros() / 1_000_000).max(1))
-        .unwrap_or(1);
+/// The OpenWhisk invoker: a pool of action pods on a [`PodHost`], fed
+/// from an arrival schedule (ImageProcess) or a job's task queue
+/// (GridSearch).
+struct Invoker<'a> {
+    cfg: &'a ServerlessConfig,
+    profile: &'a ActionProfile,
+    host: PodHost,
+    rng: SimRng,
+    pods: Vec<Pod>,
+    /// Activation arrivals not yet due, in time order.
+    schedule: VecDeque<SimTime>,
+    /// Arrived activations waiting for a pod.
+    pending: VecDeque<SimTime>,
+    /// Where the rotating activation scan starts this window.
+    assign_cursor: usize,
+    job: Option<GridSearchJob>,
+    job_latency: Option<SimDuration>,
+    end: SimTime,
+    peak_pods: usize,
+    /// Per-node running Exec pods of the current window, in pod order.
+    node_exec: Vec<Vec<usize>>,
+    rounds_executed: u64,
+    rounds_fast_forwarded: u64,
+    /// Final simulated time: the last window boundary reached (or the
+    /// window start when a finished job ends the run mid-grid).
+    t_final: SimTime,
+}
 
-    let mut pods: Vec<Pod> = Vec::new();
-    let mut pending: VecDeque<SimTime> = VecDeque::new(); // activation arrivals
-    let mut metrics = RunMetrics::new(if cfg.escra.is_some() {
-        "escra-openwhisk".to_string()
-    } else if let Some(k) = &cfg.baseline {
-        format!("{}-openwhisk", k.name())
-    } else {
-        "openwhisk".to_string()
-    });
-    let mut peak_pods = 0usize;
-    let mut job = match cfg.app {
-        ServerlessApp::GridSearch => Some(GridSearchJob::paper()),
-        _ => None,
-    };
-    let mut job_latency = None;
-
-    // Build the arrival schedule.
-    let mut schedule: VecDeque<SimTime> = match cfg.app {
-        ServerlessApp::ImageProcess { iterations } => {
-            let gap = SimDuration::from_secs(120); // idle gap between iterations
-            let mut all = Vec::new();
-            for i in 0..iterations {
-                let start = SimTime::ZERO + (IMAGE_PROCESS_ITERATION + gap) * i as u64;
-                all.extend(image_process_arrivals(start));
+impl<'a> Invoker<'a> {
+    fn new(cfg: &'a ServerlessConfig, profile: &'a ActionProfile) -> Self {
+        let nodes = vec![
+            NodeSpec {
+                cores: cfg.node_cores,
+                mem_bytes: 64 * 1024 * MIB,
+            };
+            cfg.worker_nodes
+        ];
+        let mut host = PodHost::new(
+            nodes,
+            cfg.escra.as_ref(),
+            cfg.baseline.as_ref(),
+            "openwhisk",
+            "openwhisk",
+        );
+        if let Some(ctl) = host.controller.as_mut() {
+            // The whole namespace is one Distributed Container.
+            let pool_mem =
+                (cfg.openwhisk.container_pool_mem_mib as f64 * cfg.resource_scale) as u64 * MIB;
+            let pool_cpu = cfg.openwhisk.implied_global_cpu_cores() * cfg.resource_scale;
+            ctl.register_app(AppId::new(0), pool_cpu, pool_mem);
+        }
+        let gap = SimDuration::from_secs(120); // idle gap between iterations
+        let (schedule, end, job) = match cfg.app {
+            ServerlessApp::ImageProcess { iterations } => {
+                let stride = IMAGE_PROCESS_ITERATION + gap;
+                let schedule = (0..iterations as u64)
+                    .flat_map(|i| image_process_arrivals(SimTime::ZERO + stride * i))
+                    .collect();
+                (schedule, SimTime::ZERO + stride * iterations as u64, None)
             }
-            all.into()
+            ServerlessApp::GridSearch => (
+                VecDeque::new(),
+                SimTime::ZERO + SimDuration::from_secs(1_800),
+                Some(GridSearchJob::paper()),
+            ),
+        };
+        let mut invoker = Invoker {
+            cfg,
+            profile,
+            node_exec: vec![Vec::new(); host.cluster.nodes().len()],
+            host,
+            rng: SimRng::new(cfg.seed).fork(0x736c73), // "sls"
+            pods: Vec::new(),
+            schedule,
+            pending: VecDeque::new(),
+            assign_cursor: 0,
+            job,
+            job_latency: None,
+            end,
+            peak_pods: 0,
+            rounds_executed: 0,
+            rounds_fast_forwarded: 0,
+            t_final: SimTime::ZERO,
+        };
+        if invoker.job.is_some() {
+            // GridSearch: the worker fleet spawns at t = 0.
+            for _ in 0..GRID_SEARCH_WORKERS {
+                invoker.spawn_pod(SimTime::ZERO);
+            }
         }
-        ServerlessApp::GridSearch => VecDeque::new(),
-    };
-    let end = match cfg.app {
-        ServerlessApp::ImageProcess { iterations } => {
-            SimTime::ZERO
-                + (IMAGE_PROCESS_ITERATION + SimDuration::from_secs(120)) * iterations as u64
-        }
-        ServerlessApp::GridSearch => SimTime::ZERO + SimDuration::from_secs(1_800),
-    };
-
-    // GridSearch: spawn the worker fleet at t=0.
-    if matches!(cfg.app, ServerlessApp::GridSearch) {
-        for _ in 0..GRID_SEARCH_WORKERS {
-            spawn_pod(
-                &mut cluster,
-                &mut pods,
-                cfg,
-                app_id,
-                &mut controller,
-                &mut scaler,
-                &mut agents,
-                &mut accountant,
-                SimTime::ZERO,
-            );
-        }
+        invoker
     }
 
-    let mut next_second = SimTime::from_secs(1);
-    let mut assign_cursor = 0usize;
-    let mut rounds_executed = 0u64;
-    let mut rounds_fast_forwarded = 0u64;
-    // Per-node Exec membership, rebuilt in one pass over the pods per
-    // window (the old loop rescanned every pod once per node).
-    let mut node_exec: Vec<Vec<usize>> = vec![Vec::new(); cluster.nodes().len()];
-    // The one action buffer every Controller call appends to and
-    // `drive_actions` drains.
-    let mut actions: Vec<Action> = Vec::new();
-    // Final simulated time: the last window boundary reached (or the
-    // window start when a finished job breaks the run mid-grid).
-    let mut t_final = SimTime::ZERO;
-
-    let mut q: EventQueue<SlsEv> = EventQueue::new();
-    q.push(SimTime::ZERO + period, SlsEv::Round);
-    while let Some((t_next, SlsEv::Round)) = q.pop() {
-        // The window [t, t_next) resolves now, at its close.
+    /// One full window `[t_next - period, t_next)`, resolved at its
+    /// close. Returns the close of the next window to execute, if any.
+    fn round(&mut self, t_next: SimTime) -> Option<SimTime> {
+        let period = self.host.period;
         let t = t_next - period;
-        rounds_executed += 1;
-        cluster.tick(t);
-        // No Container Watcher subscribes here: drop the lifecycle feed
-        // each window instead of letting it grow for the whole run.
-        cluster.discard_events();
+        self.rounds_executed += 1;
+        self.host.begin_window(t);
+        self.admit(t, t_next);
+        self.execute(t);
+        self.complete_io(t_next);
+        self.charge_memory(t_next);
+        self.report(t_next);
+        self.reap_idle(t_next);
+        self.host.sample_seconds(t_next, |see| {
+            for pod in self.pods.iter_mut() {
+                see(pod.cid, &mut pod.sec_usage_us);
+            }
+        });
 
-        // Promote started pods, claim work.
-        for pod in pods.iter_mut() {
+        if self.job.as_ref().is_some_and(|j| j.is_done()) {
+            self.t_final = t;
+            return None;
+        }
+        self.t_final = t_next;
+
+        // The next window — fast-forwarding across fully idle gaps,
+        // replaying each skipped window's residue.
+        let mut next_round = t_next + period;
+        if self.cfg.fast_forward_idle && self.pods.is_empty() && self.pending.is_empty() {
+            let horizon = self.schedule.front().copied().unwrap_or(self.end);
+            while next_round <= horizon && next_round - period < self.end {
+                self.host.idle_window(next_round);
+                self.rounds_fast_forwarded += 1;
+                self.t_final = next_round;
+                next_round += period;
+            }
+        }
+        (next_round - period < self.end).then_some(next_round)
+    }
+
+    /// Promotes started pods, takes in the window's arrivals, hands
+    /// activations (or GridSearch tasks) to idle pods and scales out.
+    fn admit(&mut self, t: SimTime, t_next: SimTime) {
+        for pod in self.pods.iter_mut() {
             if matches!(pod.state, PodState::Starting)
-                && cluster.container(pod.cid).is_some_and(|c| c.is_running())
+                && self
+                    .host
+                    .cluster
+                    .container(pod.cid)
+                    .is_some_and(|c| c.is_running())
             {
                 pod.state = PodState::Idle { since: t };
             }
         }
-
-        // New arrivals this period.
-        while let Some(&at) = schedule.front() {
-            if at < t_next {
-                pending.push_back(at);
-                schedule.pop_front();
-            } else {
-                break;
-            }
-        }
+        let due = self.schedule.partition_point(|&at| at < t_next);
+        self.pending.extend(self.schedule.drain(..due));
 
         // Assign pending activations to idle pods, rotating the start of
         // the scan: OpenWhisk spreads activations across its warm pool,
         // which is what keeps every warm pod's static reservation alive.
-        let np = pods.len();
+        let np = self.pods.len();
         if np > 0 {
             for k in 0..np {
-                if pending.is_empty() {
-                    break;
-                }
-                let pi = (assign_cursor + k) % np;
-                if let PodState::Idle { .. } = pods[pi].state {
-                    let arrival = pending.pop_front().expect("non-empty");
-                    pods[pi].state = PodState::Exec {
+                let pod = &mut self.pods[(self.assign_cursor + k) % np];
+                if let (PodState::Idle { .. }, Some(&arrival)) = (pod.state, self.pending.front()) {
+                    self.pending.pop_front();
+                    pod.state = PodState::Exec {
                         arrival,
-                        remaining_us: profile.sample_exec_us(&mut rng),
+                        remaining_us: self.profile.sample_exec_us(&mut self.rng),
                     };
                 }
             }
-            assign_cursor = (assign_cursor + 1) % np;
+            self.assign_cursor = (self.assign_cursor + 1) % np;
         }
-        let max_pods = (cfg.openwhisk.max_pods() as f64 * cfg.resource_scale) as usize;
-        let mut to_spawn = pending.len().min(max_pods.saturating_sub(pods.len()));
-        while to_spawn > 0 {
-            spawn_pod(
-                &mut cluster,
-                &mut pods,
-                cfg,
-                app_id,
-                &mut controller,
-                &mut scaler,
-                &mut agents,
-                &mut accountant,
-                t,
-            );
-            to_spawn -= 1;
+        let max_pods = (self.cfg.openwhisk.max_pods() as f64 * self.cfg.resource_scale) as usize;
+        let to_spawn = self.pending.len().min(max_pods.saturating_sub(np));
+        for _ in 0..to_spawn {
+            self.spawn_pod(t);
         }
         // GridSearch: idle workers claim tasks.
-        if let Some(job) = job.as_mut() {
-            for pod in pods.iter_mut() {
-                if let PodState::Idle { .. } = pod.state {
-                    if let Some(_task) = job.try_claim() {
-                        pod.state = PodState::Exec {
-                            arrival: t,
-                            remaining_us: profile.sample_exec_us(&mut rng),
-                        };
-                    }
+        if let Some(job) = self.job.as_mut() {
+            for pod in self.pods.iter_mut() {
+                if matches!(pod.state, PodState::Idle { .. }) && job.try_claim().is_some() {
+                    pod.state = PodState::Exec {
+                        arrival: t,
+                        remaining_us: self.profile.sample_exec_us(&mut self.rng),
+                    };
                 }
             }
         }
-        peak_pods = peak_pods.max(pods.len());
+        self.peak_pods = self.peak_pods.max(self.pods.len());
+    }
 
-        // CPU: arbitrate execution among busy pods per node. One pass
-        // groups running Exec pods by node (in pod order).
-        for (pi, pod) in pods.iter().enumerate() {
+    /// CPU: arbitrates execution among busy pods, per node.
+    fn execute(&mut self, t: SimTime) {
+        let period = self.host.period;
+        let period_us = period.as_micros() as f64;
+        for (pi, pod) in self.pods.iter().enumerate() {
             if let PodState::Exec { .. } = pod.state {
-                let c = cluster.container(pod.cid).expect("pod container");
+                let c = self.host.cluster.container(pod.cid).expect("pod container");
                 if c.is_running() {
-                    node_exec[c.node().as_u64() as usize].push(pi);
+                    self.node_exec[c.node().as_u64() as usize].push(pi);
                 }
             }
         }
-        for node in 0..node_exec.len() {
-            let capacity = cfg.node_cores as f64 * period_us;
-            let mut want = Vec::with_capacity(node_exec[node].len());
-            for &pi in &node_exec[node] {
-                let c = cluster.container(pods[pi].cid).expect("pod container");
-                let remaining = match pods[pi].state {
-                    PodState::Exec { remaining_us, .. } => remaining_us,
-                    _ => 0.0,
-                };
-                want.push(
-                    remaining
+        let capacity = self.cfg.node_cores as f64 * period_us;
+        for members in self.node_exec.iter_mut() {
+            let want: Vec<f64> = members
+                .iter()
+                .map(|&pi| {
+                    let pod = &self.pods[pi];
+                    let PodState::Exec { remaining_us, .. } = pod.state else {
+                        unreachable!("only Exec pods are gathered");
+                    };
+                    let c = self.host.cluster.container(pod.cid).expect("pod container");
+                    remaining_us
                         .min(ACTION_PARALLELISM * period_us)
-                        .min(c.cpu.runtime_remaining_us()),
-                );
-            }
+                        .min(c.cpu.runtime_remaining_us())
+                })
+                .collect();
             let grants = arbitrate(capacity, &want);
-            for (k, &pi) in node_exec[node].iter().enumerate() {
-                let granted = grants[k];
-                let cid = pods[pi].cid;
-                if let PodState::Exec {
+            for (&granted, &pi) in grants.iter().zip(members.iter()) {
+                let pod = &mut self.pods[pi];
+                let PodState::Exec {
                     arrival,
                     remaining_us,
-                } = pods[pi].state
-                {
-                    let c = cluster.container_mut(cid).expect("pod container");
-                    c.cpu.consume(granted);
-                    let left = remaining_us - granted;
-                    if left <= 1.0 {
-                        // Completed mid-period; interpolate completion.
-                        let frac = if granted > 0.0 {
-                            (remaining_us / granted).clamp(0.0, 1.0)
-                        } else {
-                            1.0
-                        };
-                        let done_at = t + period.mul_f64(frac);
-                        pods[pi].state = PodState::Io {
-                            arrival,
-                            until: done_at + profile.io_wait,
-                        };
+                } = &mut pod.state
+                else {
+                    unreachable!("only Exec pods are gathered");
+                };
+                let c = self
+                    .host
+                    .cluster
+                    .container_mut(pod.cid)
+                    .expect("pod container");
+                c.cpu.consume(granted);
+                let left = *remaining_us - granted;
+                if left <= 1.0 {
+                    // Completed mid-period; interpolate completion.
+                    let frac = if granted > 0.0 {
+                        (*remaining_us / granted).clamp(0.0, 1.0)
                     } else {
-                        if c.cpu.runtime_remaining_us() <= period_us * 0.01 {
-                            c.cpu.mark_throttled();
-                        }
-                        pods[pi].state = PodState::Exec {
-                            arrival,
-                            remaining_us: left,
-                        };
+                        1.0
+                    };
+                    pod.state = PodState::Io {
+                        arrival: *arrival,
+                        until: t + period.mul_f64(frac) + self.profile.io_wait,
+                    };
+                } else {
+                    if c.cpu.runtime_remaining_us() <= period_us * 0.01 {
+                        c.cpu.mark_throttled();
                     }
+                    *remaining_us = left;
                 }
             }
-        }
-        for members in node_exec.iter_mut() {
             members.clear();
         }
+    }
 
-        // IO completions.
-        for pod in pods.iter_mut() {
+    /// Finishes activations whose IO wait ends inside the window.
+    fn complete_io(&mut self, t_next: SimTime) {
+        for pod in self.pods.iter_mut() {
             if let PodState::Io { arrival, until } = pod.state {
                 if until <= t_next {
-                    metrics
+                    self.host
+                        .metrics
                         .latency
                         .record_success(until.duration_since(arrival));
-                    if let Some(job) = job.as_mut() {
+                    if let Some(job) = self.job.as_mut() {
                         job.complete();
-                        if job.is_done() && job_latency.is_none() {
-                            job_latency = Some(until.duration_since(SimTime::ZERO));
+                        if job.is_done() && self.job_latency.is_none() {
+                            self.job_latency = Some(until.duration_since(SimTime::ZERO));
                         }
                     }
                     pod.state = PodState::Idle { since: until };
                 }
             }
         }
+    }
 
-        // Memory targets + OOM handling.
-        for pi in 0..pods.len() {
-            let cid = pods[pi].cid;
-            if !cluster.container(cid).is_some_and(|c| c.is_running()) {
-                continue;
-            }
-            let target = match pods[pi].state {
-                PodState::Exec { .. } | PodState::Io { .. } => profile.mem_mib * MIB,
-                _ => profile.idle_mem_mib * MIB,
+    /// Charges every pod toward its state's memory target. A killed pod
+    /// cold-starts again; its GridSearch task goes back to the queue.
+    fn charge_memory(&mut self, now: SimTime) {
+        for pod in self.pods.iter_mut() {
+            let busy = matches!(pod.state, PodState::Exec { .. } | PodState::Io { .. });
+            let target = if busy {
+                self.profile.mem_mib * MIB
+            } else {
+                self.profile.idle_mem_mib * MIB
             };
-            let usage = cluster.container(cid).expect("pod").mem.usage_bytes();
-            if target <= usage {
-                cluster
-                    .container_mut(cid)
-                    .expect("pod")
-                    .mem
-                    .uncharge(usage - target);
-                continue;
-            }
-            let delta = target - usage;
-            let outcome = cluster
-                .container_mut(cid)
-                .expect("pod")
-                .mem
-                .try_charge(delta);
-            if let ChargeOutcome::WouldOom { shortfall_bytes } = outcome {
-                if let Some(ctl) = controller.as_mut() {
-                    accountant.record(t_next, OOM_EVENT_WIRE_BYTES);
-                    let current_limit_bytes =
-                        cluster.container(cid).expect("pod").mem.limit_bytes();
-                    ctl.handle_into(
-                        t_next,
-                        ToController::OomEvent {
-                            container: cid,
-                            shortfall_bytes,
-                            current_limit_bytes,
-                        },
-                        &mut actions,
-                    );
-                    let killed =
-                        drive_actions(&mut cluster, &mut agents, ctl, &mut actions, t_next);
-                    if !killed {
-                        let _ = cluster
-                            .container_mut(cid)
-                            .expect("pod")
-                            .mem
-                            .try_charge(delta);
-                    } else {
-                        if matches!(pods[pi].state, PodState::Exec { .. } | PodState::Io { .. }) {
-                            if let Some(job) = job.as_mut() {
-                                job.abandon(); // the task goes back to the queue
-                            }
-                        }
-                        pods[pi].state = PodState::Starting;
+            if self.host.charge_to(pod.cid, target, now) {
+                if busy {
+                    if let Some(job) = self.job.as_mut() {
+                        job.abandon();
                     }
-                } else {
-                    if let Some(s) = scaler.as_mut() {
-                        // Tell the baseline so its next recommendation
-                        // can raise the memory limit.
-                        let limit = cluster.container(cid).expect("pod").mem.limit_bytes();
-                        s.on_oom(cid, limit);
-                    }
-                    cluster.oom_kill(cid, t_next).expect("pod exists");
-                    if matches!(pods[pi].state, PodState::Exec { .. } | PodState::Io { .. }) {
-                        if let Some(job) = job.as_mut() {
-                            job.abandon();
-                        }
-                    }
-                    pods[pi].state = PodState::Starting;
                 }
+                pod.state = PodState::Starting;
             }
         }
+    }
 
-        // Telemetry + reclamation (Escra) / usage integration (baseline).
-        for pod in pods.iter_mut() {
-            let c = cluster.container_mut(pod.cid).expect("pod");
+    /// Closes every pod's CPU period; under Escra each running pod's
+    /// stats go to the Controller as one message, then the Controller
+    /// ticks.
+    fn report(&mut self, now: SimTime) {
+        for pod in self.pods.iter_mut() {
+            let c = self
+                .host
+                .cluster
+                .container_mut(pod.cid)
+                .expect("pod container");
             let stats = c.cpu.end_period();
             pod.sec_usage_us += stats.usage_us;
-            if let Some(ctl) = controller.as_mut() {
-                if matches!(
-                    cluster.container(pod.cid).expect("pod").state(),
-                    ContainerState::Running
-                ) {
-                    accountant.record(t_next, CPU_STATS_WIRE_BYTES);
-                    ctl.handle_into(
-                        t_next,
-                        ToController::CpuStats {
-                            container: pod.cid,
-                            stats,
-                        },
-                        &mut actions,
-                    );
-                    drive_actions(&mut cluster, &mut agents, ctl, &mut actions, t_next);
-                }
+            if !matches!(c.state(), ContainerState::Running) {
+                continue;
+            }
+            if let Some(ctl) = self.host.controller.as_mut() {
+                self.host.accountant.record(now, CPU_STATS_WIRE_BYTES);
+                let msg = ToController::CpuStats {
+                    container: pod.cid,
+                    stats,
+                };
+                ctl.handle_into(now, msg, &mut self.host.actions);
+                self.host.drive_actions(now);
             }
         }
-        if let Some(ctl) = controller.as_mut() {
-            ctl.tick_into(t_next, &mut actions);
-            drive_actions(&mut cluster, &mut agents, ctl, &mut actions, t_next);
-        }
+        self.host.tick(now);
+    }
 
-        // Idle-timeout teardown.
-        let idle_timeout = cfg.openwhisk.idle_timeout;
-        let mut removed = Vec::new();
-        for (pi, pod) in pods.iter().enumerate() {
-            if let PodState::Idle { since } = pod.state {
-                if t_next.duration_since(since) >= idle_timeout {
-                    removed.push(pi);
-                }
+    /// Tears down pods idle for the configured timeout.
+    fn reap_idle(&mut self, now: SimTime) {
+        let idle_timeout = self.cfg.openwhisk.idle_timeout;
+        for pi in (0..self.pods.len()).rev() {
+            if matches!(self.pods[pi].state, PodState::Idle { since }
+                if now.duration_since(since) >= idle_timeout)
+            {
+                self.host.retire_pod(self.pods[pi].cid, now);
+                self.pods.swap_remove(pi);
             }
-        }
-        for pi in removed.into_iter().rev() {
-            let cid = pods[pi].cid;
-            let node = cluster.container(cid).expect("pod").node();
-            let _ = cluster.terminate(cid, t_next);
-            if let Some(ctl) = controller.as_mut() {
-                let _ = ctl.deregister_container(cid);
-            }
-            if let Some(s) = scaler.as_mut() {
-                s.forget(cid);
-            }
-            // Drop the pod's high-water seq entries so the Agent's maps
-            // stay bounded under churn. Only the hosting node's Agent
-            // ever applies a command for this id (and the cluster never
-            // reissues an id), so it is the only one holding any.
-            if let Some(agent) = agent_for(&mut agents, node) {
-                agent.forget_container(cid);
-            }
-            pods.swap_remove(pi);
-        }
-
-        // Per-second aggregate limits + slack sampling (and, in the
-        // baseline-scaler mode, the observe → recommend → apply loop).
-        while next_second <= t_next {
-            let mut agg_cpu = 0.0;
-            let mut agg_mem = 0.0;
-            for pod in pods.iter_mut() {
-                let c = cluster.container(pod.cid).expect("pod");
-                agg_cpu += c.cpu.quota_cores();
-                agg_mem += c.mem.limit_bytes() as f64 / MIB as f64;
-                metrics.slack.record(
-                    (c.cpu.quota_cores()).max(0.0),
-                    c.mem.limit_bytes().saturating_sub(c.mem.usage_bytes()) as f64 / MIB as f64,
-                );
-                if let Some(s) = scaler.as_mut() {
-                    s.observe(
-                        pod.cid,
-                        UsageSample {
-                            cpu_cores: pod.sec_usage_us / 1e6,
-                            mem_bytes: c.mem.usage_bytes(),
-                        },
-                    );
-                    pod.sec_usage_us = 0.0;
-                }
-            }
-            metrics.record_limits(next_second, agg_cpu, agg_mem);
-            if let Some(s) = scaler.as_mut() {
-                // Cadence keyed to absolute seconds, so idle
-                // fast-forward (which skips this loop) cannot drift the
-                // recommendation phase.
-                let sec = next_second.duration_since(SimTime::ZERO).as_micros() / 1_000_000;
-                if sec.is_multiple_of(scaler_update_secs) {
-                    let updates = s.recommend();
-                    apply_limit_updates(&mut cluster, &updates, false, next_second);
-                }
-            }
-            next_second += SimDuration::from_secs(1);
-        }
-
-        if job.as_ref().is_some_and(|j| j.is_done()) {
-            t_final = t;
-            break;
-        }
-        t_final = t_next;
-
-        // Schedule the next window — fast-forwarding across fully idle
-        // gaps. A skipped window's only observable residue is the
-        // controller tick (its reclamation sweep keeps internal timing
-        // state even with no containers) and the per-second zero-limit
-        // samples; both are replayed so a fast-forwarded run stays
-        // bit-identical to one that executes every empty window.
-        let mut next_round = t_next + period;
-        if cfg.fast_forward_idle && pods.is_empty() && pending.is_empty() {
-            let horizon = schedule.front().copied().unwrap_or(end);
-            while next_round <= horizon && next_round - period < end {
-                if let Some(ctl) = controller.as_mut() {
-                    ctl.tick_into(next_round, &mut actions);
-                    drive_actions(&mut cluster, &mut agents, ctl, &mut actions, next_round);
-                }
-                while next_second <= next_round {
-                    metrics.record_limits(next_second, 0.0, 0.0);
-                    next_second += SimDuration::from_secs(1);
-                }
-                rounds_fast_forwarded += 1;
-                t_final = next_round;
-                next_round += period;
-            }
-        }
-        if next_round - period < end {
-            q.push(next_round, SlsEv::Round);
         }
     }
 
-    metrics.duration = t_final.duration_since(SimTime::ZERO);
-    metrics.oom_kills = cluster.total_oom_kills();
-    ServerlessOutput {
-        metrics,
-        job_latency,
-        peak_pods,
-        network: controller.map(|_| accountant),
-        rounds_executed,
-        rounds_fast_forwarded,
+    fn spawn_pod(&mut self, now: SimTime) {
+        let ow = &self.cfg.openwhisk;
+        let spec = ContainerSpec::new(format!("action-{}", self.pods.len()), AppId::new(0))
+            .with_cpu_limit(ow.pod_cpu_cores)
+            .with_mem_limit(ow.pod_mem_mib * MIB)
+            .with_base_mem(16 * MIB)
+            .with_restart_delay(ow.cold_start);
+        self.pods.push(Pod {
+            cid: self.host.deploy_pod(spec, now),
+            state: PodState::Starting,
+            sec_usage_us: 0.0,
+        });
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_pod(
-    cluster: &mut Cluster,
-    pods: &mut Vec<Pod>,
-    cfg: &ServerlessConfig,
-    app_id: AppId,
-    controller: &mut Option<Controller>,
-    scaler: &mut Option<Box<dyn PeriodicScaler>>,
-    agents: &mut [Agent],
-    accountant: &mut BandwidthAccountant,
-    now: SimTime,
-) {
-    let spec = ContainerSpec::new(format!("action-{}", pods.len()), app_id)
-        .with_cpu_limit(cfg.openwhisk.pod_cpu_cores)
-        .with_mem_limit(cfg.openwhisk.pod_mem_mib * MIB)
-        .with_base_mem(16 * MIB)
-        .with_restart_delay(cfg.openwhisk.cold_start);
-    let cid = cluster.deploy(spec, now).expect("pool has nodes");
-    if let Some(ctl) = controller.as_mut() {
-        let node = cluster.container(cid).expect("pod").node();
-        if let Ok(mut actions) = ctl.register_container(
-            cid,
-            app_id,
-            node,
-            cfg.openwhisk.pod_cpu_cores,
-            cfg.openwhisk.pod_mem_mib * MIB,
-        ) {
-            accountant.record(now, escra_core::telemetry::REGISTER_WIRE_BYTES);
-            drive_actions(cluster, agents, ctl, &mut actions, now);
-        }
-    }
-    if let Some(s) = scaler.as_mut() {
-        s.track(
-            cid,
-            cfg.openwhisk.pod_cpu_cores,
-            cfg.openwhisk.pod_mem_mib * MIB,
-        );
-    }
-    pods.push(Pod {
-        cid,
-        state: PodState::Starting,
-        sec_usage_us: 0.0,
-    });
-}
-
-/// Applies controller actions, feeding reclamation reports back; returns
-/// whether any container was killed. `actions` is the caller's reusable
-/// buffer and comes back empty. Shared with the trace-driven
-/// mega-scenario driver ([`crate::trace_sim`]).
-pub(crate) fn drive_actions(
-    cluster: &mut Cluster,
-    agents: &mut [Agent],
-    controller: &mut Controller,
-    actions: &mut Vec<Action>,
-    now: SimTime,
-) -> bool {
-    let mut killed = false;
-    let mut depth = 0;
-    while !actions.is_empty() && depth < 4 {
-        depth += 1;
-        let mut entries = Vec::new();
-        for action in actions.drain(..) {
-            match action {
-                Action::KillContainer(cid) => {
-                    let _ = cluster.oom_kill(cid, now);
-                    killed = true;
-                }
-                Action::Agent { node, cmd } => {
-                    if let Some(agent) = agent_for(agents, node) {
-                        if let AgentReport::Reclaimed(mut e) = agent.apply(cluster, cmd) {
-                            entries.append(&mut e);
-                        }
-                    }
-                }
-            }
-        }
-        if !entries.is_empty() {
-            actions.extend(controller.on_reclaim_report(now, &entries));
-        }
-    }
-    actions.clear();
-    killed
 }
 
 #[cfg(test)]

@@ -28,17 +28,15 @@
 //! arrival (piecewise-constant rate from the trace's per-minute grid;
 //! the per-minute restart is exact by memorylessness).
 
-use crate::microsim::{agent_for, apply_limit_updates, ReportPlan};
+use crate::microsim::ReportPlan;
+use crate::pod_host::PodHost;
 use crate::policy::BaselineScalerKind;
-use crate::serverless_sim::drive_actions;
-use escra_baselines::{PeriodicScaler, UsageSample};
-use escra_cfs::{node::arbitrate_into, ChargeOutcome, CpuPeriodStats, MIB};
-use escra_cluster::{AppId, Cluster, ContainerId, ContainerSpec, NodeSpec};
+use escra_cfs::{node::arbitrate_into, CpuPeriodStats, MIB};
+use escra_cluster::{AppId, ContainerId, ContainerSpec, NodeSpec};
 use escra_core::telemetry::{
-    CpuStatsColumns, CpuStatsEntry, ToController, CPU_STATS_ENTRY_BYTES, CPU_STATS_HEADER_BYTES,
-    OOM_EVENT_WIRE_BYTES, REGISTER_WIRE_BYTES,
+    CpuStatsColumns, CpuStatsEntry, CPU_STATS_ENTRY_BYTES, CPU_STATS_HEADER_BYTES,
 };
-use escra_core::{Action, Agent, Controller, EscraConfig};
+use escra_core::{Action, Controller, EscraConfig};
 use escra_metrics::{RunMetrics, ServerlessStats};
 use escra_simcore::events::EventQueue;
 use escra_simcore::rng::SimRng;
@@ -57,8 +55,9 @@ pub struct TraceSimConfig {
     /// `Some` enables Escra management (one Distributed Container per
     /// traced app); `None` runs static per-pod limits.
     pub escra: Option<EscraConfig>,
-    /// `Some` runs a [`PeriodicScaler`] baseline (tiny autoscaler or
-    /// ARC-V) over the pod population — mutually exclusive with `escra`.
+    /// `Some` runs a [`PeriodicScaler`](escra_baselines::PeriodicScaler)
+    /// baseline (tiny autoscaler or ARC-V) over the pod population —
+    /// mutually exclusive with `escra`.
     pub baseline: Option<BaselineScalerKind>,
     /// Master seed; all per-app arrival/duration streams fork from it.
     pub seed: u64,
@@ -162,7 +161,7 @@ struct PodRt {
     cid: ContainerId,
     state: PodState,
     /// CPU-time consumed since the last 1 s sample, in µs — the usage
-    /// integral a baseline [`PeriodicScaler`] observes.
+    /// integral a baseline scaler observes.
     sec_usage_us: f64,
 }
 
@@ -253,11 +252,7 @@ struct TraceSim<'a> {
     period: SimDuration,
     period_us: f64,
     end: SimTime,
-    cluster: Cluster,
-    controller: Option<Controller>,
-    scaler: Option<Box<dyn PeriodicScaler>>,
-    scaler_update_secs: u64,
-    agents: Vec<Agent>,
+    host: PodHost,
     apps: Vec<AppRt>,
     active: Vec<usize>,
     // Per-node telemetry buffers + their ReportPlan-derived schedule.
@@ -269,20 +264,15 @@ struct TraceSim<'a> {
     node_exec: Vec<Vec<(usize, usize)>>,
     node_want: Vec<Vec<f64>>,
     // Scratch reused by every window, so a steady-state round allocates
-    // nothing: arbitration output + sort order, and the one action
-    // buffer every Controller call appends to and `drive_actions` drains.
+    // nothing: arbitration output + sort order.
     grants: Vec<f64>,
     order: Vec<usize>,
-    actions: Vec<Action>,
-    metrics: RunMetrics,
     serverless: ServerlessStats,
-    next_second: SimTime,
     total_pods: usize,
     peak_pods: usize,
     pods_spawned: u64,
     container_periods: u64,
     throttled_periods: u64,
-    control_bytes: u64,
     rounds_executed: u64,
     rounds_fast_forwarded: u64,
     t_final: SimTime,
@@ -296,29 +286,28 @@ pub fn run_trace_sim(workload: &TraceWorkload, cfg: &TraceSimConfig) -> TraceSim
 
 impl<'a> TraceSim<'a> {
     fn new(workload: &'a TraceWorkload, cfg: &'a TraceSimConfig) -> Self {
-        assert!(
-            cfg.escra.is_none() || cfg.baseline.is_none(),
-            "escra and a baseline scaler are mutually exclusive"
-        );
-        let period = cfg
-            .escra
-            .as_ref()
-            .map(|c| c.report_period)
-            .unwrap_or(SimDuration::from_millis(100));
         let minutes = cfg
             .minutes_cap
             .map(|cap| cap.min(workload.minutes))
             .unwrap_or(workload.minutes);
         let end = SimTime::ZERO + SimDuration::from_secs(60 * minutes as u64);
-        let cluster = Cluster::new(vec![
+        let n_nodes = cfg.nodes.max(1);
+        let nodes = vec![
             NodeSpec {
                 cores: cfg.node_cores,
                 mem_bytes: cfg.node_mem_mib * MIB,
             };
-            cfg.nodes.max(1)
-        ]);
-        let controller = cfg.escra.as_ref().map(|ecfg| {
-            let mut c = Controller::new(ecfg.clone());
+            n_nodes
+        ];
+        let mut host = PodHost::new(
+            nodes,
+            cfg.escra.as_ref(),
+            cfg.baseline.as_ref(),
+            "static-trace",
+            "trace",
+        );
+        let period = host.period;
+        if let Some(c) = host.controller.as_mut() {
             let scale_out = cfg.max_pods_per_app.max(1) as u64;
             for (i, app) in workload.apps.iter().enumerate() {
                 // The Distributed Container's global limits: enough for a
@@ -329,37 +318,15 @@ impl<'a> TraceSim<'a> {
                     app.mem_mib * 2 * scale_out * MIB,
                 );
             }
-            for n in cluster.nodes() {
+            for n in host.cluster.nodes() {
                 c.note_node(n.id());
             }
-            c
-        });
-        let agents = cluster.nodes().iter().map(|n| Agent::new(n.id())).collect();
-        let n_nodes = cfg.nodes.max(1);
-        let node_period: Vec<SimDuration> = (0..n_nodes)
-            .map(|n| {
-                let ms = &cfg.report_plan.period_multipliers;
-                let m = if ms.is_empty() {
-                    1
-                } else {
-                    ms[n % ms.len()].max(1)
-                };
-                period * m as u64
-            })
-            .collect();
+        }
+        let plan = &cfg.report_plan;
+        let node_period: Vec<SimDuration> =
+            (0..n_nodes).map(|n| plan.node_period(period, n)).collect();
         let next_flush = (0..n_nodes)
-            .map(|n| {
-                let phase = if cfg.report_plan.jitter_frac > 0.0 {
-                    let p = node_period[n].as_secs_f64();
-                    let mut r = SimRng::new(cfg.seed).fork(0x7265_7074).fork(n as u64);
-                    SimDuration::from_secs_f64(
-                        r.uniform(0.0, cfg.report_plan.jitter_frac.min(1.0) * p),
-                    )
-                } else {
-                    SimDuration::ZERO
-                };
-                SimTime::ZERO + phase + node_period[n]
-            })
+            .map(|n| SimTime::ZERO + plan.node_phase(period, cfg.seed, n) + node_period[n])
             .collect();
         let apps = (0..workload.apps.len())
             .map(|i| {
@@ -375,32 +342,17 @@ impl<'a> TraceSim<'a> {
                 }
             })
             .collect();
-        let mut metrics = RunMetrics::new(if cfg.escra.is_some() {
-            "escra-trace".to_string()
-        } else if let Some(k) = &cfg.baseline {
-            format!("{}-trace", k.name())
-        } else {
-            "static-trace".to_string()
-        });
         // One aggregate-limit sample per simulated second, known up
         // front: long sparse traces are mostly these two series.
-        metrics.cpu_limit_series.reserve_exact(60 * minutes);
-        metrics.mem_limit_series.reserve_exact(60 * minutes);
+        host.metrics.cpu_limit_series.reserve_exact(60 * minutes);
+        host.metrics.mem_limit_series.reserve_exact(60 * minutes);
         TraceSim {
             workload,
             cfg,
             period,
             period_us: period.as_micros() as f64,
             end,
-            cluster,
-            controller,
-            scaler: cfg.baseline.as_ref().map(|k| k.build()),
-            scaler_update_secs: cfg
-                .baseline
-                .as_ref()
-                .map(|k| (k.update_period().as_micros() / 1_000_000).max(1))
-                .unwrap_or(1),
-            agents,
+            host,
             apps,
             active: Vec::new(),
             node_buf: (0..n_nodes)
@@ -418,16 +370,12 @@ impl<'a> TraceSim<'a> {
             node_want: vec![Vec::new(); n_nodes],
             grants: Vec::new(),
             order: Vec::new(),
-            actions: Vec::new(),
-            metrics,
             serverless: ServerlessStats::new(),
-            next_second: SimTime::from_secs(1),
             total_pods: 0,
             peak_pods: 0,
             pods_spawned: 0,
             container_periods: 0,
             throttled_periods: 0,
-            control_bytes: 0,
             rounds_executed: 0,
             rounds_fast_forwarded: 0,
             t_final: SimTime::ZERO,
@@ -471,16 +419,14 @@ impl<'a> TraceSim<'a> {
                 TraceEv::Round => self.round(t_ev, &mut q),
             }
         }
-        self.metrics.duration = self.t_final.duration_since(SimTime::ZERO);
-        self.metrics.oom_kills = self.cluster.total_oom_kills();
         TraceSimOutput {
-            metrics: std::mem::replace(&mut self.metrics, RunMetrics::new("")),
+            metrics: self.host.finish(self.t_final),
             serverless: std::mem::take(&mut self.serverless),
             container_periods: self.container_periods,
             throttled_periods: self.throttled_periods,
             peak_pods: self.peak_pods,
             pods_spawned: self.pods_spawned,
-            control_bytes: self.control_bytes,
+            control_bytes: self.host.accountant.total_bytes(),
             rounds_executed: self.rounds_executed,
             rounds_fast_forwarded: self.rounds_fast_forwarded,
         }
@@ -493,10 +439,7 @@ impl<'a> TraceSim<'a> {
     fn round(&mut self, t_next: SimTime, q: &mut EventQueue<TraceEv>) {
         let t = t_next - self.period;
         self.rounds_executed += 1;
-        self.cluster.tick(t);
-        // No Container Watcher subscribes here: drop the lifecycle feed
-        // each window instead of letting it grow for the whole run.
-        self.cluster.discard_events();
+        self.host.begin_window(t);
 
         // Promote started pods; assign queued arrivals; scale out.
         for k in 0..self.active.len() {
@@ -505,6 +448,7 @@ impl<'a> TraceSim<'a> {
             for pod in app.pods.iter_mut() {
                 if matches!(pod.state, PodState::Starting)
                     && self
+                        .host
                         .cluster
                         .container(pod.cid)
                         .is_some_and(|c| c.is_running())
@@ -535,7 +479,7 @@ impl<'a> TraceSim<'a> {
             let ai = self.active[k];
             for (pi, pod) in self.apps[ai].pods.iter().enumerate() {
                 if let PodState::Exec { remaining_us, .. } = pod.state {
-                    let c = self.cluster.container(pod.cid).expect("pod container");
+                    let c = self.host.cluster.container(pod.cid).expect("pod container");
                     if c.is_running() {
                         let node = c.node().as_u64() as usize;
                         self.node_exec[node].push((ai, pi));
@@ -570,7 +514,11 @@ impl<'a> TraceSim<'a> {
                 else {
                     unreachable!("only Exec pods are gathered");
                 };
-                let c = self.cluster.container_mut(pod.cid).expect("pod container");
+                let c = self
+                    .host
+                    .cluster
+                    .container_mut(pod.cid)
+                    .expect("pod container");
                 c.cpu.consume(granted);
                 let left = *remaining_us - granted;
                 if left <= 1.0 {
@@ -587,7 +535,7 @@ impl<'a> TraceSim<'a> {
                         done_at.duration_since(*exec_start),
                         total,
                     );
-                    self.metrics.latency.record_success(total);
+                    self.host.metrics.latency.record_success(total);
                     pod.state = PodState::Idle { since: done_at };
                 } else {
                     if c.cpu.runtime_remaining_us() <= self.period_us * 0.01 {
@@ -617,7 +565,11 @@ impl<'a> TraceSim<'a> {
         for k in 0..self.active.len() {
             let ai = self.active[k];
             for pod in self.apps[ai].pods.iter_mut() {
-                let c = self.cluster.container_mut(pod.cid).expect("pod container");
+                let c = self
+                    .host
+                    .cluster
+                    .container_mut(pod.cid)
+                    .expect("pod container");
                 let stats = c.cpu.end_period();
                 pod.sec_usage_us += stats.usage_us;
                 if !c.is_running() {
@@ -636,37 +588,24 @@ impl<'a> TraceSim<'a> {
                     c.cpu.quota_cores() * window_secs,
                     c.mem.limit_bytes() as f64 / MIB as f64 * window_secs,
                 );
-                if self.controller.is_some() {
+                if self.host.controller.is_some() {
                     self.node_buf[c.node().as_u64() as usize].push(pod.cid, stats);
                 }
             }
         }
         self.flush_due(t_next);
-        self.controller_tick(t_next);
+        self.host.tick(t_next);
 
         // Idle-timeout teardown.
         for k in 0..self.active.len() {
-            let ai = self.active[k];
+            let pods = &mut self.apps[self.active[k]].pods;
             let mut pi = 0;
-            while pi < self.apps[ai].pods.len() {
-                let dead = matches!(self.apps[ai].pods[pi].state, PodState::Idle { since }
+            while pi < pods.len() {
+                let dead = matches!(pods[pi].state, PodState::Idle { since }
                     if t_next.duration_since(since) >= self.cfg.idle_timeout);
                 if dead {
-                    let cid = self.apps[ai].pods[pi].cid;
-                    let node = self.cluster.container(cid).expect("pod container").node();
-                    let _ = self.cluster.terminate(cid, t_next);
-                    if let Some(ctl) = self.controller.as_mut() {
-                        let _ = ctl.deregister_container(cid);
-                    }
-                    if let Some(s) = self.scaler.as_mut() {
-                        s.forget(cid);
-                    }
-                    // Only the hosting node's Agent ever applied a
-                    // command for this pod, so only it holds seq entries.
-                    if let Some(agent) = agent_for(&mut self.agents, node) {
-                        agent.forget_container(cid);
-                    }
-                    self.apps[ai].pods.swap_remove(pi);
+                    self.host.retire_pod(pods[pi].cid, t_next);
+                    pods.swap_remove(pi);
                     self.total_pods -= 1;
                 } else {
                     pi += 1;
@@ -674,47 +613,13 @@ impl<'a> TraceSim<'a> {
             }
         }
 
-        // Per-second aggregate limits + slack sampling (and, in the
-        // baseline-scaler mode, the observe → recommend → apply loop).
-        while self.next_second <= t_next {
-            let mut agg_cpu = 0.0;
-            let mut agg_mem = 0.0;
-            for k in 0..self.active.len() {
-                let ai = self.active[k];
+        self.host.sample_seconds(t_next, |see| {
+            for &ai in &self.active {
                 for pod in &mut self.apps[ai].pods {
-                    let c = self.cluster.container(pod.cid).expect("pod container");
-                    agg_cpu += c.cpu.quota_cores();
-                    agg_mem += c.mem.limit_bytes() as f64 / MIB as f64;
-                    self.metrics.slack.record(
-                        c.cpu.quota_cores().max(0.0),
-                        c.mem.limit_bytes().saturating_sub(c.mem.usage_bytes()) as f64 / MIB as f64,
-                    );
-                    if let Some(s) = self.scaler.as_mut() {
-                        s.observe(
-                            pod.cid,
-                            UsageSample {
-                                cpu_cores: pod.sec_usage_us / 1e6,
-                                mem_bytes: c.mem.usage_bytes(),
-                            },
-                        );
-                        pod.sec_usage_us = 0.0;
-                    }
+                    see(pod.cid, &mut pod.sec_usage_us);
                 }
             }
-            self.metrics
-                .record_limits(self.next_second, agg_cpu, agg_mem);
-            if let Some(s) = self.scaler.as_mut() {
-                // Cadence keyed to absolute seconds, so idle
-                // fast-forward (which skips this loop) cannot drift the
-                // recommendation phase.
-                let sec = self.next_second.duration_since(SimTime::ZERO).as_micros() / 1_000_000;
-                if sec.is_multiple_of(self.scaler_update_secs) {
-                    let updates = s.recommend();
-                    apply_limit_updates(&mut self.cluster, &updates, false, self.next_second);
-                }
-            }
-            self.next_second += SimDuration::from_secs(1);
-        }
+        });
 
         // Deactivate drained apps (their next arrival sleeps in the heap).
         let mut w = 0;
@@ -742,11 +647,7 @@ impl<'a> TraceSim<'a> {
             let horizon = q.peek_time().unwrap_or(self.end);
             while next_round <= horizon && next_round - self.period < self.end {
                 self.flush_due(next_round);
-                self.controller_tick(next_round);
-                while self.next_second <= next_round {
-                    self.metrics.record_limits(self.next_second, 0.0, 0.0);
-                    self.next_second += SimDuration::from_secs(1);
-                }
+                self.host.idle_window(next_round);
                 self.rounds_fast_forwarded += 1;
                 self.t_final = next_round;
                 next_round += self.period;
@@ -757,123 +658,51 @@ impl<'a> TraceSim<'a> {
         }
     }
 
-    /// The Controller's periodic work (reclamation sweeps, grant retries).
-    fn controller_tick(&mut self, now: SimTime) {
-        if let Some(ctl) = self.controller.as_mut() {
-            ctl.tick_into(now, &mut self.actions);
-            drive_actions(
-                &mut self.cluster,
-                &mut self.agents,
-                ctl,
-                &mut self.actions,
-                now,
-            );
-        }
-    }
-
-    /// Charges `pods[ai][pi]` toward its state's memory target, routing a
-    /// would-be OOM through the controller (grant or kill) or the vanilla
-    /// kernel killer.
+    /// Charges `pods[ai][pi]` toward its state's memory target. The
+    /// in-flight invocation of a killed pod retries from scratch (fresh
+    /// work draw on reassignment), queued ahead of newer arrivals.
     fn pod_memory(&mut self, ai: usize, pi: usize, now: SimTime) {
-        let pod = &self.apps[ai].pods[pi];
-        let cid = pod.cid;
-        let app = &self.workload.apps[ai];
+        let (app, rt) = (&self.workload.apps[ai], &mut self.apps[ai]);
+        let pod = &mut rt.pods[pi];
         let target = match pod.state {
             PodState::Exec { .. } => app.mem_mib * MIB,
             _ => app.idle_mem_mib * MIB,
         };
-        let c = self.cluster.container_mut(cid).expect("pod container");
-        if !c.is_running() {
-            return;
-        }
-        let usage = c.mem.usage_bytes();
-        if target <= usage {
-            c.mem.uncharge(usage - target);
-            return;
-        }
-        let delta = target - usage;
-        let ChargeOutcome::WouldOom { shortfall_bytes } = c.mem.try_charge(delta) else {
-            return;
-        };
-        let current_limit_bytes = c.mem.limit_bytes();
-        let killed = if let Some(ctl) = self.controller.as_mut() {
-            self.control_bytes += OOM_EVENT_WIRE_BYTES;
-            ctl.handle_into(
-                now,
-                ToController::OomEvent {
-                    container: cid,
-                    shortfall_bytes,
-                    current_limit_bytes,
-                },
-                &mut self.actions,
-            );
-            let killed = drive_actions(
-                &mut self.cluster,
-                &mut self.agents,
-                ctl,
-                &mut self.actions,
-                now,
-            );
-            if !killed {
-                let _ = self
-                    .cluster
-                    .container_mut(cid)
-                    .expect("pod container")
-                    .mem
-                    .try_charge(delta);
+        if self.host.charge_to(pod.cid, target, now) {
+            if let PodState::Exec { arrival, .. } = pod.state {
+                rt.pending.push_front(arrival);
             }
-            killed
-        } else {
-            if let Some(s) = self.scaler.as_mut() {
-                // Tell the baseline so its next recommendation can
-                // raise the memory limit.
-                s.on_oom(cid, current_limit_bytes);
-            }
-            self.cluster.oom_kill(cid, now).expect("pod exists");
-            true
-        };
-        if killed {
-            // The in-flight invocation retries from scratch (fresh work
-            // draw on reassignment), queued ahead of newer arrivals.
-            if let PodState::Exec { arrival, .. } = self.apps[ai].pods[pi].state {
-                self.apps[ai].pending.push_front(arrival);
-            }
-            self.apps[ai].pods[pi].state = PodState::Starting;
+            pod.state = PodState::Starting;
         }
     }
 
     /// Flushes every node whose report timer fell due by `now`, as one
     /// batched (or columnar) datagram per node.
     fn flush_due(&mut self, now: SimTime) {
-        let Some(ctl) = self.controller.as_mut() else {
-            return;
-        };
         for n in 0..self.node_buf.len() {
+            let Some(ctl) = self.host.controller.as_mut() else {
+                return;
+            };
             if self.next_flush[n] > now {
                 continue;
             }
             while self.next_flush[n] <= now {
                 self.next_flush[n] += self.node_period[n];
             }
-            if self.node_buf[n].len() == 0 {
+            let entries = self.node_buf[n].len() as u64;
+            if entries == 0 {
                 continue;
             }
-            self.control_bytes +=
-                CPU_STATS_HEADER_BYTES + self.node_buf[n].len() as u64 * CPU_STATS_ENTRY_BYTES;
-            self.node_buf[n].flush(ctl, now, &mut self.actions);
-            drive_actions(
-                &mut self.cluster,
-                &mut self.agents,
-                ctl,
-                &mut self.actions,
+            self.host.accountant.record(
                 now,
+                CPU_STATS_HEADER_BYTES + entries * CPU_STATS_ENTRY_BYTES,
             );
+            self.node_buf[n].flush(ctl, now, &mut self.host.actions);
+            self.host.drive_actions(now);
         }
     }
 
-    /// Cold-starts one pod for app `ai` (placement follows the cluster's
-    /// strategy, so a scaled-out app — one Distributed Container — spans
-    /// nodes).
+    /// Cold-starts one pod for app `ai`.
     fn spawn_pod(&mut self, ai: usize, now: SimTime) {
         let app = &self.workload.apps[ai];
         let spec = ContainerSpec::new(
@@ -884,25 +713,8 @@ impl<'a> TraceSim<'a> {
         .with_mem_limit(app.mem_mib * 2 * MIB)
         .with_base_mem(app.idle_mem_mib.min(app.mem_mib) * MIB)
         .with_restart_delay(self.cfg.cold_start);
-        let cid = self.cluster.deploy(spec, now).expect("cluster has nodes");
-        if let Some(ctl) = self.controller.as_mut() {
-            let node = self.cluster.container(cid).expect("pod").node();
-            if let Ok(mut actions) = ctl.register_container(
-                cid,
-                AppId::new(ai as u64),
-                node,
-                self.cfg.pod_cpu_cores,
-                app.mem_mib * 2 * MIB,
-            ) {
-                self.control_bytes += REGISTER_WIRE_BYTES;
-                drive_actions(&mut self.cluster, &mut self.agents, ctl, &mut actions, now);
-            }
-        }
-        if let Some(s) = self.scaler.as_mut() {
-            s.track(cid, self.cfg.pod_cpu_cores, app.mem_mib * 2 * MIB);
-        }
         self.apps[ai].pods.push(PodRt {
-            cid,
+            cid: self.host.deploy_pod(spec, now),
             state: PodState::Starting,
             sec_usage_us: 0.0,
         });
@@ -1046,7 +858,7 @@ mod tests {
         // Unbounded, the feed would hold three events per pod ever
         // spawned (Created, Restarted, Terminated); bounded, at most the
         // last executed window's.
-        let feed = sim.cluster.drain_events().len();
+        let feed = sim.host.cluster.drain_events().len();
         assert!(
             feed <= 3 * out.peak_pods,
             "feed holds {feed} events after {} pods (peak {})",

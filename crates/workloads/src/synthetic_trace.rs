@@ -290,8 +290,8 @@ mod tests {
             }
         }
         // The clamp actually bit at both ends.
-        assert!(w.apps.iter().any(|a| a.rpm.iter().any(|&r| r == 50.0)));
-        assert!(w.apps.iter().any(|a| a.rpm.iter().any(|&r| r == 1.0)));
+        assert!(w.apps.iter().any(|a| a.rpm.contains(&50.0)));
+        assert!(w.apps.iter().any(|a| a.rpm.contains(&1.0)));
     }
 
     #[test]

@@ -32,13 +32,6 @@ echo "$forced_out"
 echo "$forced_out" | grep -q "scalar kernel" \
     || { echo "FAIL: ESCRA_FORCE_SCALAR=1 did not select the scalar kernel"; exit 1; }
 
-echo "== sim engine identity (serial tick vs event heap, byte-for-byte) =="
-# The frozen SerialTick reference loop and the event-heap driver (with
-# tick-coupled physics) must produce identical outputs on committed
-# paper scenarios — the gate behind running the experiment bins on the
-# event engine.
-cargo run -q -p escra-bench --release --bin sim_scale -- --identity
-
 echo "== sim scale smoke (10k nodes, 1M+ container-periods vs committed baseline) =="
 # A 10k-node / 12k-container event-heap run; fails if throughput drops
 # below half the committed BENCH_sim.json rate.
@@ -93,8 +86,8 @@ echo "== model check (exhaustive, pinned state counts, mutations caught) =="
 # replayable counterexample.
 cargo run -q -p escra-bench --release --bin mc_explore -- --smoke
 
-echo "== clippy (deny warnings) =="
-cargo clippy --all-targets -- -D warnings
+echo "== clippy (workspace, deny warnings) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustfmt =="
 cargo fmt --check
