@@ -443,7 +443,10 @@ impl<'a> Invoker<'a> {
     }
 
     /// Charges every pod toward its state's memory target. A killed pod
-    /// cold-starts again; its GridSearch task goes back to the queue.
+    /// cold-starts again, and its in-flight work is not lost: a
+    /// GridSearch task goes back to the job's queue, an activation
+    /// retries from scratch (fresh work draw on reassignment), queued
+    /// ahead of newer arrivals.
     fn charge_memory(&mut self, now: SimTime) {
         for pod in self.pods.iter_mut() {
             let busy = matches!(pod.state, PodState::Exec { .. } | PodState::Io { .. });
@@ -453,9 +456,10 @@ impl<'a> Invoker<'a> {
                 self.profile.idle_mem_mib * MIB
             };
             if self.host.charge_to(pod.cid, target, now) {
-                if busy {
-                    if let Some(job) = self.job.as_mut() {
-                        job.abandon();
+                if let PodState::Exec { arrival, .. } | PodState::Io { arrival, .. } = pod.state {
+                    match self.job.as_mut() {
+                        Some(job) => job.abandon(),
+                        None => self.pending.push_front(arrival),
                     }
                 }
                 pod.state = PodState::Starting;

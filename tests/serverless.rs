@@ -1,7 +1,9 @@
 //! Integration tests for the serverless path (paper §VI-F/G).
 
+use escra::baselines::TinyAutoscalerConfig;
 use escra::core::EscraConfig;
 use escra::harness::serverless_sim::{run_serverless, ServerlessApp, ServerlessConfig};
+use escra::harness::BaselineScalerKind;
 use escra::workloads::serverless::{grid_search_task, image_process, GRID_SEARCH_TASKS};
 
 fn one_iteration(escra: bool, seed: u64) -> ServerlessConfig {
@@ -79,4 +81,31 @@ fn serverless_runs_are_deterministic() {
     let b = run_serverless(&one_iteration(true, 3), &image_process());
     assert_eq!(a.metrics.latency.p(99.0), b.metrics.latency.p(99.0));
     assert_eq!(a.peak_pods, b.peak_pods);
+}
+
+#[test]
+fn an_oom_killed_activation_is_retried_not_lost() {
+    // Pods start at 128 MiB, below ImageProcess's 150 MiB working set:
+    // the first activation on every pod is OOM-killed. The kill tells
+    // the tiny autoscaler, which raises the limit, so the retry fits.
+    // Every one of the 750 scheduled activations must come out the far
+    // end — the killed ones late (latency runs from the original
+    // arrival), none silently dropped.
+    for seed in [4, 8] {
+        let mut cfg = one_iteration(false, seed);
+        cfg.baseline = Some(BaselineScalerKind::Tiny(TinyAutoscalerConfig::default()));
+        cfg.openwhisk.pod_mem_mib = 128;
+        let out = run_serverless(&cfg, &image_process());
+        let m = &out.metrics;
+        assert!(
+            m.oom_kills > 0,
+            "seed {seed}: the scenario must force kills"
+        );
+        assert_eq!(
+            m.latency.successes() + m.latency.failures(),
+            750,
+            "seed {seed}: {} kills lost activations",
+            m.oom_kills
+        );
+    }
 }
