@@ -22,11 +22,10 @@
 //! where wall-clock cannot.
 //!
 //! A fourth measurement (`--columnar`) drives the same telemetry in the
-//! struct-of-arrays `CpuStatsColumns` wire form through the
-//! SIMD-or-scalar `ingest_cpu_columns` path, single-core and sharded,
-//! asserting along the way that the columnar, forced-scalar columnar,
-//! and row-batched paths make byte-identical decisions; the JSON
-//! records which kernel (`avx2`/`scalar`) the auto dispatch took.
+//! struct-of-arrays `CpuStatsColumns` wire form through
+//! `ingest_cpu_columns`, single-core and sharded, asserting along the
+//! way that the columnar and row-batched paths make byte-identical
+//! decisions.
 //!
 //! Flags: `--smoke` shortens the run for CI; `--threads N` measures the
 //! sharded path at one worker count only (columnar with `--columnar`);
@@ -40,7 +39,6 @@
 use escra_bench::write_json;
 use escra_cfs::{CpuPeriodStats, MIB};
 use escra_cluster::{AppId, ContainerId, NodeId};
-use escra_core::columnar::{active_path, set_force_scalar};
 use escra_core::telemetry::ToController;
 use escra_core::{
     Controller, ControllerStats, CpuStatsColumns, CpuStatsEntry, EscraConfig, ShardedController,
@@ -153,9 +151,9 @@ fn measure_batched(rounds: u64) -> (f64, u64, ControllerStats) {
 }
 
 /// Columnar ingest: the same telemetry as [`measure_batched`], packed
-/// into per-node struct-of-arrays blocks and fed through the
-/// SIMD-or-scalar `Controller::ingest_cpu_columns`. The blocks are
-/// built *outside* the timed loop: fixed-point quantization is
+/// into per-node struct-of-arrays blocks and fed through
+/// `Controller::ingest_cpu_columns`. The blocks are built
+/// *outside* the timed loop: fixed-point quantization is
 /// Agent-side work (the wire carries the columns already encoded), so
 /// the timed section covers exactly what the Controller core pays —
 /// just as the row paths' in-loop struct pushes stand in for reading
@@ -330,12 +328,8 @@ fn extract_number(json: &str, key: &str) -> Option<f64> {
 /// The columnar half of the measurement suite (present when the bench
 /// runs with `--columnar`).
 struct ColumnarNumbers {
-    /// Single-core columnar ingest rate, auto-dispatched kernel.
+    /// Single-core columnar ingest rate.
     rate: f64,
-    /// Single-core columnar ingest rate with the scalar kernel forced.
-    scalar_rate: f64,
-    /// Which kernel the auto dispatch took (`"avx2"` / `"scalar"`).
-    path: &'static str,
     /// Sharded columnar scaling curve (threads, entries/s).
     curve: Vec<(usize, f64)>,
 }
@@ -371,13 +365,9 @@ fn render_json(
                 .join(",\n");
             format!(
                 ",\n  \"columnar_entries_per_sec\": {:.0},\n  \
-                 \"columnar_scalar_entries_per_sec\": {:.0},\n  \
-                 \"columnar_path\": \"{}\",\n  \
                  \"columnar_speedup_vs_batched\": {:.2},\n  \
                  \"columnar_sharded_entries_per_sec_by_threads\": {{\n{}\n  }}",
                 c.rate,
-                c.scalar_rate,
-                c.path,
                 if batched > 0.0 { c.rate / batched } else { 0.0 },
                 col_curve,
             )
@@ -442,32 +432,14 @@ fn main() {
     assert_eq!(actions_a, actions_b);
 
     let columnar_numbers = columnar.then(|| {
-        // Auto-dispatched kernel (AVX2 where the host has it), honouring
-        // the ESCRA_FORCE_SCALAR env knob: a forced-scalar run measures
-        // and records the scalar kernel as the active path.
-        let path = active_path();
         let (rate, actions_c, stats_c) = best_of(|| measure_columnar(rounds));
         assert_eq!(
             (actions_c, &stats_c),
             (actions_b, &stats_b),
             "columnar and batched ingest must make identical decisions"
         );
-        // Scalar fallback, forced even on SIMD-capable hosts: same
-        // telemetry, and the decisions must again be identical — the
-        // dispatch is a speed choice, never a behaviour choice.
-        set_force_scalar(true);
-        assert_eq!(active_path(), "scalar");
-        let (scalar_rate, actions_s, stats_s) = best_of(|| measure_columnar(rounds));
-        set_force_scalar(path == "scalar");
-        assert_eq!(
-            (actions_s, &stats_s),
-            (actions_b, &stats_b),
-            "forced-scalar columnar ingest must make identical decisions"
-        );
         ColumnarNumbers {
             rate,
-            scalar_rate,
-            path,
             curve: Vec::new(),
         }
     });
@@ -550,12 +522,8 @@ fn main() {
     }
     if let Some(c) = &columnar_numbers {
         table.row(vec![
-            format!("columnar ingest rate, {} kernel (entries/s/core)", c.path),
+            "columnar ingest rate (entries/s/core)".into(),
             format!("{:.0} ({:.2}x vs batched)", c.rate, c.rate / batched_rate),
-        ]);
-        table.row(vec![
-            "columnar ingest rate, forced scalar (entries/s/core)".into(),
-            format!("{:.0}", c.scalar_rate),
         ]);
         for &(threads, rate) in &c.curve {
             table.row(vec![
@@ -649,10 +617,9 @@ fn main() {
                 Some(committed_col) => {
                     println!(
                         "check: columnar {:.0} entries/s vs committed {committed_col:.0} \
-                         (floor {:.0}, {} kernel, scalar fallback decision-identical)",
+                         (floor {:.0})",
                         c.rate,
                         0.8 * committed_col,
-                        c.path,
                     );
                     if c.rate < 0.8 * committed_col {
                         eprintln!(

@@ -15,22 +15,37 @@ use std::collections::BTreeMap;
 /// Sentinel in the direct-mapped container index: "no slab slot".
 pub(crate) const NO_SLOT: u32 = u32::MAX;
 
+/// Raw container ids at or above this are refused at registration.
+///
+/// The container index (and the sharded router's shard map) is a flat
+/// `Vec` addressed by the raw id, so its length follows the largest id
+/// ever registered; ids arrive off the wire, and without a bound one
+/// `Register` carrying a huge id would allocate gigabytes. Ids are
+/// handed out sequentially from zero, so 16 Mi of them is three orders
+/// of magnitude past the largest simulated cluster and caps the index at
+/// 64 MiB.
+pub const MAX_CONTAINER_ID: u64 = 1 << 24;
+
 /// The two §IV-D decision windows of one container, fused.
 ///
 /// Every CPU decision pushes one sample into *both* windows — the
 /// throttle indicator and the period's unused runtime — so the two
 /// rings advance in lockstep and can share a single set of ring
 /// coordinates: one length/head bump and one eviction branch per
-/// decision instead of two. The arithmetic is exactly that of the
-/// standalone `escra_simcore::window` types this replaces in the slab:
+/// decision instead of two. A differential property test in this module
+/// holds the ring code to the two standalone `escra_simcore::window`
+/// types it replaced in the slab:
 ///
 /// * throttle side — a one-word bit ring with an exact integer
-///   set-bit count ([`escra_simcore::window::BitWindow`]); its mean is
-///   provably bit-identical to a `SlidingWindow` fed 0.0/1.0;
-/// * unused side — an inline ring whose mean is a fresh oldest-first
-///   re-sum of the retained samples on every read. The mean is therefore
-///   a pure function of the window *contents*: no incremental running
-///   sum whose floating-point value depends on the eviction history (an
+///   set-bit count; length, retained indicators and mean are those of
+///   an [`escra_simcore::window::BitWindow`] fed the same stream, the
+///   mean bit for bit;
+/// * unused side — an inline ring that retains exactly the samples an
+///   [`escra_simcore::window::InlineWindow`] retains, in the same order,
+///   but *not* its mean: that one is an incremental running sum, this
+///   one a fresh oldest-first re-sum of the retained samples on every
+///   read. The mean is therefore a pure function of the window
+///   *contents*, not of the eviction history that produced them (an
 ///   earlier incremental-sum variant moved a handful of marginal
 ///   scale-down decisions by an ULP whenever the summation order
 ///   changed, drifting committed artifacts at display precision). The
@@ -242,6 +257,8 @@ pub enum AllocatorError {
     UnknownContainer(ContainerId),
     /// The container id was registered twice.
     DuplicateContainer(ContainerId),
+    /// The raw container id is at or above [`MAX_CONTAINER_ID`].
+    ContainerIdOutOfRange(ContainerId),
 }
 
 impl core::fmt::Display for AllocatorError {
@@ -250,6 +267,9 @@ impl core::fmt::Display for AllocatorError {
             AllocatorError::UnknownApp(a) => write!(f, "unknown application {a}"),
             AllocatorError::UnknownContainer(c) => write!(f, "unknown container {c}"),
             AllocatorError::DuplicateContainer(c) => write!(f, "container {c} already registered"),
+            AllocatorError::ContainerIdOutOfRange(c) => {
+                write!(f, "container id {c} is not below {MAX_CONTAINER_ID}")
+            }
         }
     }
 }
@@ -374,8 +394,11 @@ impl ResourceAllocator {
     ///
     /// # Errors
     ///
-    /// [`AllocatorError::UnknownApp`] if the app was not registered,
-    /// [`AllocatorError::DuplicateContainer`] on double registration.
+    /// [`AllocatorError::ContainerIdOutOfRange`] for a raw id at or above
+    /// [`MAX_CONTAINER_ID`] (checked first: nothing is allocated or
+    /// drawn from the pool for it), [`AllocatorError::UnknownApp`] if
+    /// the app was not registered, [`AllocatorError::DuplicateContainer`]
+    /// on double registration.
     pub fn register_container(
         &mut self,
         container: ContainerId,
@@ -384,6 +407,9 @@ impl ResourceAllocator {
         initial_cpu_cores: f64,
         initial_mem_bytes: u64,
     ) -> Result<(f64, u64), AllocatorError> {
+        if container.as_u64() >= MAX_CONTAINER_ID {
+            return Err(AllocatorError::ContainerIdOutOfRange(container));
+        }
         if self.slot_of(container).is_some() {
             return Err(AllocatorError::DuplicateContainer(container));
         }
@@ -518,9 +544,10 @@ impl ResourceAllocator {
             h.write_u64(t.node.as_u64());
             h.write_f64(t.quota_cores);
             h.write_u64(t.mem_limit_bytes);
-            // The two windows hash the same bytes as when they were both
-            // `SlidingWindow`s: length, then each sample as f64 oldest
-            // first (the bit window's indicators widen to 0.0/1.0).
+            // Each window hashes as its length, then each sample as f64
+            // oldest first (the throttle indicators widen to 0.0/1.0) —
+            // the byte layout the pinned model-checker state counts and
+            // golden fingerprints were recorded with.
             h.write_u64(t.windows.len() as u64);
             for s in t.windows.throttle_samples() {
                 h.write_f64(if s { 1.0 } else { 0.0 });
@@ -807,6 +834,8 @@ impl ResourceAllocator {
 mod tests {
     use super::*;
     use escra_cfs::MIB;
+    use escra_simcore::window::{BitWindow, InlineWindow};
+    use proptest::prelude::*;
 
     const APP: AppId = AppId::new(0);
     const C0: ContainerId = ContainerId::new(0);
@@ -1051,5 +1080,42 @@ mod tests {
         let (cpu, mem) = a.register_container(C0, APP, NODE, 4.0, 512 * MIB).unwrap();
         assert_eq!(cpu, 1.0);
         assert_eq!(mem, 64 * MIB);
+    }
+
+    proptest! {
+        /// The fused ring (the only `unsafe` in this module) against the
+        /// two standalone window types it replaced, fed the same pushes:
+        /// after every push the lengths agree, the throttle mean is
+        /// `BitWindow::mean` bit for bit, both sample sequences are the
+        /// reference windows' in order, and the unused mean is the
+        /// oldest-first sum of those samples over the length.
+        #[test]
+        fn decision_windows_match_the_standalone_windows(
+            cap in 1usize..25,
+            pushes in proptest::collection::vec((any::<bool>(), 0.0f64..4.0), 1..120),
+        ) {
+            let mut fused = DecisionWindows::new(cap);
+            let (mut bits, mut vals) = (BitWindow::new(cap), InlineWindow::new(cap));
+            for &(throttled, unused) in &pushes {
+                fused.push(throttled, unused);
+                bits.push(throttled);
+                vals.push(unused);
+                prop_assert_eq!(fused.len(), bits.len());
+                prop_assert_eq!(fused.len(), vals.len());
+                prop_assert_eq!(fused.throttle_mean().to_bits(), bits.mean().to_bits());
+                prop_assert_eq!(
+                    fused.throttle_samples().collect::<Vec<_>>(),
+                    bits.samples().collect::<Vec<_>>());
+                let retained: Vec<f64> = vals.samples().collect();
+                let mut sum = 0.0;
+                for v in &retained {
+                    sum += v;
+                }
+                prop_assert_eq!(
+                    fused.unused_mean().to_bits(),
+                    (sum / retained.len() as f64).to_bits());
+                prop_assert_eq!(fused.unused_samples().collect::<Vec<_>>(), retained);
+            }
+        }
     }
 }

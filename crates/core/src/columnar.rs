@@ -1,90 +1,24 @@
-//! Bulk fixed-point → cores conversion kernels for the columnar ingest
-//! path, plus the runtime dispatch between them.
+//! Bulk fixed-point → cores conversion for the columnar ingest path.
 //!
 //! The only arithmetic the telemetry hot loop needs per entry is two
 //! divisions: `usage_us / period_us` and `unused_us / period_us`, with
 //! the numerators arriving as `u32` columns (see
-//! [`crate::telemetry::CpuStatsColumns`]). This module converts whole
-//! columns at once:
-//!
-//! - **AVX2 path** (x86_64 hosts that report the feature at runtime):
-//!   four lanes per iteration via `_mm256_cvtepi32_pd`. The `u32 →
-//!   f64` step uses the classic exact trick — XOR the lane with
-//!   `0x8000_0000` (reinterpreting it as `v − 2³¹` in `i32`), convert
-//!   exactly with the signed-epi32 instruction, then add `2³¹` back as
-//!   an `f64` (exact, since every intermediate is an integer below
-//!   2³² < 2⁵³). The final `_mm256_div_pd` is IEEE
-//!   correctly-rounded, same as the scalar `/`.
-//! - **Scalar path** (everything else, and whenever forced):
-//!   `v as f64 / divisor` per element.
-//!
-//! Both paths therefore produce **bit-identical** results — dispatch is
-//! a pure speed choice, never a behaviour choice, which is what lets
-//! the decision-identity property tests hold the columnar ingest to the
-//! row-by-row reference on every host.
-//!
-//! Dispatch honours a force-scalar override so CI can exercise the
-//! fallback on SIMD-capable hosts: set the `ESCRA_FORCE_SCALAR`
-//! environment variable (any value but `0`/empty) before first use, or
-//! call [`set_force_scalar`] programmatically.
+//! [`crate::telemetry::CpuStatsColumns`]). [`u32_to_cores`] converts a
+//! whole column with one plain loop, `v as f64 / divisor` per element —
+//! exactly the arithmetic of the row paths, which is what lets the
+//! decision-identity property tests hold the columnar ingest to the
+//! row-by-row reference. The loop carries no dependency between
+//! elements, so the compiler vectorises it for whatever the build
+//! targets.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Dispatch override state: unresolved / forced scalar / automatic.
-const FORCE_UNSET: u8 = 0;
-const FORCE_ON: u8 = 1;
-const FORCE_OFF: u8 = 2;
-
-/// Resolved once from the environment (or programmatically), then
-/// cached — the hot loop reads one relaxed atomic.
-static FORCE: AtomicU8 = AtomicU8::new(FORCE_UNSET);
-
-fn force_scalar() -> bool {
-    match FORCE.load(Ordering::Relaxed) {
-        FORCE_ON => true,
-        FORCE_OFF => false,
-        _ => {
-            let forced = match std::env::var_os("ESCRA_FORCE_SCALAR") {
-                Some(v) => !v.is_empty() && v != "0",
-                None => false,
-            };
-            FORCE.store(if forced { FORCE_ON } else { FORCE_OFF }, Ordering::Relaxed);
-            forced
-        }
-    }
-}
-
-/// Forces (or un-forces) the scalar conversion path, overriding the
-/// `ESCRA_FORCE_SCALAR` environment variable. The bench harness uses
-/// this to run the scalar fallback on SIMD-capable hosts and assert it
-/// is decision-for-decision identical.
-pub fn set_force_scalar(force: bool) {
-    FORCE.store(if force { FORCE_ON } else { FORCE_OFF }, Ordering::Relaxed);
-}
-
-/// Whether this host supports the vectorised conversion kernel at all
-/// (independent of the force-scalar override).
-pub fn simd_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// The conversion path the next [`u32_to_cores`] call will take:
-/// `"avx2"` or `"scalar"`. Recorded into the bench JSON so regressions
-/// can be attributed to the right kernel.
-pub fn active_path() -> &'static str {
-    if !force_scalar() && simd_supported() {
-        "avx2"
-    } else {
-        "scalar"
-    }
-}
+/// Does nothing: there is one conversion loop and nothing to force.
+///
+/// Kept only because `benchmark/src/probes.rs` calls it around its
+/// `core.controller.ingest_columns_scalar_ns_per_entry` probe and
+/// `benchmark/` could not change in the PR that deleted the hand-written
+/// AVX2 kernel and its dispatch; it leaves together with that probe in
+/// the next `benchmark` PR.
+pub fn set_force_scalar(_force: bool) {}
 
 /// Reusable per-ingest column buffers: resolved slab slots plus the
 /// converted statistic columns. Owned by the Controller and recycled
@@ -100,53 +34,10 @@ pub(crate) struct ColumnScratch {
 }
 
 /// Converts a `u32` column to `f64` cores (`src[i] as f64 / divisor`)
-/// into `dst` (cleared first; capacity is reused). Takes the AVX2
-/// kernel when the host has it and the scalar override is off; the two
-/// kernels are bit-identical.
+/// into `dst` (cleared first; capacity is reused).
 pub(crate) fn u32_to_cores(src: &[u32], divisor: f64, dst: &mut Vec<f64>) {
     dst.clear();
-    dst.resize(src.len(), 0.0);
-    #[cfg(target_arch = "x86_64")]
-    if !force_scalar() && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 feature was just detected at runtime.
-        unsafe { u32_div_avx2(src, divisor, dst) };
-        return;
-    }
-    u32_div_scalar(src, divisor, dst);
-}
-
-fn u32_div_scalar(src: &[u32], divisor: f64, dst: &mut [f64]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = s as f64 / divisor;
-    }
-}
-
-/// Four-lane AVX2 conversion; see the module docs for why the
-/// XOR/convert/re-bias sequence is exact.
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn u32_div_avx2(src: &[u32], divisor: f64, dst: &mut [f64]) {
-    use std::arch::x86_64::*;
-    let n = src.len();
-    let div = _mm256_set1_pd(divisor);
-    let bias_int = _mm_set1_epi32(i32::MIN);
-    let bias_f64 = _mm256_set1_pd(2_147_483_648.0);
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY (fn contract): i + 4 <= n, and dst.len() == src.len()
-        // (resized by the caller), so both unaligned accesses stay in
-        // bounds.
-        let v = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-        let shifted = _mm_xor_si128(v, bias_int);
-        let f = _mm256_add_pd(_mm256_cvtepi32_pd(shifted), bias_f64);
-        _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_div_pd(f, div));
-        i += 4;
-    }
-    u32_div_scalar(&src[i..], divisor, &mut dst[i..]);
+    dst.extend(src.iter().map(|&s| s as f64 / divisor));
 }
 
 #[cfg(test)]
@@ -154,64 +45,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_kernel_is_plain_division() {
+    fn conversion_is_plain_division_and_reuses_the_buffer() {
         let src = [0u32, 1, 7, 100_000, u32::MAX];
-        let mut dst = vec![0.0; src.len()];
-        u32_div_scalar(&src, 100_000.0, &mut dst);
+        let mut dst = vec![9.0; 64];
+        u32_to_cores(&src, 100_000.0, &mut dst);
+        assert_eq!(dst.len(), src.len());
         for (i, &s) in src.iter().enumerate() {
             assert_eq!(dst[i].to_bits(), (s as f64 / 100_000.0).to_bits());
         }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_kernel_is_bit_identical_to_scalar() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        // Awkward lengths force both the vector body and the tail; the
-        // values cover both sides of the 2³¹ sign boundary.
-        for n in [0usize, 1, 3, 4, 5, 8, 13, 64, 257] {
-            let src: Vec<u32> = (0..n)
-                .map(|i| {
-                    (i as u32)
-                        .wrapping_mul(0x9E37_79B9)
-                        .wrapping_add(0x8000_0000 / (i as u32 + 1))
-                })
-                .collect();
-            for divisor in [1.0, 3.0, 100_000.0, 0.1] {
-                let mut simd = vec![0.0; n];
-                let mut scalar = vec![0.0; n];
-                unsafe { u32_div_avx2(&src, divisor, &mut simd) };
-                u32_div_scalar(&src, divisor, &mut scalar);
-                for i in 0..n {
-                    assert_eq!(
-                        simd[i].to_bits(),
-                        scalar[i].to_bits(),
-                        "lane {i} of {n} diverged for divisor {divisor}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dispatch_honours_the_force_scalar_override() {
-        set_force_scalar(true);
-        assert_eq!(active_path(), "scalar");
-        let src = [42u32; 9];
-        let mut dst = Vec::new();
-        u32_to_cores(&src, 7.0, &mut dst);
-        assert_eq!(dst.len(), 9);
-        assert_eq!(dst[0].to_bits(), (42.0f64 / 7.0).to_bits());
-        set_force_scalar(false);
-        if simd_supported() {
-            assert_eq!(active_path(), "avx2");
-        } else {
-            assert_eq!(active_path(), "scalar");
-        }
-        let mut dst2 = Vec::new();
-        u32_to_cores(&src, 7.0, &mut dst2);
-        assert_eq!(dst, dst2);
     }
 }

@@ -69,8 +69,9 @@ pub struct ControllerStats {
     /// Pending grants dropped after exhausting their retries.
     pub grants_abandoned: u64,
     /// Wire registrations rejected by the Allocator (unknown app,
-    /// duplicate id). Silently swallowing these hid misconfigured
-    /// deployments; now they are counted and logged in debug builds.
+    /// duplicate or out-of-range id). Silently swallowing these hid
+    /// misconfigured deployments; now they are counted and logged in
+    /// debug builds.
     pub register_errors: u64,
     /// `LimitAck`s whose seq did not match the container's pending
     /// grant (straggler acks of superseded sends, or acks of unrelated
@@ -317,7 +318,8 @@ impl<S: TraceSink> Controller<S> {
     ///
     /// # Errors
     ///
-    /// Propagates [`AllocatorError`] for unknown apps / duplicate ids.
+    /// Propagates [`AllocatorError`] for unknown apps, duplicate ids and
+    /// out-of-range ids.
     pub fn register_container(
         &mut self,
         container: ContainerId,
@@ -585,8 +587,8 @@ impl<S: TraceSink> Controller<S> {
     /// The hot path runs in two phases. Phase A is columnar and
     /// branch-free: slab slots are gathered straight off the allocator's
     /// direct-mapped index, and the fixed-point `usage_us`/`unused_us`
-    /// columns are converted to cores in bulk (AVX2 when the host has it,
-    /// a bit-identical scalar loop otherwise — see [`crate::columnar`]).
+    /// columns are converted to cores in bulk by one plain loop the
+    /// compiler vectorises (see [`crate::columnar`]).
     /// Phase B walks the precomputed columns and runs the sequential
     /// decision procedure per entry; pool state is inherently sequential
     /// (each grant changes what the next entry can take), so only this
@@ -941,6 +943,7 @@ impl<S: TraceSink> Controller<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocator::MAX_CONTAINER_ID;
     use escra_cfs::{CpuPeriodStats, MIB};
 
     const APP: AppId = AppId::new(0);
@@ -1400,6 +1403,50 @@ mod tests {
         );
         assert_eq!(actions.len(), 2);
         assert_eq!(c.stats().register_errors, 2);
+    }
+
+    #[test]
+    fn out_of_range_container_ids_are_rejected_without_allocating() {
+        // The container index is addressed by the raw wire id: before the
+        // bound, one of these registrations resized it to gigabytes (or
+        // overflowed `raw + 1`).
+        let mut c = Controller::new(EscraConfig::default());
+        c.register_app(APP, 8.0, 1024 * MIB);
+        c.register_container(C0, APP, N0, 1.0, 256 * MIB).unwrap();
+        let index_len = c.allocator().raw_index().len();
+        let allocated = c.allocator().app_pool(APP).unwrap().allocated_mem_bytes();
+        let hostile = [u64::MAX, u32::MAX as u64, MAX_CONTAINER_ID];
+        for (i, raw) in hostile.into_iter().enumerate() {
+            let id = ContainerId::new(raw);
+            assert_eq!(
+                c.register_container(id, APP, N0, 1.0, 256 * MIB),
+                Err(AllocatorError::ContainerIdOutOfRange(id))
+            );
+            // The wire path counts it like every other rejection.
+            let actions = c.handle(
+                SimTime::ZERO,
+                ToController::Register {
+                    container: id,
+                    app: APP,
+                    node: N0,
+                },
+            );
+            assert!(actions.is_empty());
+            assert_eq!(c.stats().register_errors, i as u64 + 1);
+            assert_eq!(c.allocator().container_count(), 1);
+            assert_eq!(c.allocator().raw_index().len(), index_len);
+        }
+        let pool = c.allocator().app_pool(APP).unwrap();
+        assert_eq!(pool.allocated_mem_bytes(), allocated, "nothing drawn");
+        // A valid registration still works afterwards.
+        let c1 = ContainerId::new(1);
+        assert_eq!(
+            c.register_container(c1, APP, N0, 1.0, 256 * MIB)
+                .unwrap()
+                .len(),
+            2
+        );
+        assert_eq!(c.allocator().container_count(), 2);
     }
 
     #[test]

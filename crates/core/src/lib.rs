@@ -81,7 +81,9 @@ pub mod telemetry;
 pub mod watcher;
 
 pub use agent::{Agent, AgentReport, ReclaimEntry};
-pub use allocator::{AllocatorError, CpuDecision, OomDecision, ResourceAllocator};
+pub use allocator::{
+    AllocatorError, CpuDecision, OomDecision, ResourceAllocator, MAX_CONTAINER_ID,
+};
 pub use config::EscraConfig;
 pub use controller::{Action, Controller, ControllerStats};
 pub use deployer::{deploy_app, initial_cpu_limit, initial_mem_limit, AppConfig};

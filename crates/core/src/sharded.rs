@@ -539,6 +539,9 @@ impl<S: TraceSink> ShardedController<S> {
         }
     }
 
+    /// Called only after `shard`'s allocator accepted the registration,
+    /// so the raw id is below [`crate::allocator::MAX_CONTAINER_ID`] and
+    /// the resize is bounded by it.
     fn record_container(&mut self, container: ContainerId, shard: usize) {
         let idx = container.as_u64() as usize;
         if idx >= self.container_shard.len() {
@@ -587,7 +590,8 @@ impl<S: TraceSink> ShardedController<S> {
     ///
     /// # Errors
     ///
-    /// Propagates [`AllocatorError`] for unknown apps / duplicate ids.
+    /// Propagates [`AllocatorError`] for unknown apps, duplicate ids and
+    /// out-of-range ids.
     pub fn register_container(
         &mut self,
         container: ContainerId,
@@ -1057,6 +1061,7 @@ impl<S: TraceSink> Drop for ShardedController<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocator::MAX_CONTAINER_ID;
     use crate::telemetry::{CPU_STATS_ENTRY_BYTES, CPU_STATS_HEADER_BYTES};
     use escra_cfs::{CpuPeriodStats, MIB};
     use escra_net::{batch_wire_bytes, BandwidthAccountant};
@@ -1219,6 +1224,53 @@ mod tests {
         assert_eq!(per_shard[0].register_errors, 1);
         assert_eq!(per_shard[1].register_errors, 0);
         assert_eq!(s.stats().register_errors, 1);
+    }
+
+    #[test]
+    fn out_of_range_container_ids_are_rejected_without_allocating() {
+        // The router's shard map is addressed by the raw wire id, like
+        // the allocator's index: neither may grow for a refused id.
+        let mut s = sharded_with_apps(2, 2, 1);
+        s.drain_actions();
+        let registered = |s: &ShardedController| -> usize {
+            (0..s.shard_count())
+                .map(|sh| s.lock_core(sh).controller.allocator().container_count())
+                .sum()
+        };
+        let map_len = s.container_shard.len();
+        let hostile = [u64::MAX, u32::MAX as u64, MAX_CONTAINER_ID];
+        for (i, raw) in hostile.into_iter().enumerate() {
+            let id = ContainerId::new(raw);
+            assert_eq!(
+                s.register_container(id, AppId::new(1), NodeId::new(0), 1.0, 64 * MIB),
+                Err(AllocatorError::ContainerIdOutOfRange(id))
+            );
+            // The wire path counts it on the app's home shard.
+            s.handle(
+                SimTime::ZERO,
+                ToController::Register {
+                    container: id,
+                    app: AppId::new(1),
+                    node: NodeId::new(0),
+                },
+            );
+            assert!(s.drain_actions().is_empty(), "no bootstrap for a reject");
+            assert_eq!(s.per_shard_stats()[1].register_errors, i as u64 + 1);
+            assert_eq!(s.shard_of_container(id), None);
+            assert_eq!(registered(&s), 2);
+            assert_eq!(s.container_shard.len(), map_len);
+        }
+        // A valid registration still works afterwards.
+        s.register_container(
+            ContainerId::new(2),
+            AppId::new(1),
+            NodeId::new(0),
+            1.0,
+            64 * MIB,
+        )
+        .unwrap();
+        assert_eq!(s.shard_of_container(ContainerId::new(2)), Some(1));
+        assert_eq!(registered(&s), 3);
     }
 
     #[test]

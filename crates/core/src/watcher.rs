@@ -12,7 +12,6 @@
 use crate::controller::{Action, Controller};
 use escra_cluster::{Cluster, ContainerEvent, ContainerId};
 use escra_metrics::trace::TraceSink;
-use escra_simcore::time::SimTime;
 use std::collections::BTreeSet;
 
 /// Watches cluster lifecycle events and keeps the Controller's container
@@ -89,23 +88,13 @@ impl ContainerWatcher {
     }
 }
 
-/// Convenience: watcher-driven sync at a point in time — drains events,
-/// registers/deregisters, and returns the actions.
-pub fn watch_once<S: TraceSink>(
-    watcher: &mut ContainerWatcher,
-    cluster: &mut Cluster,
-    controller: &mut Controller<S>,
-    _now: SimTime,
-) -> Vec<Action> {
-    watcher.sync(cluster, controller)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EscraConfig;
     use escra_cfs::MIB;
     use escra_cluster::{AppId, ContainerSpec, NodeSpec};
+    use escra_simcore::time::SimTime;
 
     const APP: AppId = AppId::new(0);
 

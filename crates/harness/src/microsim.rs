@@ -151,12 +151,6 @@ pub struct MicroSimConfig {
     pub faults: FaultPlan,
     /// Optional per-node telemetry cadence.
     pub report_plan: Option<ReportPlan>,
-    /// Emit per-node telemetry as columnar `CpuStatsColumns` blocks
-    /// instead of row-form `CpuStatsBatch` datagrams. Off by default:
-    /// the columnar wire form quantises statistics to integer
-    /// microseconds, which is exact for CFS-shaped telemetry but not
-    /// bit-identical to the committed row-form experiment physics.
-    pub columnar_telemetry: bool,
 }
 
 impl MicroSimConfig {
@@ -174,7 +168,6 @@ impl MicroSimConfig {
             profile_duration: SimDuration::from_secs(20),
             faults: FaultPlan::none(),
             report_plan: None,
-            columnar_telemetry: false,
         }
     }
 
@@ -193,13 +186,6 @@ impl MicroSimConfig {
     /// Sets the per-node telemetry cadence (builder style).
     pub fn with_report_plan(mut self, plan: ReportPlan) -> Self {
         self.report_plan = Some(plan);
-        self
-    }
-
-    /// Switches per-node telemetry to the columnar wire form (builder
-    /// style). See [`MicroSimConfig::columnar_telemetry`].
-    pub fn with_columnar_telemetry(mut self, columnar: bool) -> Self {
-        self.columnar_telemetry = columnar;
         self
     }
 }
@@ -256,6 +242,10 @@ struct ControlPlane {
     delayed: EventQueue<Envelope>,
     /// Messages ready for delivery now, in FIFO order.
     ready: VecDeque<Envelope>,
+    /// Controller output awaiting [`ControlPlane::dispatch`]; empty
+    /// between calls, its capacity reused so the steady-state telemetry
+    /// and timer paths allocate nothing per message.
+    actions: Vec<Action>,
 }
 
 impl ControlPlane {
@@ -280,16 +270,12 @@ impl ControlPlane {
         }
     }
 
-    /// Routes controller actions onto the fabric: Agent commands travel
-    /// the wire (and can be dropped/duplicated/delayed); kills are local
-    /// to the Controller's authority and take effect immediately.
-    fn dispatch(
-        &mut self,
-        actions: &mut Vec<Action>,
-        cluster: &mut Cluster,
-        now: SimTime,
-        killed: &mut Vec<ContainerId>,
-    ) {
+    /// Routes the buffered controller actions onto the fabric: Agent
+    /// commands travel the wire (and can be dropped/duplicated/delayed);
+    /// kills are local to the Controller's authority and take effect
+    /// immediately. The buffer comes back empty.
+    fn dispatch(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
+        let mut actions = std::mem::take(&mut self.actions);
         for action in actions.drain(..) {
             match action {
                 Action::Agent { node, cmd } => self.send(
@@ -304,6 +290,7 @@ impl ControlPlane {
                 }
             }
         }
+        self.actions = actions;
     }
 
     /// Delivers every message due at `now` until the fabric is
@@ -316,10 +303,6 @@ impl ControlPlane {
         // Backstop against a (non-existent today) message cycle; real
         // cascades are grant → ack → done and terminate in a few rounds.
         let mut guard = 0u32;
-        // One action buffer for the whole pump: the steady-state
-        // telemetry path through `handle_into` then allocates nothing
-        // per message.
-        let mut actions: Vec<Action> = Vec::new();
         loop {
             while let Some((_, env)) = self.delayed.pop_due(now) {
                 self.ready.push_back(env);
@@ -335,8 +318,8 @@ impl ControlPlane {
                 }
                 match env {
                     Envelope::ToCtl(msg) => {
-                        self.controller.handle_into(now, msg, &mut actions);
-                        self.dispatch(&mut actions, cluster, now, killed);
+                        self.controller.handle_into(now, msg, &mut self.actions);
+                        self.dispatch(cluster, now, killed);
                     }
                     Envelope::ToNode(node, cmd) => {
                         let reply = match agent_for(&mut self.agents, node).apply(cluster, cmd) {
@@ -355,8 +338,9 @@ impl ControlPlane {
                 }
             }
             if !reclaim_entries.is_empty() {
-                let mut actions = self.controller.on_reclaim_report(now, &reclaim_entries);
-                self.dispatch(&mut actions, cluster, now, killed);
+                self.actions
+                    .extend(self.controller.on_reclaim_report(now, &reclaim_entries));
+                self.dispatch(cluster, now, killed);
             }
         }
     }
@@ -660,6 +644,7 @@ impl<'a> Sim<'a> {
                         injector: FaultInjector::new(cfg.faults.clone(), cfg.seed),
                         delayed: EventQueue::new(),
                         ready: VecDeque::new(),
+                        actions: Vec::new(),
                     };
                     // Deployment registration runs over per-container TCP
                     // sockets before the workload starts; runtime faults
@@ -1162,26 +1147,14 @@ impl<'a> Sim<'a> {
         }
         let entries = std::mem::take(&mut self.pending_stats[node]);
         let node_id = NodeId::new(node as u64);
-        // Columnar and row form carry the same per-entry wire bytes,
-        // so the §VI-I accounting is identical either way; the
-        // columnar form additionally quantises stats to integer µs
-        // (exact for CFS-shaped values), hence the opt-in.
-        let msg = if self.cfg.columnar_telemetry {
-            ToController::CpuStatsColumns {
-                node: node_id,
-                columns: escra_core::CpuStatsColumns::from_entries(&entries),
-            }
-        } else {
-            ToController::CpuStatsBatch {
-                node: node_id,
-                entries,
-            }
-        };
         plane.send(
             now,
             node_addr(node_id),
             controller_addr(),
-            Envelope::ToCtl(msg),
+            Envelope::ToCtl(ToController::CpuStatsBatch {
+                node: node_id,
+                entries,
+            }),
         );
         let mut killed = Vec::new();
         plane.pump(&mut self.cluster, now, &mut killed);
@@ -1194,8 +1167,8 @@ impl<'a> Sim<'a> {
             return;
         };
         let mut killed = Vec::new();
-        let mut actions = plane.controller.tick(now);
-        plane.dispatch(&mut actions, &mut self.cluster, now, &mut killed);
+        plane.controller.tick_into(now, &mut plane.actions);
+        plane.dispatch(&mut self.cluster, now, &mut killed);
         plane.pump(&mut self.cluster, now, &mut killed);
         self.fail_killed(&killed, now);
     }
@@ -1478,24 +1451,6 @@ mod tests {
         let b = run(&quick_cfg(Policy::escra_default()));
         assert_eq!(digest(&a), digest(&b));
         assert_eq!(a.sim, b.sim);
-    }
-
-    #[test]
-    fn columnar_telemetry_runs_are_deterministic_and_healthy() {
-        let cfg = quick_cfg(Policy::escra_default()).with_columnar_telemetry(true);
-        let a = run(&cfg);
-        let b = run(&cfg);
-        assert_eq!(digest(&a), digest(&b), "columnar runs must be reproducible");
-        // The columnar wire form changes the encoding, not the cadence:
-        // the Controller ingests exactly as many period reports as the
-        // row-form run, absorbs all OOMs, and serves the workload.
-        let rows = run(&quick_cfg(Policy::escra_default()));
-        assert_eq!(
-            a.controller_stats.as_ref().unwrap().cpu_stats_ingested,
-            rows.controller_stats.as_ref().unwrap().cpu_stats_ingested
-        );
-        assert_eq!(a.metrics.oom_kills, 0);
-        assert!(a.metrics.latency.successes() > 1_500);
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl StateHash {
         self.write_u64(v.to_bits());
     }
 
-    /// Absorbs a `bool`.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_bytes(&[v as u8]);
-    }
-
     /// The current digest.
     pub fn finish(&self) -> u64 {
         self.state

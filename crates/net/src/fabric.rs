@@ -153,11 +153,6 @@ impl<M> Network<M> {
         out
     }
 
-    /// Time of the next pending delivery, if any.
-    pub fn next_delivery(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Number of messages in flight.
     pub fn in_flight(&self) -> usize {
         self.queue.len()
@@ -176,13 +171,6 @@ impl<M> Network<M> {
     /// Counters of injected faults so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.stats()
-    }
-
-    /// Round-trip estimate for an RPC: two sampled one-way delays plus
-    /// `processing` — used where the caller needs a latency without
-    /// materialising both directions as messages.
-    pub fn rpc_round_trip(&mut self, processing: SimDuration) -> SimDuration {
-        self.latency.sample(&mut self.rng) + self.latency.sample(&mut self.rng) + processing
     }
 }
 
@@ -295,13 +283,6 @@ mod tests {
         n.send(SimTime::ZERO, a, b, 1, 1000);
         n.send(SimTime::from_millis(10), a, b, 2, 500);
         assert_eq!(n.accountant().total_bytes(), 1500);
-    }
-
-    #[test]
-    fn rpc_round_trip_includes_processing() {
-        let mut n = net();
-        let rt = n.rpc_round_trip(SimDuration::from_micros(200));
-        assert_eq!(rt, SimDuration::from_micros(1200));
     }
 
     #[test]

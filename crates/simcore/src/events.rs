@@ -146,44 +146,9 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A monotone simulation clock, advanced only by the driver loop.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Clock {
-    now: SimTime,
-}
-
-impl Clock {
-    /// Creates a clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        Clock::default()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advances to `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is earlier than the current time: simulated time
-    /// never flows backwards.
-    pub fn advance_to(&mut self, t: SimTime) {
-        assert!(
-            t >= self.now,
-            "clock moved backwards: {} -> {}",
-            self.now,
-            t
-        );
-        self.now = t;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn orders_by_time_then_fifo() {
@@ -218,22 +183,6 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let mut c = Clock::new();
-        c.advance_to(SimTime::from_millis(10));
-        c.advance_to(c.now() + SimDuration::from_millis(5));
-        assert_eq!(c.now(), SimTime::from_millis(15));
-    }
-
-    #[test]
-    #[should_panic(expected = "clock moved backwards")]
-    fn clock_rejects_backwards() {
-        let mut c = Clock::new();
-        c.advance_to(SimTime::from_millis(10));
-        c.advance_to(SimTime::from_millis(5));
     }
 
     #[test]

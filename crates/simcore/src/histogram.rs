@@ -90,13 +90,6 @@ impl LogHistogram {
         }
     }
 
-    /// Records `n` occurrences of one sample value.
-    pub fn record_n(&mut self, value: f64, n: u64) {
-        for _ in 0..n {
-            self.record(value);
-        }
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -297,13 +290,5 @@ mod tests {
         h.record(2e-7);
         assert!(h.percentile(50.0) > 0.0);
         assert!(h.percentile(50.0) < 1e-6);
-    }
-
-    #[test]
-    fn record_n_matches_loop() {
-        let mut a = LogHistogram::new();
-        a.record_n(5.0, 10);
-        assert_eq!(a.count(), 10);
-        assert!((a.mean() - 5.0).abs() < 0.1);
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! * [`time`] — integer-microsecond [`time::SimTime`] / [`time::SimDuration`];
 //! * [`events`] — a time-ordered [`events::EventQueue`] with FIFO
-//!   tie-breaking and a monotone [`events::Clock`];
+//!   tie-breaking;
 //! * [`rng`] — a seeded, forkable [`rng::SimRng`] with the distributions
-//!   the workloads need (uniform, exponential, Poisson, normal, Pareto);
+//!   the workloads need (uniform, exponential, normal, log-normal);
 //! * [`window`] — the sliding-window statistics the Escra Resource
 //!   Allocator runs on (paper §IV-D1);
 //! * [`histogram`] — HDR-style log-bucketed histograms for latency and
@@ -23,9 +23,8 @@
 //!
 //! let mut queue = EventQueue::new();
 //! queue.push(SimTime::from_millis(100), "period boundary");
-//! let mut clock = Clock::new();
 //! while let Some((t, event)) = queue.pop() {
-//!     clock.advance_to(t);
+//!     assert_eq!(t, SimTime::from_millis(100));
 //!     assert_eq!(event, "period boundary");
 //! }
 //! ```
@@ -43,10 +42,10 @@ pub mod window;
 
 /// Convenient re-exports of the most used types.
 pub mod prelude {
-    pub use crate::events::{Clock, EventQueue};
+    pub use crate::events::EventQueue;
     pub use crate::histogram::LogHistogram;
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::timeseries::TimeSeries;
-    pub use crate::window::{BitWindow, InlineWindow, SlidingWindow};
+    pub use crate::window::{BitWindow, InlineWindow};
 }

@@ -116,29 +116,6 @@ impl SimRng {
         -(1.0 - self.next_f64()).ln() / rate
     }
 
-    /// Poisson-distributed count with mean `lambda` (Knuth's algorithm for
-    /// small lambda, normal approximation above 30 for speed).
-    pub fn poisson(&mut self, lambda: f64) -> u64 {
-        assert!(lambda >= 0.0);
-        if lambda == 0.0 {
-            return 0;
-        }
-        if lambda > 30.0 {
-            let n = self.normal(lambda, lambda.sqrt());
-            return n.max(0.0).round() as u64;
-        }
-        let l = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.next_f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
     /// Normally distributed value (Box–Muller).
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         debug_assert!(std_dev >= 0.0);
@@ -152,13 +129,6 @@ impl SimRng {
     /// deviation of the underlying normal.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
-    }
-
-    /// Pareto-distributed value with scale `xm` and shape `alpha`
-    /// (heavy-tailed; useful for service-time tails).
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        assert!(xm > 0.0 && alpha > 0.0);
-        xm / (1.0 - self.next_f64()).powf(1.0 / alpha)
     }
 
     /// Picks an index according to non-negative `weights`.
@@ -226,17 +196,6 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| r.exponential(4.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_mean_close() {
-        let mut r = SimRng::new(13);
-        let n = 20_000;
-        let mean: f64 = (0..n).map(|_| r.poisson(3.0) as f64).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-        // Large-lambda path.
-        let mean: f64 = (0..n).map(|_| r.poisson(100.0) as f64).sum::<f64>() / n as f64;
-        assert!((mean - 100.0).abs() < 1.0, "mean {mean}");
     }
 
     #[test]

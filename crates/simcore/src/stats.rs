@@ -43,34 +43,6 @@ pub fn std_dev(values: &[f64]) -> f64 {
     (values.iter().map(|x| (x - m).powi(2)).sum::<f64>() / values.len() as f64).sqrt()
 }
 
-/// Relative change from `baseline` to `new`, in percent.
-///
-/// `relative_change_pct(200.0, 100.0) == -50.0` (halved).
-/// Returns 0.0 when the baseline is zero.
-pub fn relative_change_pct(baseline: f64, new: f64) -> f64 {
-    if baseline == 0.0 {
-        0.0
-    } else {
-        (new - baseline) / baseline * 100.0
-    }
-}
-
-/// Improvement factor `baseline / new` (e.g. "reduces slack by 10x").
-///
-/// Returns `f64::INFINITY` when `new` is zero but `baseline` is not, and
-/// 1.0 when both are zero.
-pub fn improvement_factor(baseline: f64, new: f64) -> f64 {
-    if new == 0.0 {
-        if baseline == 0.0 {
-            1.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        baseline / new
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,15 +68,5 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert!((std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.0).abs() < 1e-12);
         assert_eq!(std_dev(&[1.0]), 0.0);
-    }
-
-    #[test]
-    fn change_and_factor() {
-        assert_eq!(relative_change_pct(200.0, 100.0), -50.0);
-        assert_eq!(relative_change_pct(100.0, 325.0), 225.0);
-        assert_eq!(relative_change_pct(0.0, 5.0), 0.0);
-        assert_eq!(improvement_factor(10.0, 1.0), 10.0);
-        assert_eq!(improvement_factor(10.0, 0.0), f64::INFINITY);
-        assert_eq!(improvement_factor(0.0, 0.0), 1.0);
     }
 }

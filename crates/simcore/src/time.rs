@@ -80,23 +80,6 @@ impl SimTime {
     pub fn saturating_sub(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(d.0))
     }
-
-    /// Rounds down to a multiple of `period` (e.g. a CFS period boundary).
-    pub fn align_down(self, period: SimDuration) -> SimTime {
-        assert!(period.0 > 0, "period must be non-zero");
-        SimTime(self.0 - self.0 % period.0)
-    }
-
-    /// Rounds up to the next multiple of `period`.
-    pub fn align_up(self, period: SimDuration) -> SimTime {
-        assert!(period.0 > 0, "period must be non-zero");
-        let rem = self.0 % period.0;
-        if rem == 0 {
-            self
-        } else {
-            SimTime(self.0 + (period.0 - rem))
-        }
-    }
 }
 
 impl SimDuration {
@@ -266,27 +249,6 @@ mod tests {
         assert_eq!((t + d).as_millis(), 200);
         assert_eq!((t - d).as_millis(), 100);
         assert_eq!((t + d) - t, d);
-    }
-
-    #[test]
-    fn align_boundaries() {
-        let period = SimDuration::from_millis(100);
-        assert_eq!(
-            SimTime::from_millis(150).align_down(period),
-            SimTime::from_millis(100)
-        );
-        assert_eq!(
-            SimTime::from_millis(150).align_up(period),
-            SimTime::from_millis(200)
-        );
-        assert_eq!(
-            SimTime::from_millis(200).align_up(period),
-            SimTime::from_millis(200)
-        );
-        assert_eq!(
-            SimTime::from_millis(200).align_down(period),
-            SimTime::from_millis(200)
-        );
     }
 
     #[test]

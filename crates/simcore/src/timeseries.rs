@@ -1,9 +1,8 @@
 //! Time-series recording.
 //!
 //! The limit-over-time plots (Figs. 2, 8, 9) are produced from
-//! [`TimeSeries`] recorders: append-only `(time, value)` samples with
-//! helpers for per-second averaging and pairwise differencing (the
-//! "savings" panels).
+//! [`TimeSeries`] recorders: append-only `(time, value)` samples with a
+//! helper for per-second averaging.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize, Value};
@@ -208,25 +207,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Pointwise difference `self - other` on `other`'s resampled grid —
-    /// the "savings" series of Figs. 8d/9d. Buckets missing from either
-    /// series are skipped.
-    pub fn savings_vs(&self, other: &TimeSeries, bucket_secs: u64) -> Vec<(f64, f64)> {
-        let a = self.resample_secs(bucket_secs);
-        let b = other.resample_secs(bucket_secs);
-        let mut out = Vec::new();
-        let mut j = 0;
-        for (t, va) in a {
-            while j < b.len() && b[j].0 < t {
-                j += 1;
-            }
-            if j < b.len() && (b[j].0 - t).abs() < f64::EPSILON {
-                out.push((t, va - b[j].1));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -264,14 +244,6 @@ mod tests {
         let ts = series(&[(0, 1.0), (5000, 9.0)]);
         let r = ts.resample_secs(1);
         assert_eq!(r, vec![(0.0, 1.0), (5.0, 9.0)]);
-    }
-
-    #[test]
-    fn savings_is_pointwise_difference() {
-        let a = series(&[(0, 10.0), (1000, 10.0)]);
-        let b = series(&[(0, 4.0), (1000, 7.0)]);
-        let s = a.savings_vs(&b, 1);
-        assert_eq!(s, vec![(0.0, 6.0), (1.0, 3.0)]);
     }
 
     #[test]
