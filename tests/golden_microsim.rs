@@ -4,7 +4,12 @@
 //! faultless on the aligned schedule and again under a jittered
 //! `ReportPlan` with a loss + duplication `FaultPlan`, plus one cell per
 //! profile-seeded policy (static, Autopilot, VPA, tiny autoscaler,
-//! ARC-V), as a committed fixture.
+//! ARC-V), as a committed fixture. The flush-order cells pin the two
+//! cases where the order of telemetry flushes within one instant is
+//! observable: a heterogeneous *aligned* plan on six nodes (reporters
+//! with different periods fall due together) and the benchmark's
+//! `paper_matrix` fault plan, whose delay spikes land messages on flush
+//! instants.
 //!
 //! The fixture was generated *before* the driver lost its second engine
 //! and its four copy-pasted scaler arms, so a green run proves that
@@ -85,6 +90,45 @@ fn render() -> String {
             out.push_str(&digest_line(
                 &format!("cell={cell} seed={seed} plan=jittered faults=loss+dup"),
                 &run(&faulty),
+            ));
+        }
+    }
+    // Flush-order cells (generated before report cohorts existed).
+    let (cell, app, wl) = cells().swap_remove(0);
+    let hetero = |jitter_frac: f64| ReportPlan {
+        period_multipliers: vec![1, 2, 3],
+        jitter_frac,
+    };
+    // `benchmark/src/inputs.rs::matrix_faults`.
+    let matrix_faults = || {
+        FaultPlan::none()
+            .with_loss(0.05)
+            .with_duplicates(0.02)
+            .with_delay_spikes(0.02, SimDuration::from_millis(150))
+    };
+    for seed in SEEDS {
+        let base = cfg(&app, &wl, Policy::escra_default(), seed);
+        let mut six_nodes = base.clone().with_report_plan(hetero(0.0));
+        six_nodes.worker_nodes = 6;
+        for (label, cfg) in [
+            ("plan=hetero-aligned nodes=6 faults=none", six_nodes.clone()),
+            (
+                "plan=hetero-aligned nodes=6 faults=matrix",
+                six_nodes.with_faults(matrix_faults()),
+            ),
+            (
+                "plan=none faults=matrix",
+                base.clone().with_faults(matrix_faults()),
+            ),
+            (
+                "plan=jittered faults=matrix",
+                base.with_report_plan(hetero(0.5))
+                    .with_faults(matrix_faults()),
+            ),
+        ] {
+            out.push_str(&digest_line(
+                &format!("cell={cell} seed={seed} {label}"),
+                &run(&cfg),
             ));
         }
     }
