@@ -3,9 +3,12 @@
 //! A synthetic 10 000-node cluster hosting 12 000 containers under
 //! Escra, driven on the event heap for millions of container-periods.
 //! Wall-time and throughput (container-periods/s, heap events/s) go to
-//! `BENCH_sim.json`; `--record` commits the numbers as the baseline and
-//! `--check` fails on a >2× throughput regression (generous, because
-//! shared CI hosts are noisy).
+//! `BENCH_sim.json` with a manifest of who measured them (git rev,
+//! rustc, CPU model, threads); `--record` commits the numbers as the
+//! baseline and `--check` fails on a >2× throughput regression
+//! (generous, because shared CI hosts are noisy) or when the run pops
+//! more than [`MAX_HEAP_EVENTS_PER_CP`] heap events per container-period
+//! (exact, host-independent: report timers are per cohort, not per node).
 //!
 //! `--smoke` shortens the scale run (still ≥ 1M container-periods).
 
@@ -23,6 +26,11 @@ const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_si
 const SCALE_NODES: usize = 10_000;
 /// Replicas per tier in the synthetic scale app (2 tiers).
 const SCALE_REPLICAS: usize = 6_000;
+
+/// `--check` ceiling on heap events per container-period. The aligned
+/// scale run pops one report event a round plus the timeout and
+/// background timers, ≈ 0.012; one report timer per node made it 0.85.
+const MAX_HEAP_EVENTS_PER_CP: f64 = 0.05;
 
 /// A synthetic two-tier application sized for the scale run. Tier
 /// parameters mirror Teastore-class services; background chains are
@@ -80,6 +88,41 @@ fn extract_number(json: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
+/// First line of `cmd args…`'s stdout, or "unknown".
+fn first_line_of(cmd: &str, args: &[&str]) -> String {
+    std::process::Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| {
+            String::from_utf8_lossy(&o.stdout)
+                .lines()
+                .next()
+                .map(str::to_owned)
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Who measured the numbers, as a JSON object: the commit the tree was
+/// at (`-dirty` with uncommitted changes), the compiler, the CPU and the
+/// threads the run used (the driver is single-threaded).
+fn manifest_json() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    format!(
+        "{{\"git_rev\": {:?}, \"rustc\": {:?}, \"cpu\": {:?}, \"threads\": 1}}",
+        first_line_of("git", &["describe", "--always", "--dirty", "--abbrev=12"]),
+        first_line_of("rustc", &["--version"]),
+        cpu,
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -102,6 +145,7 @@ fn main() {
     let container_periods = out.sim.rounds * containers;
     let cp_rate = container_periods as f64 / wall;
     let ev_rate = out.sim.heap_events as f64 / wall;
+    let events_per_cp = out.sim.heap_events as f64 / container_periods as f64;
     assert!(
         container_periods >= 1_000_000,
         "scale run too small: {container_periods} container-periods"
@@ -128,6 +172,10 @@ fn main() {
         format!("{}", out.sim.heap_events),
     ]);
     table.row(vec![
+        "heap events/container-period".into(),
+        format!("{events_per_cp:.4}"),
+    ]);
+    table.row(vec![
         "background jobs".into(),
         format!("{}", out.sim.bg_jobs),
     ]);
@@ -142,7 +190,8 @@ fn main() {
     println!("{}", table.render());
 
     let json = format!(
-        "{{\n  \"nodes\": {SCALE_NODES},\n  \
+        "{{\n  \"manifest\": {},\n  \
+         \"nodes\": {SCALE_NODES},\n  \
          \"containers\": {containers},\n  \
          \"rounds\": {},\n  \
          \"container_periods\": {container_periods},\n  \
@@ -150,7 +199,9 @@ fn main() {
          \"wall_secs\": {wall:.3},\n  \
          \"container_periods_per_sec\": {cp_rate:.0},\n  \
          \"heap_events_per_sec\": {ev_rate:.0}\n}}\n",
-        out.sim.rounds, out.sim.heap_events,
+        manifest_json(),
+        out.sim.rounds,
+        out.sim.heap_events,
     );
     let path = write_json("sim_scale", &json);
     println!("numbers written to {}", path.display());
@@ -173,6 +224,17 @@ fn main() {
             eprintln!(
                 "FAIL: scale-run throughput regressed >2x vs committed baseline \
                  ({cp_rate:.0} < 0.5 * {committed_rate:.0})"
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "check: {events_per_cp:.4} heap events per container-period \
+             (ceiling {MAX_HEAP_EVENTS_PER_CP})"
+        );
+        if events_per_cp > MAX_HEAP_EVENTS_PER_CP {
+            eprintln!(
+                "FAIL: {events_per_cp:.4} heap events per container-period > \
+                 {MAX_HEAP_EVENTS_PER_CP}: aligned reports are back on per-node timers"
             );
             std::process::exit(1);
         }

@@ -11,7 +11,6 @@ use escra_metrics::fingerprint::StateHash;
 use escra_metrics::trace::{NoopSink, TraceEventKind, TraceSink};
 use escra_simcore::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Result of one reclamation sweep entry: the container's limit after the
 /// shrink and the bytes reclaimed (ψ).
@@ -49,10 +48,27 @@ pub enum AgentReport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Agent {
     node: NodeId,
-    cpu_seq: BTreeMap<ContainerId, u64>,
-    mem_seq: BTreeMap<ContainerId, u64>,
+    /// High-water seqs, sorted by container id. A node hosts a handful
+    /// of containers, so one small vector is a fraction of the two B-tree
+    /// leaves it replaces; every entry has at least one seq recorded.
+    seqs: Vec<SeqEntry>,
     stale_discarded: u64,
     valve_clamps: u64,
+}
+
+/// The highest command seq applied to one container, per resource.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SeqEntry {
+    container: ContainerId,
+    cpu: Option<u64>,
+    mem: Option<u64>,
+}
+
+/// Which of a container's two seq spaces a command belongs to.
+#[derive(Debug, Clone, Copy)]
+enum Resource {
+    Cpu,
+    Mem,
 }
 
 impl Agent {
@@ -60,8 +76,7 @@ impl Agent {
     pub fn new(node: NodeId) -> Self {
         Agent {
             node,
-            cpu_seq: BTreeMap::new(),
-            mem_seq: BTreeMap::new(),
+            seqs: Vec::new(),
             stale_discarded: 0,
             valve_clamps: 0,
         }
@@ -82,9 +97,39 @@ impl Agent {
         self.valve_clamps
     }
 
-    /// Whether `seq` is not newer than the last applied entry in `map`.
-    fn is_stale(map: &BTreeMap<ContainerId, u64>, container: ContainerId, seq: u64) -> bool {
-        map.get(&container).is_some_and(|&last| seq <= last)
+    /// Records `seq` as `container`'s high-water mark for `resource`.
+    /// Returns false, recording nothing, when `seq` is not newer than
+    /// the last one applied.
+    fn advance(&mut self, container: ContainerId, seq: u64, resource: Resource) -> bool {
+        let at = match self.seqs.binary_search_by_key(&container, |e| e.container) {
+            Ok(at) => at,
+            Err(at) => {
+                // Most nodes host one or two containers: grow by one
+                // entry up to `Vec`'s minimum capacity of four, then
+                // amortised as usual.
+                if self.seqs.len() < 4 {
+                    self.seqs.reserve_exact(1);
+                }
+                self.seqs.insert(
+                    at,
+                    SeqEntry {
+                        container,
+                        cpu: None,
+                        mem: None,
+                    },
+                );
+                at
+            }
+        };
+        let last = match resource {
+            Resource::Cpu => &mut self.seqs[at].cpu,
+            Resource::Mem => &mut self.seqs[at].mem,
+        };
+        if last.is_some_and(|last| seq <= last) {
+            return false;
+        }
+        *last = Some(seq);
+        true
     }
 
     /// Drops all per-container state (the high-water seq entries) for a
@@ -95,37 +140,35 @@ impl Agent {
     /// controller shard whose `next_seq` space starts over — would
     /// otherwise inherit the old high-water mark and have every command
     /// silently stale-discarded until the new seq space catches up. It
-    /// also keeps the maps from growing without bound under serverless
+    /// also keeps the table from growing without bound under serverless
     /// churn.
     pub fn forget_container(&mut self, container: ContainerId) {
-        self.cpu_seq.remove(&container);
-        self.mem_seq.remove(&container);
+        if let Ok(at) = self.seqs.binary_search_by_key(&container, |e| e.container) {
+            self.seqs.remove(at);
+        }
     }
 
     /// Number of containers with a recorded high-water seq (either
     /// resource); teardown bookkeeping should drive this back down.
     pub fn tracked_containers(&self) -> usize {
-        let mut ids: Vec<ContainerId> = self.cpu_seq.keys().copied().collect();
-        ids.extend(self.mem_seq.keys().copied());
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
+        self.seqs.len()
     }
 
     /// Feeds the agent's behaviourally relevant state (node id and both
-    /// seq maps; the audit counters never influence decisions) into a
-    /// canonical state hash, for the model checker's visited set.
+    /// seq spaces; the audit counters never influence decisions) into a
+    /// canonical state hash, for the model checker's visited set: the
+    /// CPU seqs as a counted `(container, seq)` list in container order,
+    /// then the memory seqs likewise.
     pub fn fingerprint_into(&self, h: &mut StateHash) {
         h.write_u64(self.node.as_u64());
-        h.write_u64(self.cpu_seq.len() as u64);
-        for (c, s) in &self.cpu_seq {
-            h.write_u64(c.as_u64());
-            h.write_u64(*s);
-        }
-        h.write_u64(self.mem_seq.len() as u64);
-        for (c, s) in &self.mem_seq {
-            h.write_u64(c.as_u64());
-            h.write_u64(*s);
+        for pick in [|e: &SeqEntry| e.cpu, |e: &SeqEntry| e.mem] {
+            h.write_u64(self.seqs.iter().filter_map(pick).count() as u64);
+            for e in &self.seqs {
+                if let Some(seq) = pick(e) {
+                    h.write_u64(e.container.as_u64());
+                    h.write_u64(seq);
+                }
+            }
         }
     }
 
@@ -157,7 +200,7 @@ impl Agent {
                 quota_cores,
                 seq,
             } => {
-                if Self::is_stale(&self.cpu_seq, container, seq) {
+                if !self.advance(container, seq, Resource::Cpu) {
                     self.stale_discarded += 1;
                     if S::ENABLED {
                         sink.emit(
@@ -169,7 +212,6 @@ impl Agent {
                     }
                     return AgentReport::Stale;
                 }
-                self.cpu_seq.insert(container, seq);
                 if let Some(c) = cluster.container_mut(container) {
                     if c.node() == self.node {
                         c.cpu.set_quota_cores(quota_cores);
@@ -182,7 +224,7 @@ impl Agent {
                 limit_bytes,
                 seq,
             } => {
-                if Self::is_stale(&self.mem_seq, container, seq) {
+                if !self.advance(container, seq, Resource::Mem) {
                     self.stale_discarded += 1;
                     if S::ENABLED {
                         sink.emit(
@@ -194,7 +236,6 @@ impl Agent {
                     }
                     return AgentReport::Stale;
                 }
-                self.mem_seq.insert(container, seq);
                 if let Some(c) = cluster.container_mut(container) {
                     if c.node() == self.node {
                         // Safety valve: when the Controller is cut off it

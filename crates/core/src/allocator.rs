@@ -453,6 +453,20 @@ impl ResourceAllocator {
         Ok((cpu, mem))
     }
 
+    /// Makes room in the slab for `additional` more registrations. A
+    /// deployment that at least doubles the slab gets exactly the room
+    /// it needs instead of `Vec` doubling's slack (a third of the slab
+    /// at 12 000 containers); smaller ones grow it amortised, so many
+    /// small deployments never copy the slab once each.
+    pub fn reserve_containers(&mut self, additional: usize) {
+        let fresh = additional.saturating_sub(self.free.len());
+        if fresh >= self.slab.len() {
+            self.slab.reserve_exact(fresh);
+        } else {
+            self.slab.reserve(fresh);
+        }
+    }
+
     /// Deregisters a container (serverless pod teardown), returning its
     /// resources to the pool.
     ///

@@ -358,6 +358,12 @@ impl<S: TraceSink> Controller<S> {
         ])
     }
 
+    /// Sizes the allocator's slab for `additional` more containers (see
+    /// [`ResourceAllocator::reserve_containers`]).
+    pub fn reserve_containers(&mut self, additional: usize) {
+        self.allocator.reserve_containers(additional);
+    }
+
     /// Deregisters a container (terminated pod), returning its resources
     /// to the application pool.
     ///
@@ -419,16 +425,7 @@ impl<S: TraceSink> Controller<S> {
                 self.ingest_cpu_stats(now, container, stats, out);
             }
             ToController::CpuStatsBatch { node, entries } => {
-                if S::ENABLED {
-                    self.sink.emit(
-                        now,
-                        TraceEventKind::BatchIngest {
-                            node: node.as_u64(),
-                            entries: entries.len() as u32,
-                        },
-                    );
-                }
-                self.ingest_cpu_batch_at(now, &entries, out);
+                self.ingest_node_batch(now, node, &entries, out);
             }
             ToController::CpuStatsColumns { node, columns } => {
                 if S::ENABLED {
@@ -569,6 +566,30 @@ impl<S: TraceSink> Controller<S> {
         for entry in entries {
             self.ingest_cpu_stats(now, entry.container, entry.stats, out);
         }
+    }
+
+    /// Handles a [`ToController::CpuStatsBatch`] from `node` by
+    /// reference — the `BatchIngest` trace event, then
+    /// [`Controller::ingest_cpu_batch_at`] — so a driver that delivers
+    /// the datagram in the instant it was sent can keep the node's
+    /// buffer instead of moving it into a message.
+    pub fn ingest_node_batch(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        entries: &[CpuStatsEntry],
+        out: &mut Vec<Action>,
+    ) {
+        if S::ENABLED {
+            self.sink.emit(
+                now,
+                TraceEventKind::BatchIngest {
+                    node: node.as_u64(),
+                    entries: entries.len() as u32,
+                },
+            );
+        }
+        self.ingest_cpu_batch_at(now, entries, out);
     }
 
     /// Ingests one node's period statistics in columnar (struct-of-arrays)

@@ -73,6 +73,7 @@ pub fn deploy_app<S: TraceSink>(
     let n = config.containers.len();
     assert!(n > 0, "application {} has no containers", config.name);
     controller.register_app(config.app, config.global_cpu_cores, config.global_mem_bytes);
+    controller.reserve_containers(n);
 
     let cpu_init = initial_cpu_limit(config.global_cpu_cores, n);
     let mem_init = initial_mem_limit(config.global_mem_bytes, cfg.sigma, n);

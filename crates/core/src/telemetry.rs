@@ -260,22 +260,26 @@ pub enum ToController {
     },
 }
 
+/// Wire size of one node's telemetry datagram carrying `entries`
+/// container rows (either batch form): what
+/// [`ToController::wire_bytes`] charges, for a sender that never builds
+/// the message.
+pub fn cpu_batch_wire_bytes(entries: usize) -> u64 {
+    batch_wire_bytes(
+        CPU_STATS_HEADER_BYTES,
+        CPU_STATS_ENTRY_BYTES,
+        entries as u64,
+    )
+}
+
 impl ToController {
     /// Wire size used for bandwidth accounting.
     pub fn wire_bytes(&self) -> u64 {
         match self {
             ToController::Register { .. } => REGISTER_WIRE_BYTES,
             ToController::CpuStats { .. } => CPU_STATS_WIRE_BYTES,
-            ToController::CpuStatsBatch { entries, .. } => batch_wire_bytes(
-                CPU_STATS_HEADER_BYTES,
-                CPU_STATS_ENTRY_BYTES,
-                entries.len() as u64,
-            ),
-            ToController::CpuStatsColumns { columns, .. } => batch_wire_bytes(
-                CPU_STATS_HEADER_BYTES,
-                CPU_STATS_ENTRY_BYTES,
-                columns.len() as u64,
-            ),
+            ToController::CpuStatsBatch { entries, .. } => cpu_batch_wire_bytes(entries.len()),
+            ToController::CpuStatsColumns { columns, .. } => cpu_batch_wire_bytes(columns.len()),
             ToController::OomEvent { .. } => OOM_EVENT_WIRE_BYTES,
             // Already charged as part of the update RPC pair.
             ToController::LimitAck { .. } => 0,

@@ -4,8 +4,8 @@
 //! simulated cluster under one of the [`Policy`] variants and produces
 //! the paper's metrics. The run is a discrete-event schedule on
 //! [`escra_simcore::events::EventQueue`]: fluid windows close on `Round`
-//! events, per-node report timers (optionally heterogeneous and
-//! jittered, see [`ReportPlan`]) flush telemetry, request timeouts
+//! events, report timers — one per distinct node schedule, see
+//! [`ReportPlan`] and `ReportCohorts` — flush telemetry, request timeouts
 //! expire at exactly `arrival + timeout` via `Timeout` events, and
 //! background work arrives on per-container exponential `Background`
 //! chains whose rate does not depend on the report period. Idle nodes
@@ -32,7 +32,8 @@
 //! timestamps is a pure function of the schedule — independent of push
 //! interleaving. At one instant the order is: `Round` (close the
 //! window), `Timeout` (per request id), `Background` (per container),
-//! `NodeReport` (per node), `PostRound` (controller tick + sampling).
+//! `NodeReport` (per cohort; the nodes of every cohort due flush in
+//! ascending node index), `PostRound` (controller tick + sampling).
 
 // Index-based loops are deliberate here: most iterate one struct field
 // while mutating siblings, which iterators cannot express without
@@ -46,7 +47,7 @@ use escra_baselines::{validate_observation, ContainerProfile, PeriodicScaler, Us
 use escra_cfs::{node::arbitrate, ChargeOutcome, MIB};
 use escra_cluster::AppId;
 use escra_cluster::{Cluster, ContainerId, ContainerSpec, NodeId, NodeSpec};
-use escra_core::telemetry::ToController;
+use escra_core::telemetry::{cpu_batch_wire_bytes, ToController};
 use escra_core::{
     deploy_app, Action, Agent, AgentReport, AppConfig, Controller, CpuStatsEntry, ReclaimEntry,
     ToAgent,
@@ -116,7 +117,10 @@ impl ReportPlan {
 pub struct SimStats {
     /// Fluid windows processed.
     pub rounds: u64,
-    /// Heap events popped.
+    /// Heap events popped. Telemetry reports cost one event per report
+    /// *cohort* (the nodes sharing a first-due instant and a period) per
+    /// due instant, not one per node: an aligned plan pops one a round
+    /// however many nodes report.
     pub heap_events: u64,
     /// Background (GC-style) jobs injected.
     pub bg_jobs: u64,
@@ -246,27 +250,89 @@ struct ControlPlane {
     /// between calls, its capacity reused so the steady-state telemetry
     /// and timer paths allocate nothing per message.
     actions: Vec<Action>,
+    /// Messages one [`ControlPlane::pump`] delivers before it gives up
+    /// ([`PUMP_GUARD`]; a test shrinks it to trip the guard on purpose).
+    pump_guard: u32,
+    /// Pumps cut short by the guard.
+    guard_trips: u64,
 }
+
+/// Backstop against a (non-existent today) message cycle; real cascades
+/// are grant → ack → done and terminate in a few rounds. One reclaim
+/// tick on 10 000 nodes delivers 20 000 messages.
+const PUMP_GUARD: u32 = 100_000;
 
 impl ControlPlane {
     /// Puts `env` on the wire. Bytes are charged at send time (they
     /// leave the sender even if the fabric then drops the message).
     fn send(&mut self, now: SimTime, from: Addr, to: Addr, env: Envelope) {
         self.accountant.record(now, env.wire_bytes());
-        match self.injector.decide(now, from, to) {
-            FaultDecision::Drop => {}
-            FaultDecision::Deliver {
-                copies,
-                extra_delay,
-            } => {
-                for _ in 0..copies {
-                    if extra_delay.is_zero() {
-                        self.ready.push_back(env.clone());
-                    } else {
-                        self.delayed.push(now + extra_delay, env.clone());
-                    }
-                }
+        let decision = self.injector.decide(now, from, to);
+        self.enqueue(now, decision, env);
+    }
+
+    /// Queues `env` as the fabric decided: nowhere on a drop, else every
+    /// copy for delivery now or once the delay spike has passed. The
+    /// envelope itself is the last copy.
+    fn enqueue(&mut self, now: SimTime, decision: FaultDecision, env: Envelope) {
+        let FaultDecision::Deliver {
+            copies,
+            extra_delay,
+        } = decision
+        else {
+            return;
+        };
+        let mut put = |env: Envelope| {
+            if extra_delay.is_zero() {
+                self.ready.push_back(env);
+            } else {
+                self.delayed.push(now + extra_delay, env);
             }
+        };
+        for _ in 1..copies {
+            put(env.clone());
+        }
+        put(env);
+    }
+
+    /// Sends `node`'s telemetry datagram and leaves `entries` empty.
+    ///
+    /// The fabric is asked exactly as [`ControlPlane::send`] asks it.
+    /// When its answer is one copy with no extra delay, and no other
+    /// message is queued ahead of the datagram or falls due with it, the
+    /// Controller reads the entries where they lie and the node keeps
+    /// its buffer: delivering an envelope would do the same things in
+    /// the same order. (A delayed message due at `now` is delivered
+    /// *after* the datagram but *before* the commands it provokes, which
+    /// only the envelope path gets right.) Any other answer moves the
+    /// entries into an envelope.
+    fn send_batch(
+        &mut self,
+        cluster: &mut Cluster,
+        now: SimTime,
+        node: NodeId,
+        entries: &mut Vec<CpuStatsEntry>,
+        killed: &mut Vec<ContainerId>,
+    ) {
+        self.accountant
+            .record(now, cpu_batch_wire_bytes(entries.len()));
+        let decision = self
+            .injector
+            .decide(now, node_addr(node), controller_addr());
+        let fabric_idle =
+            self.ready.is_empty() && self.delayed.peek_time().is_none_or(|due| due > now);
+        if decision == FaultDecision::CLEAN && fabric_idle {
+            self.controller
+                .ingest_node_batch(now, node, entries, &mut self.actions);
+            entries.clear();
+            self.dispatch(cluster, now, killed);
+        } else {
+            let entries = std::mem::take(entries);
+            self.enqueue(
+                now,
+                decision,
+                Envelope::ToCtl(ToController::CpuStatsBatch { node, entries }),
+            );
         }
     }
 
@@ -299,10 +365,12 @@ impl ControlPlane {
     /// all sweep responses arriving in one delivery round are merged
     /// into one `on_reclaim_report` call, so grant-vs-kill decisions see
     /// the whole round's reclaimed total.
+    ///
+    /// A pump that has delivered `pump_guard` messages stops there: the
+    /// reports it has collected are still credited, the trip is counted,
+    /// and what is left in the queue waits for the next pump.
     fn pump(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
-        // Backstop against a (non-existent today) message cycle; real
-        // cascades are grant → ack → done and terminate in a few rounds.
-        let mut guard = 0u32;
+        let mut budget = self.pump_guard;
         loop {
             while let Some((_, env)) = self.delayed.pop_due(now) {
                 self.ready.push_back(env);
@@ -311,11 +379,11 @@ impl ControlPlane {
                 break;
             }
             let mut reclaim_entries: Vec<ReclaimEntry> = Vec::new();
-            while let Some(env) = self.ready.pop_front() {
-                guard += 1;
-                if guard > 100_000 {
-                    return;
-                }
+            while budget > 0 {
+                let Some(env) = self.ready.pop_front() else {
+                    break;
+                };
+                budget -= 1;
                 match env {
                     Envelope::ToCtl(msg) => {
                         self.controller.handle_into(now, msg, &mut self.actions);
@@ -341,6 +409,10 @@ impl ControlPlane {
                 self.actions
                     .extend(self.controller.on_reclaim_report(now, &reclaim_entries));
                 self.dispatch(cluster, now, killed);
+            }
+            if budget == 0 && !self.ready.is_empty() {
+                self.guard_trips += 1;
+                return;
             }
         }
     }
@@ -382,10 +454,10 @@ enum Ev {
         /// Container index.
         container: usize,
     },
-    /// A node's Agent flushes its batched telemetry.
+    /// The Agents of a report cohort flush their batched telemetry.
     NodeReport {
-        /// Node index.
-        node: usize,
+        /// Index into [`ReportCohorts::cohorts`].
+        cohort: usize,
     },
     /// Post-window policy work: controller tick + per-second sampling.
     PostRound,
@@ -400,8 +472,104 @@ fn ev_key(ev: Ev) -> u64 {
         Ev::Round => 0,
         Ev::Timeout { request } => (1 << 48) | (request as u64 & KEY_ENTITY_MASK),
         Ev::Background { container } => (2 << 48) | (container as u64 & KEY_ENTITY_MASK),
-        Ev::NodeReport { node } => (3 << 48) | (node as u64 & KEY_ENTITY_MASK),
+        Ev::NodeReport { cohort } => (3 << 48) | (cohort as u64 & KEY_ENTITY_MASK),
         Ev::PostRound => 4 << 48,
+    }
+}
+
+/// The report timers of a run: the reporting nodes grouped into
+/// *cohorts* by `(first due, period)`, one heap event per cohort per due
+/// instant. All nodes of an aligned plan share one cohort; a jittered
+/// plan degenerates to one cohort per node.
+#[derive(Debug)]
+struct ReportCohorts {
+    /// The reporting nodes, cohort by cohort, ascending within each.
+    nodes: Vec<usize>,
+    cohorts: Vec<Cohort>,
+}
+
+#[derive(Debug)]
+struct Cohort {
+    first_due: SimTime,
+    period: SimDuration,
+    /// The cohort's slice of [`ReportCohorts::nodes`].
+    members: std::ops::Range<usize>,
+}
+
+impl ReportCohorts {
+    fn new(plan: &ReportPlan, base: SimDuration, seed: u64, reporting_nodes: &[usize]) -> Self {
+        let mut keyed: Vec<(SimTime, SimDuration, usize)> = reporting_nodes
+            .iter()
+            .map(|&node| {
+                let period = plan.node_period(base, node);
+                let first_due = SimTime::ZERO + period + plan.node_phase(base, seed, node);
+                (first_due, period, node)
+            })
+            .collect();
+        keyed.sort_unstable();
+        let mut cohorts: Vec<Cohort> = Vec::new();
+        for (i, &(first_due, period, _)) in keyed.iter().enumerate() {
+            match cohorts.last_mut() {
+                Some(c) if c.first_due == first_due && c.period == period => c.members.end = i + 1,
+                _ => cohorts.push(Cohort {
+                    first_due,
+                    period,
+                    members: i..i + 1,
+                }),
+            }
+        }
+        ReportCohorts {
+            nodes: keyed.into_iter().map(|(_, _, node)| node).collect(),
+            cohorts,
+        }
+    }
+
+    /// Schedules every cohort's first report.
+    fn schedule(&self, q: &mut EventQueue<Ev>, last_end: SimTime) {
+        for (cohort, c) in self.cohorts.iter().enumerate() {
+            if c.first_due <= last_end {
+                let ev = Ev::NodeReport { cohort };
+                q.push_keyed(c.first_due, ev_key(ev), ev);
+            }
+        }
+    }
+
+    /// With `cohort`'s event just popped at `t`: pops the event of every
+    /// other cohort due at `t` (they follow back to back, nothing else
+    /// shares their key class), schedules each cohort's next report, and
+    /// fills `due` with the nodes to flush at `t` in ascending order —
+    /// the order one timer per node would pop in. Returns the number of
+    /// further events popped.
+    fn take_due(
+        &self,
+        mut cohort: usize,
+        t: SimTime,
+        q: &mut EventQueue<Ev>,
+        last_end: SimTime,
+        due: &mut Vec<usize>,
+    ) -> u64 {
+        due.clear();
+        let mut merged = 0;
+        loop {
+            let c = &self.cohorts[cohort];
+            due.extend_from_slice(&self.nodes[c.members.clone()]);
+            if t + c.period <= last_end {
+                let ev = Ev::NodeReport { cohort };
+                q.push_keyed(t + c.period, ev_key(ev), ev);
+            }
+            match q.peek() {
+                Some((next_t, &Ev::NodeReport { cohort: next })) if next_t == t => {
+                    q.pop();
+                    merged += 1;
+                    cohort = next;
+                }
+                _ => break,
+            }
+        }
+        if merged > 0 {
+            due.sort_unstable();
+        }
+        merged
     }
 }
 
@@ -447,6 +615,9 @@ pub struct MicroSimOutput {
     pub profiles: Vec<ContainerProfile>,
     /// Engine counters (rounds, heap events, background jobs, timeouts).
     pub sim: SimStats,
+    /// Control-plane pumps cut short by the message-cycle guard; zero in
+    /// every run unless the control plane has a delivery loop.
+    pub pump_guard_trips: u64,
 }
 
 /// Runs one experiment: optional profiling pre-run (for baselines), then
@@ -645,6 +816,8 @@ impl<'a> Sim<'a> {
                         delayed: EventQueue::new(),
                         ready: VecDeque::new(),
                         actions: Vec::new(),
+                        pump_guard: PUMP_GUARD,
+                        guard_trips: 0,
                     };
                     // Deployment registration runs over per-container TCP
                     // sockets before the workload starts; runtime faults
@@ -720,6 +893,12 @@ impl<'a> Sim<'a> {
         let root = SimRng::new(cfg.seed);
         let rng_bg = root.fork(0x6263); // "bc": background chains
         let bg_streams = (0..n).map(|idx| rng_bg.fork(idx as u64)).collect();
+        // Room for one window's entries per node: a flush that reads them
+        // by reference keeps the buffer for the whole run.
+        let pending_stats = node_members
+            .iter()
+            .map(|members| Vec::with_capacity(members.len()))
+            .collect();
         Sim {
             cfg,
             cluster,
@@ -742,7 +921,7 @@ impl<'a> Sim<'a> {
             collect_stats,
             metrics: RunMetrics::new(policy_name),
             stats: SimStats::default(),
-            pending_stats: vec![Vec::new(); node_count],
+            pending_stats,
             pending_timeouts: Vec::new(),
             grant: vec![0.0; n],
             consumed: vec![0.0; n],
@@ -853,18 +1032,16 @@ impl<'a> Sim<'a> {
         let mut q: EventQueue<Ev> = EventQueue::new();
         q.push_keyed(SimTime::ZERO + period, ev_key(Ev::Round), Ev::Round);
         q.push_keyed(SimTime::ZERO + period, ev_key(Ev::PostRound), Ev::PostRound);
-        if self.collect_stats {
-            // One report timer per non-empty node; idle nodes never wake.
-            for i in 0..self.active_nodes.len() {
-                let node = self.active_nodes[i];
-                let ev = Ev::NodeReport { node };
-                let phase = self.report_plan.node_phase(period, cfg.seed, node);
-                let due = SimTime::ZERO + self.report_period_of(node) + phase;
-                if due <= last_end {
-                    q.push_keyed(due, ev_key(ev), ev);
-                }
-            }
-        }
+        // One report timer per cohort of non-empty nodes; idle nodes
+        // never wake.
+        let reporting: &[usize] = if self.collect_stats {
+            &self.active_nodes
+        } else {
+            &[]
+        };
+        let cohorts = ReportCohorts::new(&self.report_plan, period, cfg.seed, reporting);
+        cohorts.schedule(&mut q, last_end);
+        let mut due_nodes = Vec::new();
         for idx in 0..self.containers.len() {
             let interval = cfg.app.tiers[self.tier_of[idx]].bg_interval_s;
             if interval > 0.0 {
@@ -932,11 +1109,11 @@ impl<'a> Sim<'a> {
                         q.push_keyed(due, ev_key(ev), ev);
                     }
                 }
-                Ev::NodeReport { node } => {
-                    self.send_node_batch(node, t);
-                    let due = t + self.report_period_of(node);
-                    if due <= last_end {
-                        q.push_keyed(due, ev_key(ev), ev);
+                Ev::NodeReport { cohort } => {
+                    self.stats.heap_events +=
+                        cohorts.take_due(cohort, t, &mut q, last_end, &mut due_nodes);
+                    for &node in &due_nodes {
+                        self.send_node_batch(node, t);
                     }
                 }
                 Ev::PostRound => {
@@ -948,11 +1125,6 @@ impl<'a> Sim<'a> {
                 }
             }
         }
-    }
-
-    /// Telemetry flush cadence of `node`.
-    fn report_period_of(&self, node: usize) -> SimDuration {
-        self.report_plan.node_period(self.period, node)
     }
 
     /// Window phase 1: request arrivals in `[win_start, win_end)`.
@@ -1142,21 +1314,13 @@ impl<'a> Sim<'a> {
         let Mode::Escra(plane) = &mut self.mode else {
             return;
         };
-        if self.pending_stats[node].is_empty() {
+        let entries = &mut self.pending_stats[node];
+        if entries.is_empty() {
             return;
         }
-        let entries = std::mem::take(&mut self.pending_stats[node]);
-        let node_id = NodeId::new(node as u64);
-        plane.send(
-            now,
-            node_addr(node_id),
-            controller_addr(),
-            Envelope::ToCtl(ToController::CpuStatsBatch {
-                node: node_id,
-                entries,
-            }),
-        );
         let mut killed = Vec::new();
+        let node_id = NodeId::new(node as u64);
+        plane.send_batch(&mut self.cluster, now, node_id, entries, &mut killed);
         plane.pump(&mut self.cluster, now, &mut killed);
         self.fail_killed(&killed, now);
     }
@@ -1269,13 +1433,14 @@ impl<'a> Sim<'a> {
                 peak_mem_bytes: self.peak_mem[idx],
             })
             .collect();
-        let (network, controller_stats, fault_stats) = match &self.mode {
+        let (network, controller_stats, fault_stats, pump_guard_trips) = match &self.mode {
             Mode::Escra(plane) => (
                 Some(plane.accountant.clone()),
                 Some(plane.controller.stats()),
                 Some(plane.injector.stats()),
+                plane.guard_trips,
             ),
-            _ => (None, None, None),
+            _ => (None, None, None, 0),
         };
         MicroSimOutput {
             metrics: std::mem::replace(&mut self.metrics, RunMetrics::new("done")),
@@ -1284,6 +1449,7 @@ impl<'a> Sim<'a> {
             fault_stats,
             profiles,
             sim: self.stats,
+            pump_guard_trips,
         }
     }
 
@@ -1382,6 +1548,7 @@ mod tests {
     use super::*;
     use escra_core::EscraConfig;
     use escra_workloads::teastore;
+    use proptest::prelude::*;
 
     fn quick_cfg(policy: Policy) -> MicroSimConfig {
         MicroSimConfig::new(teastore(), WorkloadKind::Fixed { rps: 150.0 }, policy, 42)
@@ -1547,6 +1714,150 @@ mod tests {
                 < aligned.network.as_ref().unwrap().total_bytes(),
             "jittered/slow reports should shrink control-plane bytes"
         );
+    }
+
+    /// Drives [`ReportCohorts`] through a queue that also carries the
+    /// `Round`/`PostRound` grid, as `run_events` does. Returns the
+    /// `(time, node)` flushes in order and the `NodeReport` events popped.
+    fn cohort_flushes(
+        plan: &ReportPlan,
+        base: SimDuration,
+        seed: u64,
+        reporting: &[usize],
+        last_end: SimTime,
+    ) -> (Vec<(SimTime, usize)>, u64) {
+        let cohorts = ReportCohorts::new(plan, base, seed, reporting);
+        let mut q: EventQueue<Ev> = EventQueue::new();
+        let mut t = SimTime::ZERO + base;
+        while t <= last_end {
+            q.push_keyed(t, ev_key(Ev::Round), Ev::Round);
+            q.push_keyed(t, ev_key(Ev::PostRound), Ev::PostRound);
+            t += base;
+        }
+        cohorts.schedule(&mut q, last_end);
+        let (mut flushes, mut pops, mut due) = (Vec::new(), 0, Vec::new());
+        while let Some((t, ev)) = q.pop() {
+            if let Ev::NodeReport { cohort } = ev {
+                pops += 1 + cohorts.take_due(cohort, t, &mut q, last_end, &mut due);
+                flushes.extend(due.iter().map(|&node| (t, node)));
+            }
+        }
+        (flushes, pops)
+    }
+
+    proptest! {
+        /// The cohort scheduler flushes exactly what one timer per node
+        /// would: the merge of the per-node arithmetic progressions
+        /// `first_due + k × period ≤ last_end`, ordered by `(time, node)`.
+        #[test]
+        fn cohort_flushes_are_the_sorted_merge_of_per_node_progressions(
+            period_multipliers in proptest::collection::vec(1u32..5, 0..5),
+            jittered in any::<bool>(),
+            nodes in 1usize..41,
+            stride in 1usize..4,
+            rounds in 1u64..40,
+            seed in 0u64..1_000,
+        ) {
+            let plan = ReportPlan {
+                period_multipliers,
+                jitter_frac: if jittered { 0.3 } else { 0.0 },
+            };
+            let base = SimDuration::from_millis(100);
+            let last_end = SimTime::ZERO + base * rounds;
+            // Idle nodes never report: leave gaps in the node indices.
+            let reporting: Vec<usize> = (0..nodes).step_by(stride).collect();
+
+            let mut expected = Vec::new();
+            for &node in &reporting {
+                let period = plan.node_period(base, node);
+                let mut due = SimTime::ZERO + period + plan.node_phase(base, seed, node);
+                while due <= last_end {
+                    expected.push((due, node));
+                    due += period;
+                }
+            }
+            expected.sort_unstable();
+
+            let (flushes, pops) = cohort_flushes(&plan, base, seed, &reporting, last_end);
+            prop_assert_eq!(&flushes, &expected);
+            if plan == ReportPlan::aligned() {
+                prop_assert_eq!(pops, rounds, "an aligned plan pops one report event a round");
+            }
+            prop_assert!(pops <= expected.len() as u64);
+        }
+    }
+
+    /// The buffers `round_account` fills, after a whole run (the last
+    /// event of a run is a flush, so every buffer ends up empty).
+    fn pending_stats_after_run(cfg: &MicroSimConfig) -> Vec<Vec<CpuStatsEntry>> {
+        let mut sim = Sim::new(cfg, false, &[]);
+        sim.run_events();
+        assert!(!sim.active_nodes.is_empty());
+        sim.active_nodes
+            .iter()
+            .map(|&node| std::mem::take(&mut sim.pending_stats[node]))
+            .collect()
+    }
+
+    #[test]
+    fn a_faultless_aligned_flush_keeps_the_node_buffer() {
+        // The Controller reads the entries by reference and the buffer is
+        // cleared in place: no envelope, no clone, no reallocation a
+        // round. Moving the entries into an envelope would leave a
+        // capacity-0 `Vec` behind after the final flush.
+        let cfg = quick_cfg(Policy::escra_default()).with_duration(SimDuration::from_secs(2));
+        for buf in pending_stats_after_run(&cfg) {
+            assert!(buf.is_empty());
+            assert!(buf.capacity() > 0, "flush gave the node's buffer away");
+        }
+        // A fabric that duplicates every datagram needs real envelopes.
+        let dup = cfg.with_faults(FaultPlan::none().with_duplicates(1.0));
+        for buf in pending_stats_after_run(&dup) {
+            assert!(buf.is_empty());
+            assert_eq!(buf.capacity(), 0, "duplicated datagram went by reference");
+        }
+    }
+
+    #[test]
+    fn a_tripped_pump_guard_still_credits_the_reports_it_collected() {
+        let cfg = quick_cfg(Policy::escra_default());
+        let mut sim = Sim::new(&cfg, false, &[]);
+        let now = SimTime::from_secs(3);
+        sim.cluster.tick(now); // past the cold start: the sweeps find running containers
+        let Mode::Escra(plane) = &mut sim.mode else {
+            unreachable!("escra policy")
+        };
+        let nodes = plane.agents.len();
+        for n in 0..nodes {
+            plane.ready.push_back(Envelope::ToNode(
+                NodeId::new(n as u64),
+                ToAgent::ReclaimMemory { delta_bytes: MIB },
+            ));
+        }
+        // Room for every sweep and for one of the reports they answer
+        // with: the guard trips holding that report's entries.
+        plane.pump_guard = nodes as u32 + 1;
+        let mut killed = Vec::new();
+        plane.pump(&mut sim.cluster, now, &mut killed);
+        assert_eq!(plane.guard_trips, 1);
+        assert_eq!(plane.ready.len(), nodes - 1, "undelivered reports wait");
+        let credited = plane.controller.stats().reclaimed_bytes;
+        assert!(credited > 0, "the collected report was dropped");
+
+        plane.pump_guard = PUMP_GUARD;
+        plane.pump(&mut sim.cluster, now, &mut killed);
+        assert_eq!(plane.guard_trips, 1);
+        assert!(plane.ready.is_empty() && killed.is_empty());
+        assert!(plane.controller.stats().reclaimed_bytes > credited);
+        // Every ψ the Agents shrank away is back in the pool: the
+        // Controller's books match the cgroups.
+        for &cid in &sim.containers {
+            let cgroup = sim.cluster.container(cid).expect("container");
+            assert_eq!(
+                plane.controller.allocator().mem_limit_of(cid),
+                Some(cgroup.mem.limit_bytes())
+            );
+        }
     }
 
     #[test]

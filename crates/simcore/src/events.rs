@@ -116,9 +116,14 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
+    /// The earliest pending event and its time, without removing it.
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        self.heap.peek().map(|e| (e.time, &e.event))
+    }
+
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.peek().map(|(t, _)| t)
     }
 
     /// Pops the earliest event only if it is due at or before `now`.
@@ -193,6 +198,8 @@ mod tests {
         q.push_keyed(t, 1, "a");
         q.push_keyed(t, 2, "b");
         q.push_keyed(SimTime::from_millis(6), 9, "early");
+        assert_eq!(q.peek(), Some((SimTime::from_millis(6), &"early")));
+        assert_eq!(q.len(), 4, "peek removes nothing");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["early", "a", "b", "c"]);
     }
