@@ -9,7 +9,13 @@
 //! observable: a heterogeneous *aligned* plan on six nodes (reporters
 //! with different periods fall due together) and the benchmark's
 //! `paper_matrix` fault plan, whose delay spikes land messages on flush
-//! instants.
+//! instants. The overload cells run a single 4-core node far below the
+//! workload's demand for 25 s with a 2 s `request_timeout` — under Escra
+//! with the matrix fault plan, static 1.5×, Autopilot and VPA — so
+//! `Timeout` events fire and queues grow hundreds of jobs deep; VPA, the
+//! one policy that restarts containers on update, also fails whole deep
+//! queues. Every other cell runs 8 s against a 10 s timeout and schedules
+//! no `Timeout` at all.
 //!
 //! The fixture was generated *before* the driver lost its second engine
 //! and its four copy-pasted scaler arms, so a green run proves that
@@ -146,6 +152,42 @@ fn render() -> String {
         out.push_str(&digest_line(
             &format!("cell={cell} seed={seed}"),
             &run(&cfg(&app, &wl, policy, seed)),
+        ));
+    }
+    // Overload cells: the shape of `microsim::tests::overloaded_cfg`.
+    for (label, policy, faults) in [
+        ("faults=matrix", Policy::escra_default(), matrix_faults()),
+        ("faults=none", Policy::static_1_5x(), FaultPlan::none()),
+        (
+            "faults=none",
+            Policy::autopilot_default(),
+            FaultPlan::none(),
+        ),
+        (
+            "faults=none",
+            Policy::Vpa(VpaConfig::default()),
+            FaultPlan::none(),
+        ),
+    ] {
+        let mut cfg =
+            MicroSimConfig::new(teastore(), WorkloadKind::Fixed { rps: 400.0 }, policy, 11)
+                .with_duration(SimDuration::from_secs(25))
+                .with_faults(faults);
+        cfg.worker_nodes = 1;
+        cfg.node_cores = 4;
+        cfg.request_timeout = SimDuration::from_secs(2);
+        let o = run(&cfg);
+        let name = cfg.policy.name();
+        assert!(o.sim.timeout_failures > 0, "{name}: cell not overloaded");
+        if matches!(cfg.policy, Policy::Vpa(_)) {
+            assert!(
+                o.metrics.latency.failures() > o.sim.timeout_failures,
+                "vpa: no restart failed a queue"
+            );
+        }
+        out.push_str(&digest_line(
+            &format!("cell=Teastore/overload seed=11 {label}"),
+            &o,
         ));
     }
     out
