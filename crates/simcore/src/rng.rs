@@ -27,6 +27,18 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `(mu, sigma)` of the normal underlying a lognormal with the given
+/// `mean` and coefficient of variation `cv`, as [`SimRng::lognormal`]
+/// takes them: `sigma² = ln(1 + cv²)`, `mu = ln(mean) − sigma²/2`.
+///
+/// Every lognormal the workloads draw is parameterised here, so a caller
+/// that draws many values may work the pair out once and still draw the
+/// same bits.
+pub fn lognormal_params(mean: f64, cv: f64) -> (f64, f64) {
+    let sigma2 = (1.0 + cv * cv).ln();
+    (mean.ln() - sigma2 / 2.0, sigma2.sqrt())
+}
+
 impl SimRng {
     /// Creates a generator from a seed. Equal seeds yield equal streams.
     pub fn new(seed: u64) -> Self {
@@ -207,6 +219,23 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
         assert!((var - 4.0).abs() < 0.2, "var {var}");
+    }
+
+    #[test]
+    fn lognormal_params_hit_the_requested_mean_and_cv() {
+        let (mu, sigma) = lognormal_params(2_000.0, 0.5);
+        assert_eq!(sigma.to_bits(), 1.25f64.ln().sqrt().to_bits());
+        let mut r = SimRng::new(23);
+        let n = 80_000;
+        let xs: Vec<f64> = (0..n).map(|_| r.lognormal(mu, sigma)).collect();
+        let mean = xs.iter().sum::<f64>() / n as f64;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        assert!((mean / 2_000.0 - 1.0).abs() < 0.02, "mean {mean}");
+        assert!(
+            (var.sqrt() / mean - 0.5).abs() < 0.02,
+            "cv {}",
+            var.sqrt() / mean
+        );
     }
 
     #[test]

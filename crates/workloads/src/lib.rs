@@ -36,7 +36,7 @@ pub use azure_trace::{parse_azure_csv, AzureTraceError};
 pub use generators::{RequestGenerator, WorkloadKind};
 pub use microservice::{
     hipster_shop, media_microservice, paper_apps, teastore, train_ticket, MicroserviceApp,
-    RequestClass, ServiceTier,
+    RequestClass, ServiceTier, ServiceTime,
 };
 pub use serverless::{
     grid_search_task, image_process, ActionProfile, GridSearchJob, OpenWhiskConfig,

@@ -12,7 +12,7 @@
 //! underestimates, hot tiers that benefit from stealing slack from cold
 //! ones, and memory footprints that grow under load.
 
-use escra_simcore::rng::SimRng;
+use escra_simcore::rng::{lognormal_params, SimRng};
 use serde::{Deserialize, Serialize};
 
 /// One service tier (a Kubernetes deployment; `replicas` containers).
@@ -70,16 +70,48 @@ impl ServiceTier {
         self
     }
 
-    /// Samples one service time in core-microseconds (lognormal with the
-    /// tier's mean and CV).
-    pub fn sample_service_us(&self, rng: &mut SimRng) -> f64 {
+    /// The tier's service-time distribution, in core-microseconds
+    /// (lognormal with the tier's mean and CV; the mean itself when the
+    /// CV is not positive).
+    pub fn service_time(&self) -> ServiceTime {
         let mean_us = self.cpu_per_req_ms * 1_000.0;
         if self.cpu_cv <= 0.0 {
-            return mean_us;
+            return ServiceTime::Constant(mean_us);
         }
-        let sigma2 = (1.0 + self.cpu_cv * self.cpu_cv).ln();
-        let mu = mean_us.ln() - sigma2 / 2.0;
-        rng.lognormal(mu, sigma2.sqrt())
+        let (mu, sigma) = lognormal_params(mean_us, self.cpu_cv);
+        ServiceTime::Lognormal { mu, sigma }
+    }
+
+    /// Samples one service time in core-microseconds.
+    pub fn sample_service_us(&self, rng: &mut SimRng) -> f64 {
+        self.service_time().sample(rng)
+    }
+}
+
+/// A tier's service-time distribution with its parameters worked out:
+/// a driver that draws one value per request stage builds it once per
+/// tier ([`ServiceTier::service_time`]) and draws the bits
+/// [`ServiceTier::sample_service_us`] would.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ServiceTime {
+    /// Every request costs exactly this much.
+    Constant(f64),
+    /// Lognormal, by the mean and standard deviation of its logarithm.
+    Lognormal {
+        /// Mean of the underlying normal.
+        mu: f64,
+        /// Standard deviation of the underlying normal.
+        sigma: f64,
+    },
+}
+
+impl ServiceTime {
+    /// Draws one service time. The constant case draws nothing from `rng`.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        match *self {
+            ServiceTime::Constant(us) => us,
+            ServiceTime::Lognormal { mu, sigma } => rng.lognormal(mu, sigma),
+        }
     }
 }
 
@@ -388,6 +420,37 @@ mod tests {
             .sum::<f64>()
             / n as f64;
         assert!((mean - 2_000.0).abs() < 100.0, "mean {mean}");
+    }
+
+    #[test]
+    fn shipped_tiers_draw_the_bits_of_the_inline_parameterisation() {
+        // What `sample_service_us` computed on every draw before
+        // `lognormal_params` existed, against the per-tier `ServiceTime`
+        // a driver caches.
+        let inline = |tier: &ServiceTier, rng: &mut SimRng| {
+            let mean_us = tier.cpu_per_req_ms * 1_000.0;
+            if tier.cpu_cv <= 0.0 {
+                return mean_us;
+            }
+            let sigma2 = (1.0 + tier.cpu_cv * tier.cpu_cv).ln();
+            let mu = mean_us.ln() - sigma2 / 2.0;
+            rng.lognormal(mu, sigma2.sqrt())
+        };
+        let mut constant = ServiceTier::new("const", 1, 3.0);
+        constant.cpu_cv = 0.0;
+        let tiers = paper_apps()
+            .into_iter()
+            .flat_map(|app| app.tiers)
+            .chain([constant]);
+        for (i, tier) in tiers.enumerate() {
+            let cached = tier.service_time();
+            let (mut a, mut b) = (SimRng::new(i as u64), SimRng::new(i as u64));
+            for _ in 0..200 {
+                let want = inline(&tier, &mut a).to_bits();
+                assert_eq!(cached.sample(&mut b).to_bits(), want, "{}", tier.name);
+            }
+            assert_eq!(a, b, "{}: the streams advanced alike", tier.name);
+        }
     }
 
     #[test]

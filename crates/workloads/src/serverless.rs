@@ -1,7 +1,7 @@
 //! Serverless substrate: OpenWhisk-style configuration, action profiles,
 //! and the two paper applications (ImageProcess, GridSearch) — §VI-F/G.
 
-use escra_simcore::rng::SimRng;
+use escra_simcore::rng::{lognormal_params, SimRng};
 use escra_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -72,9 +72,8 @@ impl ActionProfile {
         if self.exec_cv <= 0.0 {
             return mean_us;
         }
-        let sigma2 = (1.0 + self.exec_cv * self.exec_cv).ln();
-        let mu = mean_us.ln() - sigma2 / 2.0;
-        rng.lognormal(mu, sigma2.sqrt())
+        let (mu, sigma) = lognormal_params(mean_us, self.exec_cv);
+        rng.lognormal(mu, sigma)
     }
 }
 
@@ -231,6 +230,19 @@ mod tests {
         let n = 5_000;
         let mean: f64 = (0..n).map(|_| p.sample_exec_us(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 1_250_000.0).abs() < 40_000.0, "mean {mean}");
+    }
+
+    #[test]
+    fn shipped_actions_draw_the_bits_of_the_inline_parameterisation() {
+        for (i, p) in [image_process(), grid_search_task()].iter().enumerate() {
+            let sigma2 = (1.0 + p.exec_cv * p.exec_cv).ln();
+            let mu = (p.exec_cpu_ms_mean * 1_000.0).ln() - sigma2 / 2.0;
+            let (mut a, mut b) = (SimRng::new(i as u64), SimRng::new(i as u64));
+            for _ in 0..200 {
+                let want = a.lognormal(mu, sigma2.sqrt()).to_bits();
+                assert_eq!(p.sample_exec_us(&mut b).to_bits(), want, "{}", p.name);
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! envelope contract).
 
 use crate::trace_workload::{TraceApp, TraceWorkload};
-use escra_simcore::rng::SimRng;
+use escra_simcore::rng::{lognormal_params, SimRng};
 
 /// Shape of one app class's per-minute arrival-rate series.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,12 +133,14 @@ pub fn synthetic_trace(cfg: &SyntheticTraceConfig) -> TraceWorkload {
                     shaped.clamp(lo, hi)
                 })
                 .collect();
-            let sigma2 = (1.0 + class.exec_cv * class.exec_cv).ln();
+            // The classes give a median, so `mu` is its logarithm; only
+            // the CV-to-sigma half of the parameterisation applies.
+            let (_, exec_ms_sigma) = lognormal_params(exec_median, class.exec_cv);
             apps.push(TraceApp {
                 name: format!("{}-{ai}", class.name),
                 rpm,
                 exec_ms_mu: exec_median.ln(),
-                exec_ms_sigma: sigma2.sqrt(),
+                exec_ms_sigma,
                 mem_mib,
                 idle_mem_mib: (mem_mib / 4).max(4),
             });
