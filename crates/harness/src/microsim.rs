@@ -6,10 +6,11 @@
 //! [`escra_simcore::events::EventQueue`]: fluid windows close on `Round`
 //! events, report timers — one per distinct node schedule, see
 //! [`ReportPlan`] and `ReportCohorts` — flush telemetry, request timeouts
-//! expire at exactly `arrival + timeout` via `Timeout` events, and
-//! background work arrives on per-container exponential `Background`
-//! chains whose rate does not depend on the report period. Idle nodes
-//! schedule nothing and cost nothing.
+//! expire at exactly `arrival + timeout` via `Timeout` events (kept in a
+//! FIFO lane beside the heap, see `pop_next`), and background work
+//! arrives on per-container exponential `Background` chains whose rate
+//! does not depend on the report period. Idle nodes schedule nothing and
+//! cost nothing.
 //!
 //! Each fluid window performs, in order:
 //!
@@ -27,7 +28,7 @@
 //!
 //! Runs are bit-for-bit reproducible. All randomness forks off the
 //! master seed with fixed labels (service times, background chains,
-//! report jitter, workload arrivals), and every heap event carries a
+//! report jitter, workload arrivals), and every event carries a
 //! canonical key `(priority << 48) | entity`, so the pop order at equal
 //! timestamps is a pure function of the schedule — independent of push
 //! interleaving. At one instant the order is: `Round` (close the
@@ -42,7 +43,7 @@
 
 use crate::pod_host::{agent_for, apply_limit_updates, update_secs};
 use crate::policy::Policy;
-use crate::queueing::{backlog_us, drain_fifo, StageJob};
+use crate::queueing::{backlog_exceeds, capped_demand_us, drain_fifo_into, StageJob};
 use escra_baselines::{validate_observation, ContainerProfile, PeriodicScaler, UsageSample};
 use escra_cfs::{node::arbitrate, ChargeOutcome, MIB};
 use escra_cluster::AppId;
@@ -55,9 +56,9 @@ use escra_core::{
 use escra_metrics::RunMetrics;
 use escra_net::{Addr, BandwidthAccountant, FaultDecision, FaultInjector, FaultPlan, FaultStats};
 use escra_simcore::events::EventQueue;
-use escra_simcore::rng::SimRng;
+use escra_simcore::rng::{lognormal_params, SimRng};
 use escra_simcore::time::{SimDuration, SimTime};
-use escra_workloads::{MicroserviceApp, RequestGenerator, WorkloadKind};
+use escra_workloads::{MicroserviceApp, RequestGenerator, ServiceTime, WorkloadKind};
 use std::collections::VecDeque;
 
 /// Per-node telemetry report cadence.
@@ -117,10 +118,11 @@ impl ReportPlan {
 pub struct SimStats {
     /// Fluid windows processed.
     pub rounds: u64,
-    /// Heap events popped. Telemetry reports cost one event per report
-    /// *cohort* (the nodes sharing a first-due instant and a period) per
-    /// due instant, not one per node: an aligned plan pops one a round
-    /// however many nodes report.
+    /// Events dispatched, off the heap or off the timeout lane beside it
+    /// (one per request whose deadline falls inside the run). Telemetry
+    /// reports cost one event per report *cohort* (the nodes sharing a
+    /// first-due instant and a period) per due instant, not one per
+    /// node: an aligned plan pops one a round however many nodes report.
     pub heap_events: u64,
     /// Background (GC-style) jobs injected.
     pub bg_jobs: u64,
@@ -434,7 +436,7 @@ const CACHE_DECAY: f64 = 0.995;
 /// Sentinel for "request holds no queued stage job".
 const NO_STAGE: usize = usize::MAX;
 
-/// Heap events of the run. Same-time ordering (by canonical
+/// Events of the run. Same-time ordering (by canonical
 /// key, see [`ev_key`]) is: Round, Timeout, Background, NodeReport,
 /// PostRound — so a window closes before the timeouts due at its edge
 /// fire (a completion at exactly the deadline still succeeds), background
@@ -475,6 +477,32 @@ fn ev_key(ev: Ev) -> u64 {
         Ev::NodeReport { cohort } => (3 << 48) | (cohort as u64 & KEY_ENTITY_MASK),
         Ev::PostRound => 4 << 48,
     }
+}
+
+/// Pops the next event of the run: the front of the timeout `lane` or
+/// the top of the `heap`, whichever is due first by `(time, ev_key)`.
+///
+/// Every request schedules one `Timeout`, at `arrival + request_timeout`.
+/// Arrivals are generated in time order and the key of a `Timeout` grows
+/// with the request index, so the `(deadline, request)` pairs are pushed
+/// in strictly increasing `(time, key)` order: a FIFO already holds them
+/// as the heap would, and comparing its front with the heap's top pops
+/// the two together in the order one heap holding both would.
+fn pop_next(
+    lane: &mut VecDeque<(SimTime, usize)>,
+    heap: &mut EventQueue<Ev>,
+) -> Option<(SimTime, Ev)> {
+    if let Some(&(due, request)) = lane.front() {
+        let timeout = Ev::Timeout { request };
+        let lane_first = heap
+            .peek()
+            .is_none_or(|(t, &ev)| (due, ev_key(timeout)) < (t, ev_key(ev)));
+        if lane_first {
+            lane.pop_front();
+            return Some((due, timeout));
+        }
+    }
+    heap.pop()
 }
 
 /// The report timers of a run: the reporting nodes grouped into
@@ -718,10 +746,15 @@ struct Sim<'a> {
     stats: SimStats,
     /// Per-node telemetry entries awaiting the node's next report.
     pending_stats: Vec<Vec<CpuStatsEntry>>,
-    /// Timeout events created while processing a window, scheduled by
-    /// the event loop afterwards.
-    pending_timeouts: Vec<(SimTime, usize)>,
+    /// The timeout lane: `(deadline, request)` of every request whose
+    /// deadline falls inside the run, in arrival order (see [`pop_next`]).
+    timeouts: VecDeque<(SimTime, usize)>,
+    /// Per-tier service-time distributions, parameters worked out once.
+    service_times: Vec<ServiceTime>,
+    /// Per-tier lognormal `(mu, sigma)` of a background job's work.
+    bg_work: Vec<(f64, f64)>,
     // Reusable per-window buffers (the hot loops allocate nothing).
+    completions: Vec<(usize, SimTime)>,
     grant: Vec<f64>,
     consumed: Vec<f64>,
     members_buf: Vec<usize>,
@@ -922,7 +955,14 @@ impl<'a> Sim<'a> {
             metrics: RunMetrics::new(policy_name),
             stats: SimStats::default(),
             pending_stats,
-            pending_timeouts: Vec::new(),
+            timeouts: VecDeque::new(),
+            service_times: app.tiers.iter().map(|t| t.service_time()).collect(),
+            bg_work: app
+                .tiers
+                .iter()
+                .map(|t| lognormal_params(t.bg_work_ms * 1_000.0, 0.5))
+                .collect(),
+            completions: Vec::new(),
             grant: vec![0.0; n],
             consumed: vec![0.0; n],
             members_buf: Vec::new(),
@@ -1009,7 +1049,12 @@ impl<'a> Sim<'a> {
         self.stats.timeout_failures += 1;
         let idx = self.stage_of[request];
         if idx != NO_STAGE {
-            self.queues[idx].retain(|j| j.request != request);
+            // An unfinished request holds exactly one stage job.
+            let queue = &mut self.queues[idx];
+            if let Some(pos) = queue.iter().position(|j| j.request == request) {
+                queue.remove(pos);
+            }
+            debug_assert!(queue.iter().all(|j| j.request != request));
         }
     }
 
@@ -1053,7 +1098,7 @@ impl<'a> Sim<'a> {
                 }
             }
         }
-        while let Some((t, ev)) = q.pop() {
+        while let Some((t, ev)) = pop_next(&mut self.timeouts, &mut q) {
             debug_assert!(t <= last_end, "event past the run horizon");
             self.stats.heap_events += 1;
             match ev {
@@ -1068,18 +1113,12 @@ impl<'a> Sim<'a> {
                     // drop the lifecycle feed each window instead of
                     // letting it grow.
                     self.cluster.discard_events();
-                    self.round_arrivals(ws, t);
+                    self.round_arrivals(ws, t, last_end);
                     self.round_grants(ws);
                     self.round_drain(ws, t);
                     self.round_account();
                     self.round_memory(t);
                     self.stats.rounds += 1;
-                    while let Some((due, req)) = self.pending_timeouts.pop() {
-                        let tev = Ev::Timeout { request: req };
-                        if due <= last_end {
-                            q.push_keyed(due, ev_key(tev), tev);
-                        }
-                    }
                     if t < end {
                         q.push_keyed(t + period, ev_key(Ev::Round), Ev::Round);
                     }
@@ -1092,10 +1131,8 @@ impl<'a> Sim<'a> {
                         .container(self.containers[container])
                         .is_some_and(|c| c.is_running())
                     {
-                        let mean_us = tier.bg_work_ms * 1_000.0;
-                        let sigma2 = (1.0f64 + 0.25).ln();
-                        let mu = mean_us.ln() - sigma2 / 2.0;
-                        let work = self.bg_streams[container].lognormal(mu, sigma2.sqrt());
+                        let (mu, sigma) = self.bg_work[self.tier_of[container]];
+                        let work = self.bg_streams[container].lognormal(mu, sigma);
                         self.queues[container].push_front(StageJob {
                             request: BG_REQUEST,
                             remaining_us: work,
@@ -1127,8 +1164,9 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Window phase 1: request arrivals in `[win_start, win_end)`.
-    fn round_arrivals(&mut self, win_start: SimTime, win_end: SimTime) {
+    /// Window phase 1: request arrivals in `[win_start, win_end)`. No
+    /// timeout is scheduled past `last_end`, the run's horizon.
+    fn round_arrivals(&mut self, win_start: SimTime, win_end: SimTime, last_end: SimTime) {
         let warmup_end = SimTime::ZERO + WARMUP;
         if win_end <= warmup_end {
             return;
@@ -1143,7 +1181,7 @@ impl<'a> Sim<'a> {
         for at in arrivals {
             let class = self.cfg.app.sample_class(&mut self.rng);
             let tier0 = self.cfg.app.classes[class].path[0];
-            let work = self.cfg.app.tiers[tier0].sample_service_us(&mut self.rng);
+            let work = self.service_times[tier0].sample(&mut self.rng);
             let req = self.requests.len();
             self.requests.push(ReqState {
                 class,
@@ -1151,7 +1189,16 @@ impl<'a> Sim<'a> {
                 finished: false,
             });
             self.stage_of.push(NO_STAGE);
-            self.pending_timeouts.push((at + timeout, req));
+            let due = at + timeout;
+            if due <= last_end {
+                debug_assert!(
+                    self.timeouts
+                        .back()
+                        .is_none_or(|&(d, r)| d <= due && r < req),
+                    "timeout lane out of order"
+                );
+                self.timeouts.push_back((due, req));
+            }
             self.enqueue_stage(req, tier0, work, at);
         }
     }
@@ -1190,7 +1237,7 @@ impl<'a> Sim<'a> {
                 self.members_buf.push(idx);
                 self.pot_buf.push(potential);
                 self.want_buf
-                    .push((backlog_us(&self.queues[idx]) + startup_us).min(potential));
+                    .push(capped_demand_us(&self.queues[idx], startup_us, potential));
             }
             let total_want: f64 = self.want_buf.iter().sum();
             if total_want <= capacity {
@@ -1212,6 +1259,8 @@ impl<'a> Sim<'a> {
     fn round_drain(&mut self, win_start: SimTime, win_end: SimTime) {
         let period_us = self.period.as_micros() as f64;
         self.consumed.fill(0.0);
+        // Out of `self` while the loop below enqueues next stages.
+        let mut completions = std::mem::take(&mut self.completions);
         for tier in 0..self.cfg.app.tiers.len() {
             for mi in 0..self.tier_members[tier].len() {
                 let idx = self.tier_members[tier][mi];
@@ -1219,12 +1268,13 @@ impl<'a> Sim<'a> {
                     continue;
                 }
                 let rate = self.cfg.app.tiers[tier].parallelism;
-                let out = drain_fifo(
+                let drained_us = drain_fifo_into(
                     &mut self.queues[idx],
                     win_start,
                     win_end,
                     rate,
                     self.grant[idx],
+                    &mut completions,
                 );
                 // Warm-up burst soaks up whatever the requests left.
                 let startup_us = if win_start < self.warm_until[idx] {
@@ -1233,8 +1283,8 @@ impl<'a> Sim<'a> {
                     0.0
                 };
                 self.consumed[idx] =
-                    out.consumed_us + startup_us.min(self.grant[idx] - out.consumed_us).max(0.0);
-                for (req, ctime) in out.completions {
+                    drained_us + startup_us.min(self.grant[idx] - drained_us).max(0.0);
+                for (req, ctime) in completions.drain(..) {
                     if req == BG_REQUEST || self.requests[req].finished {
                         continue;
                     }
@@ -1243,7 +1293,7 @@ impl<'a> Sim<'a> {
                     let pos = path.iter().position(|&p| p == tier).unwrap_or(0);
                     if pos + 1 < path.len() {
                         let next_tier = path[pos + 1];
-                        let work = self.cfg.app.tiers[next_tier].sample_service_us(&mut self.rng);
+                        let work = self.service_times[next_tier].sample(&mut self.rng);
                         self.enqueue_stage(req, next_tier, work, ctime);
                     } else {
                         self.requests[req].finished = true;
@@ -1253,6 +1303,7 @@ impl<'a> Sim<'a> {
                 }
             }
         }
+        self.completions = completions;
     }
 
     /// Window phase 5: CFS accounting + telemetry collection. Telemetry
@@ -1262,12 +1313,14 @@ impl<'a> Sim<'a> {
         for idx in 0..self.containers.len() {
             let cid = self.containers[idx];
             let running = self.cluster.container(cid).is_some_and(|c| c.is_running());
-            let backlog = backlog_us(&self.queues[idx]);
             let c = self.cluster.container_mut(cid).expect("container");
             if self.consumed[idx] > 0.0 {
                 c.cpu.consume(self.consumed[idx]);
             }
-            if running && backlog > 1.0 && c.cpu.runtime_remaining_us() <= period_us * 0.01 {
+            if running
+                && c.cpu.runtime_remaining_us() <= period_us * 0.01
+                && backlog_exceeds(&self.queues[idx], 1.0)
+            {
                 c.cpu.mark_throttled();
             }
             let stats = c.cpu.end_period();
@@ -1784,6 +1837,47 @@ mod tests {
                 prop_assert_eq!(pops, rounds, "an aligned plan pops one report event a round");
             }
             prop_assert!(pops <= expected.len() as u64);
+        }
+    }
+
+    proptest! {
+        /// The timeout lane beside the heap pops exactly as one heap
+        /// holding every event would — deadlines that fall on `Round`,
+        /// `Background`, `NodeReport` and `PostRound` instants and
+        /// consecutive requests sharing a deadline included.
+        #[test]
+        fn timeout_lane_and_heap_pop_as_one_heap_would(
+            others in proptest::collection::vec((0u64..40, 0u8..4, 0usize..5), 0..60),
+            gaps in proptest::collection::vec(0u64..3, 0..60),
+        ) {
+            let mut one_heap: EventQueue<Ev> = EventQueue::new();
+            let mut heap: EventQueue<Ev> = EventQueue::new();
+            for &(step, class, entity) in &others {
+                let ev = match class {
+                    0 => Ev::Round,
+                    1 => Ev::Background { container: entity },
+                    2 => Ev::NodeReport { cohort: entity },
+                    _ => Ev::PostRound,
+                };
+                let t = SimTime::from_millis(step * 50);
+                one_heap.push_keyed(t, ev_key(ev), ev);
+                heap.push_keyed(t, ev_key(ev), ev);
+            }
+            // Half the deadlines land on the 50 ms grid of the others; a
+            // zero gap ties a request with the one before it.
+            let mut lane = VecDeque::new();
+            let mut due = SimTime::ZERO;
+            for (request, &gap) in gaps.iter().enumerate() {
+                due += SimDuration::from_millis(gap * 25);
+                let ev = Ev::Timeout { request };
+                one_heap.push_keyed(due, ev_key(ev), ev);
+                lane.push_back((due, request));
+            }
+            let keyed = |(t, ev): (SimTime, Ev)| (t, ev_key(ev));
+            let want: Vec<_> = std::iter::from_fn(|| one_heap.pop().map(keyed)).collect();
+            let got: Vec<_> =
+                std::iter::from_fn(|| pop_next(&mut lane, &mut heap).map(keyed)).collect();
+            prop_assert_eq!(got, want);
         }
     }
 

@@ -48,10 +48,36 @@ pub fn drain_fifo(
     rate_cores: f64,
     budget_us: f64,
 ) -> DrainOutcome {
-    let mut out = DrainOutcome::default();
+    let mut completions = Vec::new();
+    let consumed_us = drain_fifo_into(
+        queue,
+        period_start,
+        period_end,
+        rate_cores,
+        budget_us,
+        &mut completions,
+    );
+    DrainOutcome {
+        consumed_us,
+        completions,
+    }
+}
+
+/// [`drain_fifo`] for a caller that drains many queues a period: appends
+/// the `(request, completion_time)` pairs to `completions`, a buffer the
+/// caller keeps, and returns the CPU consumed in core-microseconds.
+pub fn drain_fifo_into(
+    queue: &mut VecDeque<StageJob>,
+    period_start: SimTime,
+    period_end: SimTime,
+    rate_cores: f64,
+    budget_us: f64,
+    completions: &mut Vec<(usize, SimTime)>,
+) -> f64 {
+    let mut consumed_us = 0.0;
     let period_us = (period_end - period_start).as_micros() as f64;
     if period_us <= 0.0 || budget_us <= 0.0 || rate_cores <= 0.0 {
-        return out;
+        return consumed_us;
     }
     let mut budget = budget_us;
     let mut cursor = period_start;
@@ -70,10 +96,9 @@ pub fn drain_fifo(
         if front.remaining_us <= doable {
             let need_time_us = front.remaining_us / rate_cores;
             let completion = start + SimDuration::from_micros(need_time_us.ceil() as u64);
-            out.consumed_us += front.remaining_us;
+            consumed_us += front.remaining_us;
             budget -= front.remaining_us;
-            out.completions
-                .push((front.request, completion.min(period_end)));
+            completions.push((front.request, completion.min(period_end)));
             cursor = completion;
             queue.pop_front();
             if budget <= 1e-9 {
@@ -81,22 +106,56 @@ pub fn drain_fifo(
             }
         } else {
             front.remaining_us -= doable;
-            out.consumed_us += doable;
+            consumed_us += doable;
             break;
         }
     }
-    debug_assert!(out.consumed_us <= budget_us + 1e-6);
-    out
+    debug_assert!(consumed_us <= budget_us + 1e-6);
+    consumed_us
 }
 
-/// Total queued work in core-microseconds.
-pub fn backlog_us(queue: &VecDeque<StageJob>) -> f64 {
-    queue.iter().map(|j| j.remaining_us).sum()
+/// The CPU a container asks its node for: its queued work plus
+/// `startup_us`, capped at `potential` — `(Σ remaining_us +
+/// startup_us).min(potential)` to the bit, without walking the queue
+/// past the prefix that reaches the cap.
+///
+/// Stopping early is exact: no job holds negative work, and adding a
+/// non-negative term never lowers an IEEE sum, so once a prefix plus
+/// `startup_us` has reached `potential` the whole queue's has too and
+/// `min` returns `potential`.
+pub fn capped_demand_us(queue: &VecDeque<StageJob>, startup_us: f64, potential: f64) -> f64 {
+    let mut sum = 0.0;
+    for job in queue {
+        debug_assert!(job.remaining_us >= 0.0, "negative work queued");
+        sum += job.remaining_us;
+        if sum + startup_us >= potential {
+            return potential;
+        }
+    }
+    (sum + startup_us).min(potential)
+}
+
+/// Whether the queued work, `Σ remaining_us`, exceeds `threshold_us` —
+/// decided at the first prefix that does (a later non-negative term
+/// cannot bring an IEEE sum back under it).
+pub fn backlog_exceeds(queue: &VecDeque<StageJob>, threshold_us: f64) -> bool {
+    let mut sum = 0.0;
+    queue.iter().any(|job| {
+        sum += job.remaining_us;
+        sum > threshold_us
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Total queued work: the whole-queue sum [`capped_demand_us`] and
+    /// [`backlog_exceeds`] stop short of.
+    fn backlog_us(queue: &VecDeque<StageJob>) -> f64 {
+        queue.iter().map(|j| j.remaining_us).sum()
+    }
 
     fn job(request: usize, remaining_us: f64, queued_ms: u64) -> StageJob {
         StageJob {
@@ -210,5 +269,88 @@ mod tests {
         assert!(out.completions[1].1 <= SimTime::from_millis(103));
         assert!((out.consumed_us - 20_000.0).abs() < 1e-6);
         assert_eq!(q.len(), 1);
+    }
+    /// A queue from `(kind, work)` draws: zero-work, denormal-scale and
+    /// overflow-scale jobs among ordinary ones.
+    fn queue_of(jobs: &[(u8, f64)]) -> VecDeque<StageJob> {
+        jobs.iter()
+            .enumerate()
+            .map(|(i, &(kind, work))| {
+                let remaining_us = match kind {
+                    0 => 0.0,
+                    1 => 1e-300,
+                    2 => 1e300,
+                    _ => work,
+                };
+                job(i, remaining_us, 100 + (i as u64 % 7) * 20)
+            })
+            .collect()
+    }
+
+    /// Every partial sum of the queue, the empty prefix included.
+    fn prefix_sums(queue: &VecDeque<StageJob>) -> Vec<f64> {
+        let mut sum = 0.0;
+        std::iter::once(0.0)
+            .chain(queue.iter().map(|j| {
+                sum += j.remaining_us;
+                sum
+            }))
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn capped_demand_is_the_whole_queue_expression_to_the_bit(
+            jobs in proptest::collection::vec((0u8..12, 0.0f64..50_000.0), 0..40),
+            warm in any::<bool>(),
+            startup in 1.0f64..90_000.0,
+            pick in 0usize..64,
+            scale in 0.0f64..1.5,
+            exact in any::<bool>(),
+        ) {
+            let queue = queue_of(&jobs);
+            let startup_us = if warm { startup } else { 0.0 };
+            // A potential on a prefix boundary (where the early exit
+            // decides by equality) or scaled below / into / above the sum.
+            let sums = prefix_sums(&queue);
+            let at = sums[pick % sums.len()] + startup_us;
+            let potential = if exact { at } else { at * scale };
+            let want = (backlog_us(&queue) + startup_us).min(potential);
+            let got = capped_demand_us(&queue, startup_us, potential);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+        }
+
+        #[test]
+        fn backlog_exceeds_is_the_whole_queue_comparison(
+            jobs in proptest::collection::vec((0u8..12, 0.0f64..3.0), 0..40),
+            pick in 0usize..64,
+            at_prefix in any::<bool>(),
+        ) {
+            let queue = queue_of(&jobs);
+            let sums = prefix_sums(&queue);
+            let threshold = if at_prefix { sums[pick % sums.len()] } else { 1.0 };
+            prop_assert_eq!(backlog_exceeds(&queue, threshold), backlog_us(&queue) > threshold);
+        }
+
+        #[test]
+        fn drain_fifo_into_appends_what_drain_fifo_returns(
+            jobs in proptest::collection::vec((0u8..12, 0.0f64..50_000.0), 0..40),
+            rate in 0.0f64..8.0,
+            budget in 0.0f64..400_000.0,
+            kept in 0usize..4,
+        ) {
+            let (s, e) = period();
+            let mut by_value = queue_of(&jobs);
+            let mut by_buffer = by_value.clone();
+            let out = drain_fifo(&mut by_value, s, e, rate, budget);
+            // A buffer that already holds entries keeps them.
+            let stale: Vec<(usize, SimTime)> = (0..kept).map(|i| (i, s)).collect();
+            let mut completions = stale.clone();
+            let consumed = drain_fifo_into(&mut by_buffer, s, e, rate, budget, &mut completions);
+            prop_assert_eq!(consumed.to_bits(), out.consumed_us.to_bits());
+            prop_assert_eq!(&completions[..kept], &stale[..]);
+            prop_assert_eq!(&completions[kept..], &out.completions[..]);
+            prop_assert_eq!(by_buffer, by_value);
+        }
     }
 }
