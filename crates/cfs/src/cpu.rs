@@ -47,11 +47,10 @@ impl CpuPeriodStats {
     /// artifact of its fluid model). Values are clamped to the u32
     /// range; NaN saturates to zero.
     pub fn to_fixed_point(&self) -> (u32, u32, u32, bool) {
-        let clamp = |x: f64| x.round().clamp(0.0, u32::MAX as f64) as u32;
         (
-            clamp(self.quota_cores * MCORES_PER_CORE),
-            clamp(self.unused_runtime_us),
-            clamp(self.usage_us),
+            quantize(self.quota_cores * MCORES_PER_CORE),
+            quantize(self.unused_runtime_us),
+            quantize(self.usage_us),
             self.throttled,
         )
     }
@@ -91,6 +90,19 @@ impl CpuPeriodStats {
     pub fn unused_cores(&self, period: SimDuration) -> f64 {
         self.unused_runtime_us / period.as_micros() as f64
     }
+}
+
+/// `x.round().clamp(0.0, u32::MAX as f64) as u32` — nearest integer, ties
+/// away from zero, saturating — without the libm `round` call the default
+/// x86-64 target (no SSE4.1 `roundsd`) makes of it, three times per
+/// telemetry entry. The cast truncates and sends NaN and every negative
+/// to 0; `x - trunc(x)` is exact, so the tie test rounds as `round` does.
+fn quantize(x: f64) -> u32 {
+    if x >= u32::MAX as f64 {
+        return u32::MAX;
+    }
+    let whole = x as u32;
+    whole + (x - whole as f64 >= 0.5) as u32
 }
 
 /// A simulated CFS bandwidth controller for one cgroup.
@@ -352,6 +364,73 @@ mod tests {
         assert_eq!(s.usage_us, 60_000.0);
         assert!(!s.throttled);
         assert_eq!(bw.total_usage_us(), 60_000.0);
+    }
+
+    #[test]
+    fn quantize_is_round_then_clamp_to_the_bit() {
+        let reference = |x: f64| x.round().clamp(0.0, u32::MAX as f64) as u32;
+        let check =
+            |x: f64| assert_eq!(quantize(x), reference(x), "x = {x:e} ({:#x})", x.to_bits());
+        let max = u32::MAX as f64;
+        for x in [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -0.4,
+            -0.5,
+            -0.6,
+            -1e300,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.49999999999999994, // the largest double below one half
+            0.5,
+            0.5000000000000001,
+            max - 1.0,
+            max - 0.5000000000000001,
+            max - 0.5,
+            max - 0.4999999999999999,
+            max,
+            max + 0.5,
+            max + 1.0,
+            9007199254740992.0,     // 2^53
+            18446744073709551616.0, // 2^64: a u64 truncation would wrap past it
+            36893488147419103232.0, // 2^65
+            1e300,
+            f64::MAX,
+        ] {
+            check(x);
+        }
+        assert_eq!(quantize(18446744073709551616.0), u32::MAX);
+        // Ties and their neighbours on both sides: every one below 2^24
+        // (all a telemetry field holds in practice), a stride above it,
+        // and the last few before saturation.
+        let dense = 0..1u32 << 24;
+        let sparse = (1u32 << 24..=u32::MAX).step_by(257);
+        for n in dense.chain(sparse).chain(u32::MAX - 3..=u32::MAX) {
+            let tie = n as f64 + 0.5;
+            check(tie);
+            check(f64::from_bits(tie.to_bits() - 1));
+            check(f64::from_bits(tie.to_bits() + 1));
+        }
+        // 10^8 raw bit patterns: half anywhere in the double range, half
+        // with the exponent drawn so the value lands near the u32 range.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..50_000_000u32 {
+            let raw = next();
+            check(f64::from_bits(raw));
+            let exponent = 1021 + (raw >> 52) % 36; // 2^-2 ..= 2^33
+            let in_range = (raw & ((1 << 52) - 1)) | (exponent << 52) | (raw & (1 << 63));
+            check(f64::from_bits(in_range));
+        }
     }
 
     #[test]
