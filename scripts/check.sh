@@ -22,12 +22,12 @@ echo "== bench smoke (controller ingest vs committed baseline) =="
 # 2.5x) vs BENCH_controller.json.
 cargo run -q -p escra-bench --release --bin overhead_controller -- --columnar --smoke --check
 
-echo "== frozen benchmark (builds and unit-tests against the working tree) =="
-# benchmark/ is a package of its own, pinned to the crates' public
-# surface; a change that breaks that surface fails here, not in the
-# pipeline.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+echo "== frozen benchmark (unit tests, then two 1 s workloads, against the working tree) =="
+# Its own package, pinned to the crates' public surface (run.sh builds it); a digest that moves between repetitions is `correct false`.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+for w in paper_matrix micro_scale; do
+    bash benchmark/run.sh --workload "$w" --seconds 1 | awk '$2 == "correct" { c = $3 } $2 == "failed" { f = $3 } END { exit !(c == "true" && f == "0") }'
+done
 
 echo "== sim scale smoke (10k nodes, 1M+ container-periods vs committed baseline) =="
 # A 10k-node / 12k-container event-heap run; fails if throughput drops
