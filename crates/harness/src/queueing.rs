@@ -270,6 +270,7 @@ mod tests {
         assert!((out.consumed_us - 20_000.0).abs() < 1e-6);
         assert_eq!(q.len(), 1);
     }
+
     /// A queue from `(kind, work)` draws: zero-work, denormal-scale and
     /// overflow-scale jobs among ordinary ones.
     fn queue_of(jobs: &[(u8, f64)]) -> VecDeque<StageJob> {

@@ -155,20 +155,17 @@ fn render() -> String {
         ));
     }
     // Overload cells: the shape of `microsim::tests::overloaded_cfg`.
-    for (label, policy, faults) in [
-        ("faults=matrix", Policy::escra_default(), matrix_faults()),
-        ("faults=none", Policy::static_1_5x(), FaultPlan::none()),
-        (
-            "faults=none",
-            Policy::autopilot_default(),
-            FaultPlan::none(),
-        ),
-        (
-            "faults=none",
-            Policy::Vpa(VpaConfig::default()),
-            FaultPlan::none(),
-        ),
+    for policy in [
+        Policy::escra_default(),
+        Policy::static_1_5x(),
+        Policy::autopilot_default(),
+        Policy::Vpa(VpaConfig::default()),
     ] {
+        // Only Escra has a control plane for the fault plan to act on.
+        let (label, faults) = match policy {
+            Policy::Escra(_) => ("faults=matrix", matrix_faults()),
+            _ => ("faults=none", FaultPlan::none()),
+        };
         let mut cfg =
             MicroSimConfig::new(teastore(), WorkloadKind::Fixed { rps: 400.0 }, policy, 11)
                 .with_duration(SimDuration::from_secs(25))
