@@ -13,13 +13,13 @@
 //!   `Controller::ingest_cpu_batch` with caller-owned, reused buffers.
 //!
 //! A third measurement drives the same telemetry through the
-//! **app-sharded** [`ShardedController`] at 1/2/4/8 worker threads
-//! (a 64-app registry, since sharding is by application). Its rate is
-//! the *per-shard critical path*: total entries divided by the largest
-//! per-shard CPU time spent inside batch ingest. On a machine with one
-//! core per shard that quotient equals wall-clock throughput; on
-//! core-starved CI hosts it still measures the parallel speedup honestly
-//! where wall-clock cannot.
+//! **app-sharded** [`ShardedController`] at 1/2/4/8 shards (a 64-app
+//! registry, since sharding is by application). Its rate is the
+//! *per-shard critical path*: total entries divided by the largest
+//! per-shard CPU time spent inside batch ingest. The router applies
+//! every shard's work inline on one thread and clocks each shard
+//! separately, so the curve is a per-shard CPU-time model: what N cores,
+//! one shard each, would sustain. It needs no second core to measure.
 //!
 //! A fourth measurement (`--columnar`) drives the same telemetry in the
 //! struct-of-arrays `CpuStatsColumns` wire form through
@@ -28,13 +28,14 @@
 //! decisions.
 //!
 //! Flags: `--smoke` shortens the run for CI; `--threads N` measures the
-//! sharded path at one worker count only (columnar with `--columnar`);
+//! sharded path at one shard count only (columnar with `--columnar`);
 //! `--record` writes the measured numbers to `BENCH_controller.json` at
 //! the repo root (the committed baseline); `--check` fails the process
-//! if the batched or columnar rate regressed more than 20% against that
-//! committed baseline, the batched rate lost the 2× speedup over the
-//! pre-optimisation ingest rate, or the sharded path lost its 2.5×
-//! 4-thread-vs-1-thread scaling.
+//! if the batched rate lost the 2× speedup over the pre-optimisation
+//! ingest rate or the sharded path lost its 2.5× 4-shard-vs-1-shard
+//! scaling, and — on full-length runs only — if the batched, columnar,
+//! `t4` or `columnar_t8` rate regressed more than 20% against that
+//! committed baseline.
 
 use escra_bench::write_json;
 use escra_cfs::{CpuPeriodStats, MIB};
@@ -62,7 +63,7 @@ const NODES: u64 = 16;
 /// in the curve (sharding is by app id, so one app cannot scale).
 const APPS: u64 = 64;
 /// The scaling curve recorded into `BENCH_controller.json`.
-const CURVE_THREADS: [usize; 4] = [1, 2, 4, 8];
+const CURVE_SHARDS: [usize; 4] = [1, 2, 4, 8];
 /// Best-of-N trials per sharded point, to shrug off scheduler noise on
 /// shared hosts (busy-time can only be over-counted, never under-).
 const SHARDED_TRIALS: usize = 3;
@@ -191,8 +192,8 @@ fn measure_columnar(rounds: u64) -> (f64, u64, ControllerStats) {
 /// The sharded registry spreads the same container population over
 /// [`APPS`] applications so every shard count in the curve gets a
 /// balanced partition.
-fn setup_sharded(threads: usize) -> ShardedController {
-    let mut sharded = ShardedController::new(EscraConfig::default(), threads);
+fn setup_sharded(shards: usize) -> ShardedController {
+    let mut sharded = ShardedController::new(EscraConfig::default(), shards);
     let per_app = CONTAINERS / APPS;
     for a in 0..APPS {
         sharded.register_app(
@@ -219,8 +220,8 @@ fn setup_sharded(threads: usize) -> ShardedController {
 /// fanned out by the router, drained every round. Returns the
 /// critical-path rate (total entries / max per-shard ingest CPU time),
 /// the actions drained, and the merged stats.
-fn sharded_trial(rounds: u64, threads: usize) -> (f64, u64, ControllerStats) {
-    let mut sharded = setup_sharded(threads);
+fn sharded_trial(rounds: u64, shards: usize) -> (f64, u64, ControllerStats) {
+    let mut sharded = setup_sharded(shards);
     let mut out = Vec::new();
     sharded.drain_actions_into(&mut out); // discard registration bootstrap
     out.clear();
@@ -254,12 +255,12 @@ fn sharded_trial(rounds: u64, threads: usize) -> (f64, u64, ControllerStats) {
 }
 
 /// One sharded *columnar* trial: the same per-node telemetry packed
-/// into one reused column block per send, routed by
-/// `ShardedController::ingest_cpu_columns` into recycled per-shard
-/// sub-blocks over the SPSC rings. Rate is the same critical-path
-/// quotient as [`sharded_trial`].
-fn sharded_columnar_trial(rounds: u64, threads: usize) -> (f64, u64, ControllerStats) {
-    let mut sharded = setup_sharded(threads);
+/// into one reused column block per send, split by
+/// `ShardedController::ingest_cpu_columns` into reused per-shard
+/// sub-blocks. Rate is the same critical-path quotient as
+/// [`sharded_trial`].
+fn sharded_columnar_trial(rounds: u64, shards: usize) -> (f64, u64, ControllerStats) {
+    let mut sharded = setup_sharded(shards);
     let mut out = Vec::new();
     sharded.drain_actions_into(&mut out); // discard registration bootstrap
     out.clear();
@@ -306,12 +307,12 @@ fn best_of(mut trial: impl FnMut() -> (f64, u64, ControllerStats)) -> (f64, u64,
     (best, actions, stats)
 }
 
-fn measure_sharded(rounds: u64, threads: usize) -> (f64, u64, ControllerStats) {
-    best_of(|| sharded_trial(rounds, threads))
+fn measure_sharded(rounds: u64, shards: usize) -> (f64, u64, ControllerStats) {
+    best_of(|| sharded_trial(rounds, shards))
 }
 
-fn measure_sharded_columnar(rounds: u64, threads: usize) -> (f64, u64, ControllerStats) {
-    best_of(|| sharded_columnar_trial(rounds, threads))
+fn measure_sharded_columnar(rounds: u64, shards: usize) -> (f64, u64, ControllerStats) {
+    best_of(|| sharded_columnar_trial(rounds, shards))
 }
 
 /// Minimal JSON number extraction: the vendored serde_json shim only
@@ -330,7 +331,7 @@ fn extract_number(json: &str, key: &str) -> Option<f64> {
 struct ColumnarNumbers {
     /// Single-core columnar ingest rate.
     rate: f64,
-    /// Sharded columnar scaling curve (threads, entries/s).
+    /// Sharded columnar scaling curve (shards, entries/s).
     curve: Vec<(usize, f64)>,
 }
 
@@ -403,17 +404,17 @@ fn main() {
     let rounds = if smoke { 40 } else { 200 };
     let sharded_rounds = if smoke { 100 } else { 400 };
 
-    if let Some(threads) = only_threads {
+    if let Some(shards) = only_threads {
         // Single-point sharded mode: no baseline bookkeeping, just the
-        // capacity of one worker-count configuration. `--record`/`--check`
+        // capacity of one shard-count configuration. `--record`/`--check`
         // need the whole curve, so they fall through to the full suite.
         let (rate, actions, stats) = if columnar {
-            measure_sharded_columnar(sharded_rounds, threads)
+            measure_sharded_columnar(sharded_rounds, shards)
         } else {
-            measure_sharded(sharded_rounds, threads)
+            measure_sharded(sharded_rounds, shards)
         };
         println!(
-            "{}sharded ingest, {threads} thread(s): {rate:.0} entries/s \
+            "{}sharded ingest, {shards} shard(s): {rate:.0} entries/s \
              (critical path), {actions} actions, {} entries ingested",
             if columnar { "columnar " } else { "" },
             stats.cpu_stats_ingested
@@ -449,33 +450,33 @@ fn main() {
     // match the 1-shard run exactly.
     let mut curve: Vec<(usize, f64)> = Vec::new();
     let mut sharded_ref: Option<(u64, ControllerStats)> = None;
-    for threads in CURVE_THREADS {
-        let (rate, actions, stats) = measure_sharded(sharded_rounds, threads);
+    for shards in CURVE_SHARDS {
+        let (rate, actions, stats) = measure_sharded(sharded_rounds, shards);
         match &sharded_ref {
             None => sharded_ref = Some((actions, stats)),
             Some((ref_actions, ref_stats)) => {
                 assert_eq!(
                     (actions, &stats),
                     (*ref_actions, ref_stats),
-                    "sharding must not change decisions ({threads} threads)"
+                    "sharding must not change decisions ({shards} shards)"
                 );
             }
         }
-        curve.push((threads, rate));
+        curve.push((shards, rate));
     }
 
     // The columnar scaling curve: same registry, same telemetry, same
     // decision assertions against the 1-shard row reference.
     let columnar_numbers = columnar_numbers.map(|mut c| {
-        for threads in CURVE_THREADS {
-            let (rate, actions, stats) = measure_sharded_columnar(sharded_rounds, threads);
+        for shards in CURVE_SHARDS {
+            let (rate, actions, stats) = measure_sharded_columnar(sharded_rounds, shards);
             let (ref_actions, ref_stats) = sharded_ref.as_ref().expect("row curve ran first");
             assert_eq!(
                 (actions, &stats),
                 (*ref_actions, ref_stats),
-                "columnar sharding must not change decisions ({threads} threads)"
+                "columnar sharding must not change decisions ({shards} shards)"
             );
-            c.curve.push((threads, rate));
+            c.curve.push((shards, rate));
         }
         c
     });
@@ -514,10 +515,10 @@ fn main() {
         format!("{:.0}", per_core * 20.0),
     ]);
     let curve_t1 = curve[0].1;
-    for &(threads, rate) in &curve {
+    for &(shards, rate) in &curve {
         table.row(vec![
-            format!("sharded ingest rate, {threads} thread(s) (entries/s)"),
-            format!("{rate:.0} ({:.2}x vs 1 thread)", rate / curve_t1),
+            format!("sharded ingest rate, {shards} shard(s) (entries/s)"),
+            format!("{rate:.0} ({:.2}x vs 1 shard)", rate / curve_t1),
         ]);
     }
     if let Some(c) = &columnar_numbers {
@@ -525,10 +526,10 @@ fn main() {
             "columnar ingest rate (entries/s/core)".into(),
             format!("{:.0} ({:.2}x vs batched)", c.rate, c.rate / batched_rate),
         ]);
-        for &(threads, rate) in &c.curve {
+        for &(shards, rate) in &c.curve {
             table.row(vec![
-                format!("columnar sharded ingest rate, {threads} thread(s) (entries/s)"),
-                format!("{rate:.0} ({:.2}x vs 1 thread)", rate / c.curve[0].1),
+                format!("columnar sharded ingest rate, {shards} shard(s) (entries/s)"),
+                format!("{rate:.0} ({:.2}x vs 1 shard)", rate / c.curve[0].1),
             ]);
         }
     }
@@ -560,11 +561,17 @@ fn main() {
             .unwrap_or(PRE_PR_UNBATCHED_MSGS_PER_SEC);
         println!(
             "check: batched {batched_rate:.0} entries/s vs committed {committed_batched:.0} \
-             (floor {:.0}), pre-optimisation {committed_pre:.0} (2x floor {:.0})",
+             (floor {:.0}{}), pre-optimisation {committed_pre:.0} (2x floor {:.0})",
             0.8 * committed_batched,
+            if smoke { ", full runs only" } else { "" },
             2.0 * committed_pre,
         );
-        if batched_rate < 0.8 * committed_batched {
+        // Every absolute floor applies to full-length runs only: a smoke
+        // trial is a few milliseconds of wall clock, and one slow
+        // scheduling episode on a shared host moves it by 40 %. Smoke
+        // keeps the decision-identity asserts, the 2x pre-slab floor and
+        // the t4/t1 scaling ratio.
+        if !smoke && batched_rate < 0.8 * committed_batched {
             eprintln!(
                 "FAIL: batched ingest rate regressed >20% vs committed baseline \
                  ({batched_rate:.0} < 0.8 * {committed_batched:.0})"
@@ -583,22 +590,18 @@ fn main() {
             .iter()
             .find(|&&(t, _)| t == 4)
             .map(|&(_, r)| r)
-            .expect("curve has a 4-thread point");
+            .expect("curve has a 4-shard point");
         println!(
             "check: sharded t4 {t4:.0} vs t1 {t1:.0} ({:.2}x, floor 2.5x)",
             t4 / t1
         );
         if t4 < 2.5 * t1 {
             eprintln!(
-                "FAIL: sharded ingest lost its 4-thread scaling \
+                "FAIL: sharded ingest lost its 4-shard scaling \
                  ({t4:.0} < 2.5 * {t1:.0})"
             );
             std::process::exit(1);
         }
-        // The absolute sharded floor only applies to full-length runs:
-        // smoke's shorter rounds shrink per-shard batches, so fixed
-        // timer overhead depresses the absolute rate (the scaling ratio
-        // above is the smoke-safe gate).
         if let Some(committed_t4) = extract_number(&committed, "t4").filter(|_| !smoke) {
             println!(
                 "check: sharded t4 {t4:.0} vs committed {committed_t4:.0} (floor {:.0})",
@@ -606,41 +609,37 @@ fn main() {
             );
             if t4 < 0.8 * committed_t4 {
                 eprintln!(
-                    "FAIL: sharded 4-thread ingest rate regressed >20% vs committed \
+                    "FAIL: sharded 4-shard ingest rate regressed >20% vs committed \
                      baseline ({t4:.0} < 0.8 * {committed_t4:.0})"
                 );
                 std::process::exit(1);
             }
         }
         if let Some(c) = &columnar_numbers {
-            match extract_number(&committed, "columnar_entries_per_sec") {
-                Some(committed_col) => {
-                    println!(
-                        "check: columnar {:.0} entries/s vs committed {committed_col:.0} \
-                         (floor {:.0})",
-                        c.rate,
-                        0.8 * committed_col,
+            if let Some(committed_col) =
+                extract_number(&committed, "columnar_entries_per_sec").filter(|_| !smoke)
+            {
+                println!(
+                    "check: columnar {:.0} entries/s vs committed {committed_col:.0} \
+                     (floor {:.0})",
+                    c.rate,
+                    0.8 * committed_col,
+                );
+                if c.rate < 0.8 * committed_col {
+                    eprintln!(
+                        "FAIL: columnar ingest rate regressed >20% vs committed \
+                         baseline ({:.0} < 0.8 * {committed_col:.0})",
+                        c.rate
                     );
-                    if c.rate < 0.8 * committed_col {
-                        eprintln!(
-                            "FAIL: columnar ingest rate regressed >20% vs committed \
-                             baseline ({:.0} < 0.8 * {committed_col:.0})",
-                            c.rate
-                        );
-                        std::process::exit(1);
-                    }
+                    std::process::exit(1);
                 }
-                None => println!(
-                    "check: committed baseline has no columnar numbers yet \
-                     (run --columnar --record to add them)"
-                ),
             }
             let col_t8 = c
                 .curve
                 .iter()
                 .find(|&&(t, _)| t == 8)
                 .map(|&(_, r)| r)
-                .expect("columnar curve has an 8-thread point");
+                .expect("columnar curve has an 8-shard point");
             if let Some(committed_col_t8) =
                 extract_number(&committed, "columnar_t8").filter(|_| !smoke)
             {
@@ -651,7 +650,7 @@ fn main() {
                 );
                 if col_t8 < 0.8 * committed_col_t8 {
                     eprintln!(
-                        "FAIL: columnar 8-thread ingest rate regressed >20% vs committed \
+                        "FAIL: columnar 8-shard ingest rate regressed >20% vs committed \
                          baseline ({col_t8:.0} < 0.8 * {committed_col_t8:.0})"
                     );
                     std::process::exit(1);

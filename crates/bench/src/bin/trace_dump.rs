@@ -12,12 +12,14 @@
 //!   trap→grant latency summary, and shard queue depths;
 //! * `<stem>.json`  — the same numbers as an [`ExpoSnapshot`].
 //!
-//! Run serial (default) or sharded (`--threads N`). The `.trace` file is
-//! **byte-identical** for every thread count: per-actor event streams are
-//! merged on `(time, actor)` rather than arrival order, shard-channel
-//! events are excluded from the comparable dump, and the driver applies
-//! drained actions in a canonical per-container order. `scripts/check.sh`
-//! holds that property by diffing a serial run against `--threads 4`.
+//! Run serial (default) or over N app-affine Controller shards
+//! (`--threads N`; the shards run on the caller's thread). The `.trace`
+//! file is **byte-identical** for every shard count: per-actor event
+//! streams are merged on `(time, actor)` rather than recorder order,
+//! shard-channel events are excluded from the comparable dump, and the
+//! driver applies drained actions in a canonical per-container order.
+//! `scripts/check.sh` holds that property by diffing a serial run
+//! against `--threads 4`.
 
 use escra_bench::SEED;
 use escra_cfs::MIB;
@@ -356,7 +358,7 @@ fn main() {
         // fabric; a dropped datagram loses the whole node's period.
         // Spiked messages are still delivered this round — the spike is
         // traced, and same-round delivery keeps the replay independent
-        // of thread scheduling.
+        // of the shard count.
         for (n, entries) in batches.into_iter().enumerate() {
             if entries.is_empty() {
                 continue;

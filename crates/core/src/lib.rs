@@ -25,9 +25,10 @@
 //!   registry in sync with runtime container creation/teardown;
 //! * [`telemetry`] — control-plane message types and wire sizes for the
 //!   §VI-I network-overhead accounting;
-//! * [`sharded`] — the app-sharded multi-threaded Controller front-end
-//!   that lifts the §VI-I single-core ingest ceiling while preserving
-//!   decision-for-decision identity with the sequential path.
+//! * [`sharded`] — N Controller shards behind an app-affine router, run
+//!   on the caller's thread with each shard's ingest clocked separately:
+//!   the §VI-I per-shard capacity model, decision-for-decision identical
+//!   to the sequential path.
 //!
 //! Both Controller front-ends are generic over a
 //! [`TraceSink`](escra_metrics::trace::TraceSink): the default
@@ -76,7 +77,6 @@ pub mod controller;
 pub mod deployer;
 pub mod distributed_container;
 pub mod sharded;
-mod spsc;
 pub mod telemetry;
 pub mod watcher;
 

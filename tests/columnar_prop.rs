@@ -20,11 +20,8 @@
 //!
 //! The sharded run consumes each node's report list as a content-keyed
 //! *mix* of all three forms (runs of per-message, batch and columnar
-//! deliveries). Columnar sub-blocks below the router's coalescing
-//! threshold are *held* for merging, so a columnar run followed by a
-//! row-form run for the same shard forces the router's
-//! flush-before-reorder invariant: the held block must reach the shard
-//! ring first, or per-shard FIFO (and with it decision identity)
+//! deliveries), so the router's per-shard split of every form must
+//! keep each shard's reports in arrival order, or decision identity
 //! breaks.
 //!
 //! ## Fault plans
@@ -195,7 +192,7 @@ proptest! {
                     .expect("register");
             }
             // Identical registration bootstrap on every side; discard it.
-            sharded.drain_actions();
+            sharded.drain_actions_into(&mut Vec::new());
 
             let mut acts_m: Vec<Action> = Vec::new();
             let mut acts_b: Vec<Action> = Vec::new();
@@ -284,8 +281,8 @@ proptest! {
                     by_cols.ingest_cpu_columns_at(now, &cols, &mut acts_c);
                     // Sharded side: the same reports as content-keyed
                     // runs mixing all three forms, which interleaves
-                    // held columnar sub-blocks with row-form deliveries
-                    // to the same shards.
+                    // columnar sub-blocks with row-form deliveries to
+                    // the same shards.
                     let form_of = |k: usize| {
                         (fate(fault_seed, (node as u64) * 131 + k as u64, FATE_FORM, r)
                             * 3.0) as usize

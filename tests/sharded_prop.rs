@@ -1,5 +1,5 @@
-//! Property and invariant tests for the app-sharded multi-threaded
-//! Controller: decision-for-decision identity with the sequential
+//! Property and invariant tests for the app-sharded Controller:
+//! decision-for-decision identity with the sequential
 //! Controller, and cross-shard safety invariants.
 //!
 //! ## Canonicalization
@@ -209,7 +209,7 @@ proptest! {
                     .expect("register");
             }
             // Discard the identical registration bootstrap on both sides.
-            sharded.drain_actions();
+            sharded.drain_actions_into(&mut Vec::new());
 
             // Shadow Agent world: applied mem limits (canonical values,
             // asserted equal across sides every round) + per-side rank
@@ -393,7 +393,7 @@ proptest! {
                 )
                 .expect("register");
         }
-        sharded.drain_actions();
+        sharded.drain_actions_into(&mut Vec::new());
 
         let mut rng = SimRng::new(seed);
         let mut now = SimTime::ZERO;
@@ -429,7 +429,7 @@ proptest! {
                 });
             }
             sharded.tick(now);
-            sharded.drain_actions();
+            sharded.drain_actions_into(&mut Vec::new());
 
             for a in 0..APPS {
                 let app = AppId::new(a);
@@ -466,7 +466,7 @@ fn wrong_shard_registration_is_counted_not_absorbed() {
             )
             .expect("register");
     }
-    sharded.drain_actions();
+    sharded.drain_actions_into(&mut Vec::new());
 
     // App 2's home shard is 2; deliver its registration to shard 1.
     sharded.inject_wire_to_shard(
@@ -478,8 +478,10 @@ fn wrong_shard_registration_is_counted_not_absorbed() {
             node: NodeId::new(0),
         },
     );
+    let mut actions = Vec::new();
+    sharded.drain_actions_into(&mut actions);
     assert!(
-        sharded.drain_actions().is_empty(),
+        actions.is_empty(),
         "a rejected registration must not bootstrap cgroups"
     );
     let per_shard = sharded.per_shard_stats();
