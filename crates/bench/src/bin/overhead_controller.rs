@@ -7,8 +7,8 @@
 //! The ingest rate is measured twice over identical telemetry:
 //!
 //! * **unbatched** — one [`ToController::CpuStats`] per container through
-//!   `Controller::handle`, which allocates a fresh action vector per
-//!   message (the original ingest path);
+//!   `Controller::handle_into` with a fresh action vector per message
+//!   (the original, allocating ingest path);
 //! * **batched** — per-node entry batches through the allocation-free
 //!   `Controller::ingest_cpu_batch` with caller-owned, reused buffers.
 //!
@@ -96,8 +96,9 @@ fn stats_for(round: u64, i: u64) -> CpuPeriodStats {
     }
 }
 
-/// Per-message ingest through `handle`, in node-major container order so
-/// both measurements drive the shared pools identically.
+/// Per-message ingest through `handle_into` with a fresh action vector
+/// per message, in node-major container order so both measurements
+/// drive the shared pools identically.
 fn measure_unbatched(rounds: u64) -> (f64, u64, ControllerStats) {
     let mut controller = setup();
     let mut actions = 0u64;
@@ -111,7 +112,9 @@ fn measure_unbatched(rounds: u64) -> (f64, u64, ControllerStats) {
                     container: ContainerId::new(i),
                     stats: stats_for(round, i),
                 };
-                actions += controller.handle(now, msg).len() as u64;
+                let mut out = Vec::new();
+                controller.handle_into(now, msg, &mut out);
+                actions += out.len() as u64;
                 i += NODES;
             }
         }

@@ -6,31 +6,27 @@
 //! node 1 — with every component recording into [`TraceRecorder`]s, and
 //! writes three artifacts under `target/escra-results/`:
 //!
-//! * `<stem>.trace` — the merged, canonically ordered decision trace
-//!   (one line per event);
-//! * `<stem>.prom`  — Prometheus text exposition of the event counters,
-//!   trap→grant latency summary, and shard queue depths;
-//! * `<stem>.json`  — the same numbers as an [`ExpoSnapshot`].
+//! * `trace_dump.trace` — the merged, canonically ordered decision
+//!   trace (one line per event);
+//! * `trace_dump.prom`  — Prometheus text exposition of the event
+//!   counters and the trap→grant latency summary;
+//! * `trace_dump.json`  — the same numbers as an [`ExpoSnapshot`].
 //!
-//! Run serial (default) or over N app-affine Controller shards
-//! (`--threads N`; the shards run on the caller's thread). The `.trace`
-//! file is **byte-identical** for every shard count: per-actor event
-//! streams are merged on `(time, actor)` rather than recorder order,
-//! shard-channel events are excluded from the comparable dump, and the
-//! driver applies drained actions in a canonical per-container order.
-//! `scripts/check.sh` holds that property by diffing a serial run
-//! against `--threads 4`.
+//! The recorders' event streams are merged on `(time, actor)` rather
+//! than recorder order, and the driver applies each round's actions in
+//! a canonical per-container order, so the `.trace` file is a pure
+//! function of the seed.
 
 use escra_bench::SEED;
 use escra_cfs::MIB;
 use escra_cluster::{AppId, Cluster, ContainerId, ContainerSpec, NodeId, NodeSpec};
 use escra_core::{
-    Action, Agent, AgentReport, Controller, CpuStatsEntry, EscraConfig, ReclaimEntry,
-    ShardedController, ToAgent, ToController, TraceRecorder,
+    Action, Agent, AgentReport, Controller, CpuStatsEntry, EscraConfig, ReclaimEntry, ToAgent,
+    ToController, TraceRecorder,
 };
-use escra_metrics::trace::{kind_counts, merge_events, render_merged, TraceEvent};
+use escra_metrics::trace::{kind_counts, merge_events, render_merged};
 use escra_metrics::{
-    grant_latency_histogram, ExpoSnapshot, HistogramSummary, NamedCounter, PromText, ShardDepth,
+    grant_latency_histogram, ExpoSnapshot, HistogramSummary, NamedCounter, PromText,
 };
 use escra_net::{Addr, FaultDecision, FaultInjector, FaultPlan};
 use escra_simcore::time::{SimDuration, SimTime};
@@ -42,11 +38,11 @@ const ROUNDS: u64 = 300;
 const PERIOD: SimDuration = SimDuration::from_millis(100);
 /// Containers cold-start for 2 s; drive telemetry only once running.
 const START: SimTime = SimTime::from_millis(2_500);
-/// Big enough that no recorder wraps (wraparound would break identity).
+/// Big enough that no recorder wraps (a wrapped ring drops the oldest
+/// events, so the dump would no longer be the whole scenario).
 const TRACE_CAP: usize = 65_536;
 
-/// Recorder classes: controller-side (serial Controller, shard
-/// Controllers, and the sharded router) / per-node Agents / the fault
+/// Recorder classes: the Controller / per-node Agents / the fault
 /// injector. Classes keep independent seq streams from ever being
 /// compared against each other in the merge.
 const CLASS_CONTROLLER: u16 = 0;
@@ -65,115 +61,9 @@ fn recorder(class: u16) -> TraceRecorder {
     TraceRecorder::with_capacity(TRACE_CAP).with_class(class)
 }
 
-/// The control plane under trace: one sequential Controller or the
-/// app-sharded front-end. Decisions (and therefore the comparable trace)
-/// are identical — that is the property this bin exists to demonstrate.
-#[allow(clippy::large_enum_variant)] // one Plane per run; size is irrelevant
-enum Plane {
-    Serial {
-        controller: Controller<TraceRecorder>,
-        actions: Vec<Action>,
-    },
-    Sharded(ShardedController<TraceRecorder>),
-}
-
-impl Plane {
-    fn new(cfg: EscraConfig, threads: usize) -> Self {
-        if threads == 0 {
-            Plane::Serial {
-                controller: Controller::with_sink(cfg, recorder(CLASS_CONTROLLER)),
-                actions: Vec::new(),
-            }
-        } else {
-            Plane::Sharded(ShardedController::with_sinks(cfg, threads, |_| {
-                recorder(CLASS_CONTROLLER)
-            }))
-        }
-    }
-
-    fn register_app(&mut self, app: AppId, cpu: f64, mem: u64) {
-        match self {
-            Plane::Serial { controller, .. } => controller.register_app(app, cpu, mem),
-            Plane::Sharded(s) => s.register_app(app, cpu, mem),
-        }
-    }
-
-    fn register_container(&mut self, c: ContainerId, app: AppId, node: NodeId, cpu: f64, mem: u64) {
-        match self {
-            Plane::Serial {
-                controller,
-                actions,
-            } => actions.extend(
-                controller
-                    .register_container(c, app, node, cpu, mem)
-                    .expect("register"),
-            ),
-            Plane::Sharded(s) => s
-                .register_container(c, app, node, cpu, mem)
-                .expect("register"),
-        }
-    }
-
-    fn handle(&mut self, now: SimTime, msg: ToController) {
-        match self {
-            Plane::Serial {
-                controller,
-                actions,
-            } => controller.handle_into(now, msg, actions),
-            Plane::Sharded(s) => s.handle(now, msg),
-        }
-    }
-
-    fn tick(&mut self, now: SimTime) {
-        match self {
-            Plane::Serial {
-                controller,
-                actions,
-            } => actions.extend(controller.tick(now)),
-            Plane::Sharded(s) => s.tick(now),
-        }
-    }
-
-    fn on_reclaim_report(&mut self, now: SimTime, entries: &[ReclaimEntry]) {
-        match self {
-            Plane::Serial {
-                controller,
-                actions,
-            } => actions.extend(controller.on_reclaim_report(now, entries)),
-            Plane::Sharded(s) => s.on_reclaim_report(now, entries),
-        }
-    }
-
-    fn drain_into(&mut self, out: &mut Vec<Action>) {
-        match self {
-            Plane::Serial { actions, .. } => out.append(actions),
-            Plane::Sharded(s) => s.drain_actions_into(out),
-        }
-    }
-
-    fn queue_depths(&self) -> Vec<u32> {
-        match self {
-            Plane::Serial { .. } => Vec::new(),
-            Plane::Sharded(s) => s.queue_depths().to_vec(),
-        }
-    }
-
-    fn finish(self) -> Vec<TraceRecorder> {
-        match self {
-            Plane::Serial { mut controller, .. } => {
-                vec![controller.replace_sink(TraceRecorder::default())]
-            }
-            Plane::Sharded(mut s) => s.take_sinks(),
-        }
-    }
-}
-
-/// Canonical application order for one drain: stable sort keeps each
+/// Canonical application order for one round: stable sort keeps each
 /// container's commands in emission order (the Agents' staleness
-/// guarantee) while fixing the cross-container order — the sharded
-/// drain concatenates per-shard buffers, so without this the serial and
-/// sharded runs would apply the same multiset of commands in different
-/// interleavings.
+/// guarantee) while fixing the cross-container order.
 fn action_key(a: &Action) -> (u64, u64) {
     match a {
         Action::Agent { node, cmd } => match cmd {
@@ -186,9 +76,9 @@ fn action_key(a: &Action) -> (u64, u64) {
     }
 }
 
-/// Identical cluster-wide sweep commands can appear once per shard (and,
-/// in a serial round, once for the periodic schedule plus once for an
-/// OOM-triggered launch); the Agents must run each sweep once.
+/// Identical cluster-wide sweep commands can appear twice in one round
+/// (once for the periodic schedule, once for an OOM-triggered launch);
+/// the Agents must run each sweep once.
 fn dedup_reclaims(actions: &mut Vec<Action>) {
     let mut seen: Vec<(NodeId, u64)> = Vec::new();
     actions.retain(|a| {
@@ -206,31 +96,8 @@ fn dedup_reclaims(actions: &mut Vec<Action>) {
     });
 }
 
-struct Args {
-    threads: usize,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { threads: 0 };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| panic!("--threads needs a positive integer"));
-            }
-            other => panic!("unknown flag {other:?} (expected --threads N)"),
-        }
-    }
-    args
-}
-
 #[allow(clippy::too_many_lines)] // one linear scenario script
 fn main() {
-    let args = parse_args();
     let cfg = EscraConfig::default();
 
     // --- Deployment: 4 nodes, 6 apps x 2 containers. ------------------
@@ -241,11 +108,13 @@ fn main() {
         };
         NODES
     ]);
-    let mut plane = Plane::new(cfg.clone(), args.threads);
+    let mut controller = Controller::with_sink(cfg, recorder(CLASS_CONTROLLER));
+    // The Controller's output; drained into `pending` once per round.
+    let mut actions: Vec<Action> = Vec::new();
     let mut containers: Vec<ContainerId> = Vec::new();
     for a in 0..APPS {
         let app = AppId::new(a);
-        plane.register_app(app, 4.0, 1024 * MIB);
+        controller.register_app(app, 4.0, 1024 * MIB);
         for i in 0..PER_APP {
             let spec = ContainerSpec::new(format!("a{a}c{i}"), app)
                 .with_base_mem(48 * MIB)
@@ -253,7 +122,11 @@ fn main() {
                 .with_mem_limit(96 * MIB);
             let id = cluster.deploy(spec, SimTime::ZERO).expect("deploy");
             let node = cluster.container(id).expect("deployed").node();
-            plane.register_container(id, app, node, 2.0, 96 * MIB);
+            actions.extend(
+                controller
+                    .register_container(id, app, node, 2.0, 96 * MIB)
+                    .expect("register"),
+            );
             containers.push(id);
         }
     }
@@ -261,8 +134,7 @@ fn main() {
     let mut agent_recs: Vec<TraceRecorder> = (0..NODES).map(|_| recorder(CLASS_AGENT)).collect();
 
     // Bootstrap limits apply out-of-band (deploy-time TCP, no faults).
-    let mut pending: Vec<Action> = Vec::new();
-    plane.drain_into(&mut pending);
+    let mut pending: Vec<Action> = std::mem::take(&mut actions);
     pending.sort_by_key(action_key);
     for a in pending.drain(..) {
         if let Action::Agent { node, cmd } = a {
@@ -356,9 +228,8 @@ fn main() {
 
         // Telemetry batches ride node -> controller through the faulty
         // fabric; a dropped datagram loses the whole node's period.
-        // Spiked messages are still delivered this round — the spike is
-        // traced, and same-round delivery keeps the replay independent
-        // of the shard count.
+        // Spiked messages are still delivered this round; the spike is
+        // traced.
         for (n, entries) in batches.into_iter().enumerate() {
             if entries.is_empty() {
                 continue;
@@ -379,7 +250,6 @@ fn main() {
         let ooms = std::mem::take(&mut inbox);
         for msg in ooms {
             match &msg {
-                ToController::CpuStatsBatch { .. } => plane.handle(now, msg),
                 ToController::OomEvent { container, .. } => {
                     let node = cluster.container(*container).expect("known").node();
                     match faults.decide_traced(
@@ -391,19 +261,19 @@ fn main() {
                         FaultDecision::Drop => {}
                         FaultDecision::Deliver { copies, .. } => {
                             for _ in 0..copies {
-                                plane.handle(now, msg.clone());
+                                controller.handle_into(now, msg.clone(), &mut actions);
                             }
                         }
                     }
                 }
-                _ => plane.handle(now, msg),
+                _ => controller.handle_into(now, msg, &mut actions),
             }
         }
-        plane.tick(now);
+        controller.tick_into(now, &mut actions);
 
         // Apply the round's commands in canonical order; acks and
         // reclamation reports return through the fabric.
-        plane.drain_into(&mut pending);
+        pending.append(&mut actions);
         dedup_reclaims(&mut pending);
         pending.sort_by_key(action_key);
         let mut reclaim_entries: Vec<ReclaimEntry> = Vec::new();
@@ -439,9 +309,10 @@ fn main() {
                                                 &mut fault_rec,
                                             ) != FaultDecision::Drop
                                             {
-                                                plane.handle(
+                                                controller.handle_into(
                                                     now,
                                                     ToController::LimitAck { container, seq },
+                                                    &mut actions,
                                                 );
                                             }
                                         }
@@ -470,13 +341,12 @@ fn main() {
             }
         }
         if report_arrived {
-            plane.on_reclaim_report(now, &reclaim_entries);
+            actions.extend(controller.on_reclaim_report(now, &reclaim_entries));
         }
     }
 
     // --- Merge, render, expose. ----------------------------------------
-    let depths = plane.queue_depths();
-    let mut recorders = plane.finish();
+    let mut recorders = vec![controller.replace_sink(TraceRecorder::default())];
     recorders.append(&mut agent_recs);
     recorders.push(fault_rec);
     let refs: Vec<&TraceRecorder> = recorders.iter().collect();
@@ -485,16 +355,13 @@ fn main() {
     assert_eq!(dropped, 0, "TRACE_CAP must hold the whole scenario");
 
     let trace = render_merged(&refs);
-    let comparable: Vec<TraceEvent> = merge_events(&refs)
-        .into_iter()
-        .filter(|e| !e.kind.is_shard_channel())
-        .collect();
-    let counts = kind_counts(&comparable);
+    let events = merge_events(&refs);
+    let counts = kind_counts(&events);
     assert!(
         counts.iter().any(|(l, _)| *l == "grant_issued"),
         "scenario must exercise the OOM-grant path"
     );
-    let latency = grant_latency_histogram(&comparable);
+    let latency = grant_latency_histogram(&events);
 
     let mut prom = PromText::new();
     for (label, n) in &counts {
@@ -509,48 +376,25 @@ fn main() {
         "OOM trap to grant decision latency.",
         &latency,
     );
-    prom.labeled_gauge(
-        "escra_shard_queue_depth",
-        "Undrained work messages per shard at run end.",
-        "shard",
-        &depths
-            .iter()
-            .enumerate()
-            .map(|(s, d)| (s.to_string(), f64::from(*d)))
-            .collect::<Vec<_>>(),
-    );
 
     let snapshot = ExpoSnapshot {
         counters: counts
             .iter()
             .map(|(l, n)| NamedCounter::new(format!("trace_{l}"), *n))
             .collect(),
-        shard_depths: depths
-            .iter()
-            .enumerate()
-            .map(|(s, d)| ShardDepth {
-                shard: s as u32,
-                depth: *d,
-            })
-            .collect(),
         histograms: vec![HistogramSummary::of("grant_latency_ms", &latency)],
         trace_events: emitted,
         trace_dropped: dropped,
     };
 
-    let stem = if args.threads == 0 {
-        "trace_dump_serial".to_string()
-    } else {
-        format!("trace_dump_t{}", args.threads)
-    };
+    let stem = "trace_dump";
     let dir = std::path::Path::new("target").join("escra-results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     std::fs::write(dir.join(format!("{stem}.trace")), &trace).expect("write trace");
     std::fs::write(dir.join(format!("{stem}.prom")), prom.finish()).expect("write prom");
     std::fs::write(dir.join(format!("{stem}.json")), snapshot.to_json()).expect("write json");
     eprintln!(
-        "{stem}: {} comparable events ({} lines, {} emitted incl. shard-channel), wrote {}/{{{stem}.trace,.prom,.json}}",
-        comparable.len(),
+        "{stem}: {} events ({} emitted), wrote {}/{{{stem}.trace,.prom,.json}}",
         trace.lines().count(),
         emitted,
         dir.display()

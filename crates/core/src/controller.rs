@@ -6,11 +6,11 @@
 //! decisions as Agent commands, and launches the periodic reclamation
 //! loop. It makes no allocation decisions itself.
 //!
-//! The Controller is driven by the embedding simulation: `handle` (or
-//! the allocation-free `handle_into`) for each arriving message, `tick`
-//! at each time step, and `on_reclaim_report` when an Agent finishes a
-//! sweep. All outputs are [`Action`] values the embedding applies (with
-//! control-plane latency).
+//! The Controller is driven by the embedding simulation: `handle_into`
+//! for each arriving message, `tick_into` at each time step, and
+//! `on_reclaim_report` when an Agent finishes a sweep. All outputs are
+//! [`Action`] values the embedding applies (with control-plane latency);
+//! the `_into` forms append them to a caller-owned buffer.
 
 use crate::agent::ReclaimEntry;
 use crate::allocator::{AllocatorError, CpuDecision, OomDecision, ResourceAllocator, NO_SLOT};
@@ -82,17 +82,14 @@ pub struct ControllerStats {
 impl ControllerStats {
     /// Folds another shard's counters into this one.
     ///
-    /// Every field is a lifetime *count*, so sharding the Controller
-    /// (`crate::sharded`) preserves aggregates by plain summation. The
-    /// one caveat is `reclaim_sweeps`: each shard runs its own reclaim
-    /// schedule and sweeps the whole node set, so the merged sum counts
-    /// one sweep per shard where a sequential Controller counts one
-    /// (the duplicate `ReclaimMemory` commands themselves are deduped
-    /// at drain time and idempotent on Agents).
+    /// Every field is a lifetime *count*, so the app-sharded capacity
+    /// model (`crate::sharded`) aggregates its shards by plain summation.
+    /// It drives telemetry ingest only, which never launches a sweep, so
+    /// no counter is double-counted across shards.
     pub fn merge(&mut self, other: &ControllerStats) {
         // Full destructuring, no `..`: adding a stats field without
         // deciding how it merges must fail to compile, not silently
-        // lose the new counter in `--threads` runs.
+        // lose the new counter in sharded runs.
         let ControllerStats {
             cpu_stats_ingested,
             quota_updates,
@@ -305,9 +302,10 @@ impl<S: TraceSink> Controller<S> {
     /// if no container of this Controller's registry runs there.
     ///
     /// `register_container` learns nodes implicitly; this explicit path
-    /// exists for the sharded Controller ([`crate::sharded`]), which
-    /// broadcasts every node to every shard so that a sweep launched by
-    /// any shard covers the whole cluster — exactly like a sequential
+    /// is for embeddings that know the node set up front: `trace_sim`
+    /// notes every node before any pod deploys, and the app-partition
+    /// property test notes every node on every partition so that each
+    /// partition's sweep covers the whole cluster, exactly like one
     /// Controller's sweep does.
     pub fn note_node(&mut self, node: NodeId) {
         self.nodes.insert(node);
@@ -374,18 +372,6 @@ impl<S: TraceSink> Controller<S> {
         self.pending_ooms.retain(|(c, _)| *c != container);
         self.pending_mem_grants.remove(&container);
         self.allocator.deregister_container(container)
-    }
-
-    /// Handles one inbound message and returns the actions to carry out.
-    ///
-    /// Thin compatibility wrapper over [`Controller::handle_into`] that
-    /// allocates a fresh action vector per call. Hot loops (the per-node
-    /// telemetry ingest) should hold one buffer and call `handle_into`
-    /// instead.
-    pub fn handle(&mut self, now: SimTime, msg: ToController) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.handle_into(now, msg, &mut out);
-        out
     }
 
     /// Handles one inbound message, appending the actions to carry out
@@ -764,20 +750,10 @@ impl<S: TraceSink> Controller<S> {
 
     /// Periodic work: launches the proactive reclamation loop every
     /// `reclaim_interval` (paper: 5 s) and re-sends memory grants whose
-    /// ack is overdue.
-    ///
-    /// Compatibility wrapper over [`Controller::tick_into`]; embeddings
-    /// on the hot path should hold a warm buffer and call `tick_into`
-    /// directly — with no grants pending and no sweep due, that path
+    /// ack is overdue. Actions are appended to a caller-owned buffer
+    /// (not cleared), mirroring the [`Controller::handle_into`]
+    /// contract; with no grants pending and no sweep due, a tick
     /// allocates nothing.
-    pub fn tick(&mut self, now: SimTime) -> Vec<Action> {
-        let mut actions = Vec::new();
-        self.tick_into(now, &mut actions);
-        actions
-    }
-
-    /// [`Controller::tick`] appending into a caller-owned buffer (not
-    /// cleared), mirroring the [`Controller::handle_into`] contract.
     pub fn tick_into(&mut self, now: SimTime, out: &mut Vec<Action>) {
         self.retry_stale_grants_into(now, out);
         if now >= self.next_reclaim_at {
@@ -988,10 +964,25 @@ mod tests {
         }
     }
 
+    /// One message's actions, collected into a fresh buffer.
+    fn handle(c: &mut Controller, now: SimTime, msg: ToController) -> Vec<Action> {
+        let mut out = Vec::new();
+        c.handle_into(now, msg, &mut out);
+        out
+    }
+
+    /// One tick's actions, collected into a fresh buffer.
+    fn tick(c: &mut Controller, now: SimTime) -> Vec<Action> {
+        let mut out = Vec::new();
+        c.tick_into(now, &mut out);
+        out
+    }
+
     #[test]
     fn telemetry_drives_quota_update_action() {
         let mut c = controller_with_one();
-        let actions = c.handle(
+        let actions = handle(
+            &mut c,
             SimTime::ZERO,
             ToController::CpuStats {
                 container: C0,
@@ -1022,7 +1013,8 @@ mod tests {
     #[test]
     fn oom_grant_action() {
         let mut c = controller_with_one();
-        let actions = c.handle(
+        let actions = handle(
+            &mut c,
             SimTime::ZERO,
             ToController::OomEvent {
                 container: C0,
@@ -1048,7 +1040,8 @@ mod tests {
         let mut c = Controller::new(EscraConfig::default());
         c.register_app(APP, 2.0, 256 * MIB);
         c.register_container(C0, APP, N0, 1.0, 256 * MIB).unwrap();
-        let actions = c.handle(
+        let actions = handle(
+            &mut c,
             SimTime::ZERO,
             ToController::OomEvent {
                 container: C0,
@@ -1078,7 +1071,8 @@ mod tests {
         c.register_container(C0, APP, N0, 1.0, 256 * MIB).unwrap();
         let c1 = ContainerId::new(1);
         c.register_container(c1, APP, N0, 1.0, 256 * MIB).unwrap();
-        c.handle(
+        handle(
+            &mut c,
             SimTime::ZERO,
             ToController::OomEvent {
                 container: C0,
@@ -1109,11 +1103,11 @@ mod tests {
     #[test]
     fn periodic_reclaim_fires_on_interval() {
         let mut c = controller_with_one();
-        assert!(c.tick(SimTime::from_secs(4)).is_empty());
-        let actions = c.tick(SimTime::from_secs(5));
+        assert!(tick(&mut c, SimTime::from_secs(4)).is_empty());
+        let actions = tick(&mut c, SimTime::from_secs(5));
         assert_eq!(actions.len(), 1); // one node
-        assert!(c.tick(SimTime::from_secs(6)).is_empty());
-        let actions = c.tick(SimTime::from_secs(10));
+        assert!(tick(&mut c, SimTime::from_secs(6)).is_empty());
+        let actions = tick(&mut c, SimTime::from_secs(10));
         assert_eq!(actions.len(), 1);
         assert_eq!(c.stats().reclaim_sweeps, 2);
     }
@@ -1128,7 +1122,7 @@ mod tests {
         // tick time and lost one sweep over the same horizon.
         let mut c = controller_with_one();
         for step in 1..=10u64 {
-            c.tick(SimTime::from_secs(3 * step));
+            tick(&mut c, SimTime::from_secs(3 * step));
         }
         assert_eq!(c.stats().reclaim_sweeps, 6);
     }
@@ -1138,18 +1132,19 @@ mod tests {
         let mut c = controller_with_one();
         // No ticks for 23 s (4 missed deadlines): one catch-up sweep,
         // and the schedule resumes at the next 5 s multiple.
-        let actions = c.tick(SimTime::from_secs(23));
+        let actions = tick(&mut c, SimTime::from_secs(23));
         assert_eq!(actions.len(), 1);
         assert_eq!(c.stats().reclaim_sweeps, 1);
-        assert!(c.tick(SimTime::from_secs(24)).is_empty());
-        assert_eq!(c.tick(SimTime::from_secs(25)).len(), 1);
+        assert!(tick(&mut c, SimTime::from_secs(24)).is_empty());
+        assert_eq!(tick(&mut c, SimTime::from_secs(25)).len(), 1);
     }
 
     #[test]
     fn stale_telemetry_is_ignored() {
         let mut c = controller_with_one();
         let ghost = ContainerId::new(42);
-        let actions = c.handle(
+        let actions = handle(
+            &mut c,
             SimTime::ZERO,
             ToController::CpuStats {
                 container: ghost,
@@ -1164,7 +1159,8 @@ mod tests {
         let mut c = Controller::new(EscraConfig::default());
         c.register_app(APP, 2.0, 256 * MIB);
         c.register_container(C0, APP, N0, 1.0, 256 * MIB).unwrap();
-        c.handle(
+        handle(
+            &mut c,
             SimTime::ZERO,
             ToController::OomEvent {
                 container: C0,
@@ -1181,7 +1177,8 @@ mod tests {
     /// Raises one OOM grant and returns (controller, granted limit, seq).
     fn controller_with_unacked_grant() -> (Controller, u64, u64) {
         let mut c = controller_with_one();
-        let actions = c.handle(
+        let actions = handle(
+            &mut c,
             SimTime::ZERO,
             ToController::OomEvent {
                 container: C0,
@@ -1204,13 +1201,14 @@ mod tests {
     #[test]
     fn limit_ack_clears_the_pending_grant() {
         let (mut c, _, seq) = controller_with_unacked_grant();
-        c.handle(
+        handle(
+            &mut c,
             SimTime::from_millis(1),
             ToController::LimitAck { container: C0, seq },
         );
         assert_eq!(c.pending_grant_count(), 0);
         // No ack, no retry traffic.
-        assert!(c.tick(SimTime::from_secs(1)).is_empty());
+        assert!(tick(&mut c, SimTime::from_secs(1)).is_empty());
         assert_eq!(c.stats().grant_retries, 0);
     }
 
@@ -1218,9 +1216,9 @@ mod tests {
     fn unacked_grant_is_resent_after_the_timeout() {
         let (mut c, granted, seq) = controller_with_unacked_grant();
         // Before the timeout: silence.
-        assert!(c.tick(SimTime::from_millis(400)).is_empty());
+        assert!(tick(&mut c, SimTime::from_millis(400)).is_empty());
         // After: the tracked limit goes out again under a fresh seq.
-        let actions = c.tick(SimTime::from_millis(600));
+        let actions = tick(&mut c, SimTime::from_millis(600));
         assert_eq!(actions.len(), 1);
         match actions[0] {
             Action::Agent {
@@ -1240,7 +1238,8 @@ mod tests {
         }
         assert_eq!(c.stats().grant_retries, 1);
         // A late ack for the *old* seq must not clear the newer retry...
-        c.handle(
+        handle(
+            &mut c,
             SimTime::from_millis(700),
             ToController::LimitAck { container: C0, seq },
         );
@@ -1255,7 +1254,7 @@ mod tests {
         for step in 1..20u64 {
             // Tick on a grid coarser than the timeout so each tick is
             // eligible to retry; never ack.
-            let actions = c.tick(SimTime::from_millis(600 * step));
+            let actions = tick(&mut c, SimTime::from_millis(600 * step));
             retries_seen += actions
                 .iter()
                 .filter(|a| {
@@ -1281,7 +1280,7 @@ mod tests {
         // the original (possibly lost) send cannot clear the retry, while
         // the ack for the retry itself does.
         let (mut c, _granted, first_seq) = controller_with_unacked_grant();
-        let actions = c.tick(SimTime::from_millis(600));
+        let actions = tick(&mut c, SimTime::from_millis(600));
         let retry_seq = match actions[0] {
             Action::Agent {
                 cmd: ToAgent::SetMemLimit { seq, .. },
@@ -1291,7 +1290,8 @@ mod tests {
         };
         assert!(retry_seq > first_seq);
         // Straggler ack for the original send: the retry stays pending.
-        c.handle(
+        handle(
+            &mut c,
             SimTime::from_millis(700),
             ToController::LimitAck {
                 container: C0,
@@ -1301,7 +1301,8 @@ mod tests {
         assert_eq!(c.pending_grant_count(), 1);
         // Ack carrying the retry's seq: cleared, and no more retry
         // traffic on later ticks (only the periodic reclaim sweep).
-        c.handle(
+        handle(
+            &mut c,
             SimTime::from_millis(800),
             ToController::LimitAck {
                 container: C0,
@@ -1309,7 +1310,7 @@ mod tests {
             },
         );
         assert_eq!(c.pending_grant_count(), 0);
-        let later = c.tick(SimTime::from_secs(2));
+        let later = tick(&mut c, SimTime::from_secs(2));
         assert!(later.iter().all(|a| !matches!(
             a,
             Action::Agent {
@@ -1333,7 +1334,8 @@ mod tests {
         let (mut c, _granted, grant_seq) = controller_with_unacked_grant();
         // A throttled period scales the quota up: the SetCpuQuota takes
         // the next seq in the shared space.
-        let actions = c.handle(
+        let actions = handle(
+            &mut c,
             SimTime::from_millis(10),
             ToController::CpuStats {
                 container: C0,
@@ -1350,7 +1352,8 @@ mod tests {
         assert!(cpu_seq > grant_seq, "shared seq space must advance");
         // The agent applies the quota and acks it. Pre-fix this cleared
         // the still-unapplied memory grant.
-        c.handle(
+        handle(
+            &mut c,
             SimTime::from_millis(20),
             ToController::LimitAck {
                 container: C0,
@@ -1364,7 +1367,7 @@ mod tests {
         );
         assert_eq!(c.stats().ack_mismatches, 1);
         // The grant is still armed: the retry timer re-sends it.
-        let retries = c.tick(SimTime::from_millis(600));
+        let retries = tick(&mut c, SimTime::from_millis(600));
         let retry_seq = retries
             .iter()
             .find_map(|a| match a {
@@ -1376,7 +1379,8 @@ mod tests {
             })
             .expect("the unacked grant must be re-sent");
         // The matching ack still clears it.
-        c.handle(
+        handle(
+            &mut c,
             SimTime::from_millis(700),
             ToController::LimitAck {
                 container: C0,
@@ -1391,7 +1395,8 @@ mod tests {
         // App was never registered: the old path swallowed the error via
         // unwrap_or_default() and the container ran unmanaged, invisibly.
         let mut c = Controller::new(EscraConfig::default());
-        let actions = c.handle(
+        let actions = handle(
+            &mut c,
             SimTime::ZERO,
             ToController::Register {
                 container: C0,
@@ -1404,7 +1409,8 @@ mod tests {
         // A duplicate id is rejected and counted too.
         c.register_app(APP, 8.0, 1024 * MIB);
         c.register_container(C0, APP, N0, 1.0, 256 * MIB).unwrap();
-        c.handle(
+        handle(
+            &mut c,
             SimTime::ZERO,
             ToController::Register {
                 container: C0,
@@ -1414,7 +1420,8 @@ mod tests {
         );
         assert_eq!(c.stats().register_errors, 2);
         // A well-formed wire registration still bootstraps cgroups.
-        let actions = c.handle(
+        let actions = handle(
+            &mut c,
             SimTime::ZERO,
             ToController::Register {
                 container: ContainerId::new(1),
@@ -1444,7 +1451,8 @@ mod tests {
                 Err(AllocatorError::ContainerIdOutOfRange(id))
             );
             // The wire path counts it like every other rejection.
-            let actions = c.handle(
+            let actions = handle(
+                &mut c,
                 SimTime::ZERO,
                 ToController::Register {
                     container: id,
@@ -1494,25 +1502,25 @@ mod tests {
                         throttled: false,
                     }
                 };
-                emitted += c
-                    .handle(
-                        SimTime::from_millis(round * 100),
-                        ToController::CpuStats {
-                            container: ContainerId::new(i),
-                            stats,
-                        },
+                emitted += handle(
+                    &mut c,
+                    SimTime::from_millis(round * 100),
+                    ToController::CpuStats {
+                        container: ContainerId::new(i),
+                        stats,
+                    },
+                )
+                .iter()
+                .filter(|a| {
+                    matches!(
+                        a,
+                        Action::Agent {
+                            cmd: ToAgent::SetCpuQuota { .. },
+                            ..
+                        }
                     )
-                    .iter()
-                    .filter(|a| {
-                        matches!(
-                            a,
-                            Action::Agent {
-                                cmd: ToAgent::SetCpuQuota { .. },
-                                ..
-                            }
-                        )
-                    })
-                    .count() as u64;
+                })
+                .count() as u64;
             }
         }
         let s = c.stats();
@@ -1556,24 +1564,14 @@ mod tests {
                     &mut a,
                 );
             }
-            let b = single_batch_actions(&mut batched, now, entries);
+            let b = handle(
+                &mut batched,
+                now,
+                ToController::CpuStatsBatch { node: N0, entries },
+            );
             assert_eq!(a, b, "round {round}");
         }
         assert_eq!(single.stats(), batched.stats());
-    }
-
-    fn single_batch_actions(
-        c: &mut Controller,
-        now: SimTime,
-        entries: Vec<CpuStatsEntry>,
-    ) -> Vec<Action> {
-        let mut out = Vec::new();
-        c.handle_into(
-            now,
-            ToController::CpuStatsBatch { node: N0, entries },
-            &mut out,
-        );
-        out
     }
 
     #[test]
@@ -1599,7 +1597,8 @@ mod tests {
         // The container reports a limit *below* the books: the grant that
         // raised it was lost. The Controller re-sends the tracked limit
         // without touching the pool.
-        let actions = c.handle(
+        let actions = handle(
+            &mut c,
             SimTime::ZERO,
             ToController::OomEvent {
                 container: C0,

@@ -25,18 +25,14 @@
 //!   registry in sync with runtime container creation/teardown;
 //! * [`telemetry`] — control-plane message types and wire sizes for the
 //!   §VI-I network-overhead accounting;
-//! * [`sharded`] — N Controller shards behind an app-affine router, run
-//!   on the caller's thread with each shard's ingest clocked separately:
-//!   the §VI-I per-shard capacity model, decision-for-decision identical
-//!   to the sequential path.
+//! * [`sharded`] — the §VI-I per-shard capacity model: N Controller
+//!   shards behind an app-affine router that clocks each shard's
+//!   telemetry ingest separately, all on the caller's thread.
 //!
-//! Both Controller front-ends are generic over a
-//! [`TraceSink`](escra_metrics::trace::TraceSink): the default
-//! [`NoopSink`](escra_metrics::trace::NoopSink) compiles every
-//! instrumentation site out, while a
-//! [`TraceRecorder`](escra_metrics::trace::TraceRecorder) captures the
-//! §VI event stream (ingest, decisions, OOM grants, reclamation,
-//! shard-channel depth) for the `trace_dump` exposition.
+//! The [`Controller`] is generic over a [`TraceSink`]: the default
+//! [`NoopSink`] compiles every instrumentation site out, while a
+//! [`TraceRecorder`] captures the §VI event stream (ingest, decisions,
+//! OOM grants, reclamation) for the `trace_dump` exposition.
 //!
 //! ## Quick start
 //!
@@ -88,7 +84,7 @@ pub use config::EscraConfig;
 pub use controller::{Action, Controller, ControllerStats};
 pub use deployer::{deploy_app, initial_cpu_limit, initial_mem_limit, AppConfig};
 pub use distributed_container::DistributedContainer;
-pub use sharded::{PoolSnapshot, ShardedController};
+pub use sharded::ShardedController;
 pub use telemetry::{CpuStatsColumns, CpuStatsEntry, ToAgent, ToController};
 pub use watcher::ContainerWatcher;
 

@@ -78,6 +78,7 @@ pub fn run_tracking(
     let mut throttles = 0;
     let mut backlog_us = 0.0f64;
 
+    let mut actions = Vec::new();
     let mut t = SimTime::ZERO;
     while t < SimTime::ZERO + duration {
         let t_next = t + period;
@@ -93,19 +94,16 @@ pub fn run_tracking(
         }
         limit.record(t_next, stats.quota_cores);
         usage.record(t_next, stats.usage_us / period_us);
-        let actions = controller.handle(
+        controller.handle_into(
             t_next,
             ToController::CpuStats {
                 container: cid,
                 stats,
             },
+            &mut actions,
         );
-        for a in &actions {
-            if let Action::Agent { cmd, .. } = a {
-                agent.apply(&mut cluster, *cmd);
-            }
-        }
-        for a in controller.tick(t_next) {
+        controller.tick_into(t_next, &mut actions);
+        for a in actions.drain(..) {
             if let Action::Agent { cmd, .. } = a {
                 agent.apply(&mut cluster, cmd);
             }

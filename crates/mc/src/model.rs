@@ -649,7 +649,8 @@ impl<S: TraceSink> World<S> {
     pub fn clean_tick_to(&mut self, t: SimTime) {
         self.now = t;
         self.cluster.tick(t);
-        let actions = self.controller.tick(t);
+        let mut actions = Vec::new();
+        self.controller.tick_into(t, &mut actions);
         self.dispatch(actions);
     }
 

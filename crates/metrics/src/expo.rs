@@ -41,14 +41,6 @@ impl PromText {
         let _ = writeln!(self.out, "{name} {value}");
     }
 
-    /// Adds a gauge with one label per row, e.g. per-shard queue depths.
-    pub fn labeled_gauge(&mut self, name: &str, help: &str, label: &str, rows: &[(String, f64)]) {
-        self.header(name, help, "gauge");
-        for (value_of_label, v) in rows {
-            let _ = writeln!(self.out, "{name}{{{label}=\"{value_of_label}\"}} {v}");
-        }
-    }
-
     /// Adds a histogram as a Prometheus `summary`: φ-quantiles plus
     /// `_sum` / `_count` (sum is reconstructed as `mean × count`, exact
     /// to the histogram's bucket resolution).
@@ -125,25 +117,14 @@ impl HistogramSummary {
     }
 }
 
-/// Per-shard channel state in a JSON snapshot.
-#[derive(Debug, Clone, Serialize)]
-pub struct ShardDepth {
-    /// Shard index.
-    pub shard: u32,
-    /// Undrained work messages at snapshot time.
-    pub depth: u32,
-}
-
 /// The JSON snapshot of a control plane's observable state:
 /// `ControllerStats` counters (flattened to name/value pairs so this
-/// crate stays independent of `escra-core`), per-shard queue depths,
-/// decision-latency summaries, and trace-recorder health.
+/// crate stays independent of `escra-core`), decision-latency
+/// summaries, and trace-recorder health.
 #[derive(Debug, Clone, Serialize, Default)]
 pub struct ExpoSnapshot {
     /// Controller counters, one entry per stats field.
     pub counters: Vec<NamedCounter>,
-    /// Outstanding work per shard (empty for a serial controller).
-    pub shard_depths: Vec<ShardDepth>,
     /// Latency / decision histograms.
     pub histograms: Vec<HistogramSummary>,
     /// Events held across all trace recorders.
@@ -168,18 +149,10 @@ mod tests {
         let mut p = PromText::new();
         p.counter("escra_mem_grants_total", "Memory grants issued.", 7);
         p.gauge("escra_pool_cores", "Pool CPU limit.", 8.5);
-        p.labeled_gauge(
-            "escra_shard_depth",
-            "Queue depth per shard.",
-            "shard",
-            &[("0".into(), 3.0), ("1".into(), 0.0)],
-        );
         let text = p.finish();
         assert!(text.contains("# TYPE escra_mem_grants_total counter"));
         assert!(text.contains("escra_mem_grants_total 7"));
         assert!(text.contains("escra_pool_cores 8.5"));
-        assert!(text.contains("escra_shard_depth{shard=\"0\"} 3"));
-        assert!(text.contains("escra_shard_depth{shard=\"1\"} 0"));
     }
 
     #[test]
@@ -211,14 +184,12 @@ mod tests {
         h.record(250.0);
         let snap = ExpoSnapshot {
             counters: vec![NamedCounter::new("mem_grants", 3)],
-            shard_depths: vec![ShardDepth { shard: 0, depth: 2 }],
             histograms: vec![HistogramSummary::of("grant_latency_ms", &h)],
             trace_events: 41,
             trace_dropped: 0,
         };
         let json = snap.to_json();
         assert!(json.contains("\"mem_grants\""));
-        assert!(json.contains("\"shard\": 0"));
         assert!(json.contains("\"grant_latency_ms\""));
         assert!(json.contains("\"trace_events\": 41"));
     }

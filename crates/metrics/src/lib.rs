@@ -19,7 +19,7 @@
 //!   prices plus an OOM-kill penalty, so every comparison can also be
 //!   stated in normalized dollars (the cost-efficiency column);
 //! * [`expo`] — Prometheus-style text exposition and JSON snapshots of
-//!   controller counters, shard depths and decision-latency histograms;
+//!   controller counters and decision-latency histograms;
 //! * [`fingerprint`] — canonical FNV-1a state/trace fingerprints used by
 //!   the `escra-mc` model checker's visited set and replay witnesses.
 
@@ -35,7 +35,7 @@ pub mod serverless;
 pub mod trace;
 
 pub use cost::{CostBreakdown, CostModel};
-pub use expo::{ExpoSnapshot, HistogramSummary, NamedCounter, PromText, ShardDepth};
+pub use expo::{ExpoSnapshot, HistogramSummary, NamedCounter, PromText};
 pub use fingerprint::{fingerprint128, trace_fingerprint, Fingerprint, StateHash};
 pub use recorders::{Comparison, LatencyRecorder, RunMetrics, SlackRecorder};
 pub use report::{cdf_lines, downsample_cdf, to_json, Table};

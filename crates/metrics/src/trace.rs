@@ -27,29 +27,26 @@
 //!
 //! ## Determinism and the merge rule
 //!
-//! A sharded Controller produces one recorder per shard (plus one for
-//! the router), each with its own monotonic `seq`. [`merge_events`]
-//! folds any set of recorders into a single canonical stream by a
-//! stable sort on `(time, actor, class, seq)`:
+//! A traced run produces several recorders (the Controller, one per
+//! Agent, the fault injector), each with its own monotonic `seq`.
+//! [`merge_events`] folds any set of recorders into a single canonical
+//! stream by a stable sort on `(time, actor, class, seq)`:
 //!
 //! * `actor` ([`TraceEventKind::actor_key`]) scopes each event to the
-//!   entity it is about (container, node, fault edge, …). All of one
-//!   container's events come from its single home shard, so within an
-//!   `(time, actor)` cell the shard-local `seq` is already the emission
-//!   order — in the serial and the sharded Controller alike.
+//!   entity it is about (container, node, fault edge, …). Within an
+//!   `(time, actor)` cell of one recorder the local `seq` is the
+//!   emission order; a run split across recorders by actor merges to
+//!   the same stream as one recorder holding everything.
 //! * `class` is a recorder attribute ([`TraceRecorder::with_class`])
 //!   separating controller-side, agent-side and fault-injector
 //!   recorders, so seqs are never compared across unrelated streams.
-//! * Cluster-wide [`TraceEventKind::ReclaimSweep`] events are emitted
-//!   once per shard (every shard runs the reclaim schedule); identical
-//!   adjacent sweeps at one instant collapse to one, matching the
-//!   sequential Controller.
+//! * Identical adjacent [`TraceEventKind::ReclaimSweep`] events at one
+//!   instant collapse to one: a round can launch the periodic sweep and
+//!   an OOM-triggered sweep at the same time, and the Agents run it once.
 //!
-//! The rendered dump ([`render_merged`]) prints no seqs, no shard ids
-//! and no raw command sequence numbers — exactly the representational
-//! noise that differs between serial and sharded runs — so a fixed-seed
-//! scenario renders byte-identically in both modes (`trace_dump` in
-//! `escra-bench`, gated by `scripts/check.sh`).
+//! The rendered dump ([`render_merged`]) prints no seqs and no raw
+//! command sequence numbers, so a fixed-seed scenario renders
+//! byte-identically run to run (`trace_dump` in `escra-bench`).
 
 use escra_simcore::histogram::LogHistogram;
 use escra_simcore::time::SimTime;
@@ -61,8 +58,6 @@ const ACTOR_NODE: u64 = 1 << 40;
 const ACTOR_SWEEP: u64 = 1 << 41;
 /// Actor-key namespace tag for fault-injector edges.
 const ACTOR_FAULT: u64 = 1 << 42;
-/// Actor-key namespace tag for shard-channel events.
-const ACTOR_SHARD: u64 = 1 << 43;
 
 /// What happened, with the inputs that drove it. Ids are raw `u64`s
 /// (`ContainerId::as_u64` etc.) so this crate needs no dependency on
@@ -210,28 +205,13 @@ pub enum TraceEventKind {
         /// Receiver address (raw).
         to: u64,
     },
-    /// The router enqueued work onto a shard channel.
-    ShardEnqueue {
-        /// Target shard.
-        shard: u32,
-        /// Outstanding (undrained) work messages on that shard after
-        /// the enqueue.
-        depth: u32,
-    },
-    /// The router drained a shard's accumulated actions.
-    ShardDequeue {
-        /// Drained shard.
-        shard: u32,
-        /// Work messages enqueued since the previous drain.
-        drained: u32,
-    },
 }
 
 impl TraceEventKind {
     /// The entity this event is about, as a sort key namespace. Within
     /// one `(time, actor_key, class)` cell the recorder-local `seq` is
-    /// the emission order in both the serial and the sharded
-    /// Controller, which is what makes [`merge_events`] deterministic.
+    /// the emission order, which is what makes [`merge_events`]
+    /// deterministic.
     pub fn actor_key(&self) -> u64 {
         use TraceEventKind::*;
         match *self {
@@ -253,18 +233,7 @@ impl TraceEventKind {
             FaultDrop { from, to, .. }
             | FaultDelay { from, to, .. }
             | FaultDuplicate { from, to } => ACTOR_FAULT | (from << 20) | to,
-            ShardEnqueue { shard, .. } | ShardDequeue { shard, .. } => ACTOR_SHARD | shard as u64,
         }
-    }
-
-    /// Whether this event exists only in sharded runs (channel
-    /// enqueue/dequeue). [`render_merged`] filters these out so the
-    /// dump stays serial-vs-sharded comparable.
-    pub fn is_shard_channel(&self) -> bool {
-        matches!(
-            self,
-            TraceEventKind::ShardEnqueue { .. } | TraceEventKind::ShardDequeue { .. }
-        )
     }
 
     /// A stable snake_case label for rendering and counting.
@@ -289,8 +258,6 @@ impl TraceEventKind {
             FaultDrop { .. } => "fault_drop",
             FaultDelay { .. } => "fault_delay",
             FaultDuplicate { .. } => "fault_duplicate",
-            ShardEnqueue { .. } => "shard_enqueue",
-            ShardDequeue { .. } => "shard_dequeue",
         }
     }
 }
@@ -435,9 +402,9 @@ impl TraceSink for TraceRecorder {
 }
 
 /// Merges any number of recorders into one canonical event stream (see
-/// the module docs for why this is deterministic across serial and
-/// sharded runs): stable sort by `(time, actor, class, seq)`, then
-/// collapse adjacent identical cluster-wide sweeps at one instant.
+/// the module docs for why this is deterministic): stable sort by
+/// `(time, actor, class, seq)`, then collapse adjacent identical
+/// cluster-wide sweeps at one instant.
 pub fn merge_events(recorders: &[&TraceRecorder]) -> Vec<TraceEvent> {
     let mut tagged: Vec<(u16, TraceEvent)> = recorders
         .iter()
@@ -459,9 +426,8 @@ pub fn merge_events(recorders: &[&TraceRecorder]) -> Vec<TraceEvent> {
     tagged.into_iter().map(|(_, e)| e).collect()
 }
 
-/// Renders one event as a text line. Deliberately prints **no** seq and
-/// no shard id — those are representational artefacts that differ
-/// between serial and sharded runs of the same scenario.
+/// Renders one event as a text line. Deliberately prints **no** seq —
+/// a recorder-local artefact, not part of the decision.
 pub fn render_line(e: &TraceEvent, out: &mut String) {
     use TraceEventKind::*;
     let _ = write!(out, "t={}us {}", e.time.as_micros(), e.kind.label());
@@ -533,22 +499,15 @@ pub fn render_line(e: &TraceEvent, out: &mut String) {
             write!(out, " from={from} to={to} extra_us={extra_us}")
         }
         FaultDuplicate { from, to } => write!(out, " from={from} to={to}"),
-        ShardEnqueue { shard, depth } => write!(out, " shard={shard} depth={depth}"),
-        ShardDequeue { shard, drained } => write!(out, " shard={shard} drained={drained}"),
     };
     out.push('\n');
 }
 
-/// Merges `recorders` and renders the comparable decision trace:
-/// shard-channel events (which exist only in sharded runs) are
-/// filtered out, everything else becomes one line per event.
+/// Merges `recorders` and renders the decision trace, one line per
+/// event.
 pub fn render_merged(recorders: &[&TraceRecorder]) -> String {
-    let events = merge_events(recorders);
     let mut out = String::new();
-    for e in &events {
-        if e.kind.is_shard_channel() {
-            continue;
-        }
+    for e in &merge_events(recorders) {
         render_line(e, &mut out);
     }
     out
@@ -703,17 +662,15 @@ mod tests {
             nodes: 4,
             delta_bytes: 50,
         };
-        // Four shards all launch the periodic sweep at t = 5 s.
-        let mut shards: Vec<TraceRecorder> =
-            (0..4).map(|_| TraceRecorder::with_capacity(8)).collect();
-        for s in &mut shards {
-            s.emit(SimTime::from_secs(5), sweep);
-            s.emit(SimTime::from_secs(10), sweep);
+        // The periodic and an OOM-triggered sweep launch at one instant.
+        let mut twice = TraceRecorder::with_capacity(8);
+        for t in [5, 5, 10, 10] {
+            twice.emit(SimTime::from_secs(t), sweep);
         }
-        let refs: Vec<&TraceRecorder> = shards.iter().collect();
+        let refs = [&twice];
         let merged = merge_events(&refs);
         assert_eq!(merged.len(), 2, "one sweep per instant survives");
-        // A sequential Controller emitting one sweep renders the same.
+        // A recorder holding one sweep per instant renders the same.
         let mut serial = TraceRecorder::with_capacity(8);
         serial.emit(SimTime::from_secs(5), sweep);
         serial.emit(SimTime::from_secs(10), sweep);
@@ -721,30 +678,16 @@ mod tests {
     }
 
     #[test]
-    fn render_omits_seqs_and_filters_shard_channel_events() {
+    fn render_omits_seqs() {
         let mut r = TraceRecorder::with_capacity(8);
-        r.emit(
-            SimTime::from_millis(100),
-            TraceEventKind::ShardEnqueue { shard: 1, depth: 3 },
-        );
+        r.emit(SimTime::ZERO, TraceEventKind::GrantDenied { container: 3 });
         ev(&mut r, 200_000, 7);
         let text = render_merged(&[&r]);
-        assert_eq!(text, "t=200000us grant_issued container=7 new_limit=1\n");
-        assert!(!text.contains("seq"));
-        // The raw line renderer still knows shard events (for debug dumps).
-        let mut line = String::new();
-        render_line(
-            &TraceEvent {
-                time: SimTime::ZERO,
-                seq: 0,
-                kind: TraceEventKind::ShardDequeue {
-                    shard: 2,
-                    drained: 9,
-                },
-            },
-            &mut line,
+        assert_eq!(
+            text,
+            "t=0us grant_denied container=3\nt=200000us grant_issued container=7 new_limit=1\n"
         );
-        assert_eq!(line, "t=0us shard_dequeue shard=2 drained=9\n");
+        assert!(!text.contains("seq"));
     }
 
     #[test]

@@ -37,18 +37,18 @@ fn main() {
             ContainerSpec::new("idle", AppId::new(0)).with_restart_delay(SimDuration::ZERO),
         ],
     };
-    let (ids, actions) =
+    let (ids, mut actions) =
         deploy_app(&cfg, &app, &mut cluster, &mut controller, SimTime::ZERO).expect("deploy");
     let (busy, idle) = (ids[0], ids[1]);
     let mut agents: Vec<Agent> = cluster.nodes().iter().map(|n| Agent::new(n.id())).collect();
-    let mut apply = |cluster: &mut Cluster, actions: Vec<Action>| {
-        for a in actions {
+    let mut apply = |cluster: &mut Cluster, actions: &mut Vec<Action>| {
+        for a in actions.drain(..) {
             if let Action::Agent { node, cmd } = a {
                 agents[node.as_u64() as usize].apply(cluster, cmd);
             }
         }
     };
-    apply(&mut cluster, actions);
+    apply(&mut cluster, &mut actions);
     cluster.tick(SimTime::ZERO);
 
     println!(
@@ -72,14 +72,15 @@ fn main() {
                 c.cpu.mark_throttled();
             }
             let stats = c.cpu.end_period();
-            let actions = controller.handle(
+            controller.handle_into(
                 now,
                 ToController::CpuStats {
                     container: cid,
                     stats,
                 },
+                &mut actions,
             );
-            apply(&mut cluster, actions);
+            apply(&mut cluster, &mut actions);
         }
         if step % 5 == 4 {
             let q_busy = cluster.container(busy).unwrap().cpu.quota_cores();

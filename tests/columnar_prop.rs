@@ -1,10 +1,11 @@
 //! Decision-identity property tests for the columnar CPU telemetry
 //! ingest path: the per-message (`CpuStats`), row-batch
-//! (`ingest_cpu_batch`) and columnar (`ingest_cpu_columns`) forms —
-//! serial and sharded at every shard count N ∈ {1, 2, 4, 7} — must
+//! (`ingest_cpu_batch`) and columnar (`ingest_cpu_columns`) forms must
 //! make the same decisions, bump the same counters, and render
-//! byte-identical merged decision traces, under content-keyed
-//! telemetry fault plans (lost and duplicated reports).
+//! byte-identical merged decision traces, and the app-sharded capacity
+//! model must make the same decisions at every shard count
+//! N ∈ {1, 2, 4, 7} — under content-keyed telemetry fault plans (lost
+//! and duplicated reports).
 //!
 //! ## Why the forms are exactly comparable
 //!
@@ -19,14 +20,13 @@
 //! ## What the sharded side additionally exercises
 //!
 //! The sharded run consumes each node's report list as a content-keyed
-//! *mix* of all three forms (runs of per-message, batch and columnar
-//! deliveries), so the router's per-shard split of every form must
-//! keep each shard's reports in arrival order, or decision identity
-//! breaks.
+//! *mix* of one-entry row batches, longer row batches and columnar
+//! blocks, so the router's per-shard split of both forms must keep each
+//! shard's reports in arrival order, or decision identity breaks.
 //!
 //! ## Fault plans
 //!
-//! As in `sharded_prop`, faults are content-keyed — a report's fate is
+//! As in `app_partition_prop`, faults are content-keyed — a report's fate is
 //! a hash of `(container, namespace, round, seed)` — so every
 //! representation of the stream loses or duplicates exactly the same
 //! logical reports, independent of delivery order.
@@ -152,7 +152,8 @@ proptest! {
     /// vs per-message `CpuStats`, serial and sharded at N ∈ {1, 2, 4,
     /// 7}, under content-keyed loss/duplication fault plans — equal
     /// decisions (the serial sides byte-equal including seqs), equal
-    /// stats counters, and byte-equal merged decision traces.
+    /// stats counters, and byte-equal merged decision traces across the
+    /// three serial forms.
     #[test]
     fn columnar_batch_and_per_message_ingest_are_decision_identical(
         fault_seed in any::<u64>(),
@@ -168,11 +169,7 @@ proptest! {
             let mut by_msg = Controller::with_sink(EscraConfig::default(), rec());
             let mut by_batch = Controller::with_sink(EscraConfig::default(), rec());
             let mut by_cols = Controller::with_sink(EscraConfig::default(), rec());
-            let mut sharded = ShardedController::with_sinks(
-                EscraConfig::default(),
-                n_shards,
-                |i| rec().with_class(i as u16),
-            );
+            let mut sharded = ShardedController::new(EscraConfig::default(), n_shards);
             for a in 0..N_APPS {
                 let (app, omega, mem) = (AppId::new(a), 6.0, 1u64 << 30);
                 by_msg.register_app(app, omega, mem);
@@ -205,7 +202,7 @@ proptest! {
                 now += SimDuration::from_millis(100);
                 let r = round_idx as u64;
 
-                // All four representations agree bit-for-bit on every
+                // The three serial forms agree bit-for-bit on every
                 // tracked quota before the round's telemetry lands.
                 for i in 0..N_CONT {
                     let c = ContainerId::new(i);
@@ -218,7 +215,6 @@ proptest! {
                         q,
                         by_cols.allocator().quota_of(c).expect("tracked").to_bits()
                     );
-                    prop_assert_eq!(q, sharded.quota_of(c).expect("tracked").to_bits());
                 }
 
                 // The round's reports, through the content-keyed fault
@@ -280,9 +276,10 @@ proptest! {
                     }
                     by_cols.ingest_cpu_columns_at(now, &cols, &mut acts_c);
                     // Sharded side: the same reports as content-keyed
-                    // runs mixing all three forms, which interleaves
-                    // columnar sub-blocks with row-form deliveries to
-                    // the same shards.
+                    // runs of one-entry batches, longer batches and
+                    // columnar blocks, which interleaves columnar
+                    // sub-blocks with row-form deliveries to the same
+                    // shards.
                     let form_of = |k: usize| {
                         (fate(fault_seed, (node as u64) * 131 + k as u64, FATE_FORM, r)
                             * 3.0) as usize
@@ -298,27 +295,20 @@ proptest! {
                         match form.min(2) {
                             0 => {
                                 for rep in run {
-                                    let e = rep.entry();
-                                    sharded.handle(
-                                        now,
-                                        ToController::CpuStats {
-                                            container: e.container,
-                                            stats: e.stats,
-                                        },
-                                    );
+                                    sharded.ingest_cpu_batch(&[rep.entry()]);
                                 }
                             }
                             1 => {
                                 let entries: Vec<CpuStatsEntry> =
                                     run.iter().map(Report::entry).collect();
-                                sharded.ingest_cpu_batch_at(now, &entries);
+                                sharded.ingest_cpu_batch(&entries);
                             }
                             _ => {
                                 let mut sub = CpuStatsColumns::new();
                                 for rep in run {
                                     rep.push_into(&mut sub);
                                 }
-                                sharded.ingest_cpu_columns_at(now, &sub);
+                                sharded.ingest_cpu_columns(&sub);
                             }
                         }
                         k = end;
@@ -343,23 +333,16 @@ proptest! {
                 prop_assert_eq!(by_msg.stats(), sharded.stats(), "stats (n={})", n_shards);
             }
 
-            // Merged decision traces are byte-identical across all four
-            // representations — full streams, nothing wrapped away.
+            // Merged decision traces are byte-identical across the three
+            // serial forms — full streams, nothing wrapped away.
             prop_assert_eq!(by_msg.sink().dropped(), 0);
             prop_assert_eq!(by_batch.sink().dropped(), 0);
             prop_assert_eq!(by_cols.sink().dropped(), 0);
-            let sinks = sharded.take_sinks();
-            for s in &sinks {
-                prop_assert_eq!(s.dropped(), 0);
-            }
-            let refs: Vec<&TraceRecorder> = sinks.iter().collect();
             let t_msg = render_merged(&[by_msg.sink()]);
             let t_batch = render_merged(&[by_batch.sink()]);
             let t_cols = render_merged(&[by_cols.sink()]);
-            let t_sharded = render_merged(&refs);
             prop_assert_eq!(&t_msg, &t_batch, "trace: per-message vs batch");
             prop_assert_eq!(&t_msg, &t_cols, "trace: per-message vs columnar");
-            prop_assert_eq!(&t_msg, &t_sharded, "trace: serial vs sharded (n={})", n_shards);
         }
     }
 }

@@ -248,11 +248,12 @@ proptest! {
                     },
                 }
             };
-            let mut actions = ctl.handle(now, msg);
+            let mut actions = Vec::new();
+            ctl.handle_into(now, msg, &mut actions);
             for ack in acks.drain(..) {
-                actions.extend(ctl.handle(now, ack));
+                ctl.handle_into(now, ack, &mut actions);
             }
-            actions.extend(ctl.tick(now));
+            ctl.tick_into(now, &mut actions);
             // Deliver Agent commands through the faulty fabric into the
             // shadow world; empty reclaim reports may kill pending OOMs.
             let mut saw_reclaim = false;
@@ -415,8 +416,8 @@ proptest! {
                 single.handle_into(now, msg.clone(), &mut acts_single);
                 batched.handle_into(now, msg, &mut acts_batched);
             }
-            acts_single.extend(single.tick(now));
-            acts_batched.extend(batched.tick(now));
+            single.tick_into(now, &mut acts_single);
+            batched.tick_into(now, &mut acts_batched);
             prop_assert_eq!(&acts_single, &acts_batched, "action divergence");
             prop_assert_eq!(single.stats(), batched.stats());
 

@@ -110,13 +110,15 @@ fn grant_on_exactly_zero_headroom_then_denied() {
     assert_eq!(pool.unallocated_mem_bytes(), 64 * MIB);
 
     let t = SimTime::from_millis(100);
-    let actions = ctl.handle(
+    let mut actions = Vec::new();
+    ctl.handle_into(
         t,
         ToController::OomEvent {
             container: c,
             shortfall_bytes: 64 * MIB,
             current_limit_bytes: 96 * MIB,
         },
+        &mut actions,
     );
     assert_eq!(actions.len(), 1);
     // Granted to the last byte: limit 160 MiB, headroom now zero.
@@ -130,13 +132,15 @@ fn grant_on_exactly_zero_headroom_then_denied() {
     );
 
     let t2 = SimTime::from_millis(200);
-    let actions = ctl.handle(
+    actions.clear();
+    ctl.handle_into(
         t2,
         ToController::OomEvent {
             container: c,
             shortfall_bytes: 8 * MIB,
             current_limit_bytes: 160 * MIB,
         },
+        &mut actions,
     );
     // Denied: the answer is a cluster-wide sweep, not a grant, and the
     // tracked limit did not move.
@@ -182,15 +186,16 @@ fn grant_deltas_match_pool_and_reconcile_is_free() {
         shortfall_bytes: 8 * MIB,
         current_limit_bytes: current,
     };
-    ctl.handle(t, oom(c0, 96 * MIB));
+    let mut actions = Vec::new();
+    ctl.handle_into(t, oom(c0, 96 * MIB), &mut actions);
     let allocated_mid = ctl.allocator().app_pool(APP).unwrap().allocated_mem_bytes();
-    ctl.handle(t, oom(c0, 96 * MIB)); // duplicate → reconcile
+    ctl.handle_into(t, oom(c0, 96 * MIB), &mut actions); // duplicate → reconcile
     assert_eq!(
         ctl.allocator().app_pool(APP).unwrap().allocated_mem_bytes(),
         allocated_mid,
         "reconcile must not touch the pool"
     );
-    ctl.handle(t, oom(c1, 96 * MIB));
+    ctl.handle_into(t, oom(c1, 96 * MIB), &mut actions);
     let allocated_after = ctl.allocator().app_pool(APP).unwrap().allocated_mem_bytes();
 
     // Replay the trace against a limits ledger: each GrantIssued's
@@ -245,13 +250,15 @@ fn abandoned_grant_settles_pool_exactly_once_despite_straggler_ack() {
 
     // OOM → 32 MiB block grant; the SetMemLimit is never acked.
     let t = SimTime::from_millis(100);
-    let actions = ctl.handle(
+    let mut actions = Vec::new();
+    ctl.handle_into(
         t,
         ToController::OomEvent {
             container: c,
             shortfall_bytes: 8 * MIB,
             current_limit_bytes: 96 * MIB,
         },
+        &mut actions,
     );
     assert_eq!(actions.len(), 1);
     let allocated_after_grant = ctl.allocator().app_pool(APP).unwrap().allocated_mem_bytes();
@@ -260,8 +267,9 @@ fn abandoned_grant_settles_pool_exactly_once_despite_straggler_ack() {
     // Let the retry timer run dry: max_retries re-sends, then abandon.
     let mut last_seq = None;
     for step in 1..(max_retries as u64 + 3) {
-        let retries = ctl.tick(SimTime::from_millis(100 + 600 * step));
-        for a in &retries {
+        actions.clear();
+        ctl.tick_into(SimTime::from_millis(100 + 600 * step), &mut actions);
+        for a in &actions {
             if let escra::core::Action::Agent {
                 cmd: escra::core::ToAgent::SetMemLimit { seq, .. },
                 ..
@@ -286,12 +294,13 @@ fn abandoned_grant_settles_pool_exactly_once_despite_straggler_ack() {
     // pool, must not resurrect or re-clear a pending grant, and must
     // not add a grant_acked to the story.
     let straggler_seq = last_seq.expect("at least one retry was sent");
-    ctl.handle(
+    ctl.handle_into(
         SimTime::from_secs(10),
         ToController::LimitAck {
             container: c,
             seq: straggler_seq,
         },
+        &mut actions,
     );
     assert_eq!(ctl.pending_grant_count(), 0);
     assert_eq!(
@@ -303,13 +312,14 @@ fn abandoned_grant_settles_pool_exactly_once_despite_straggler_ack() {
 
     // The next OOM from the (still-96 MiB-limited) container reconciles
     // the tracked 128 MiB limit instead of granting again.
-    ctl.handle(
+    ctl.handle_into(
         SimTime::from_secs(11),
         ToController::OomEvent {
             container: c,
             shortfall_bytes: 8 * MIB,
             current_limit_bytes: 96 * MIB,
         },
+        &mut actions,
     );
     assert_eq!(
         ctl.allocator().app_pool(APP).unwrap().allocated_mem_bytes(),
@@ -351,13 +361,15 @@ fn sibling_reclaim_credits_pool_before_retry() {
 
     // 40 MiB shortfall > 8 MiB headroom → denied, sweep requested.
     let t = SimTime::from_millis(2_600);
-    let sweep_actions = ctl.handle(
+    let mut sweep_actions = Vec::new();
+    ctl.handle_into(
         t,
         ToController::OomEvent {
             container: hungry,
             shortfall_bytes: 40 * MIB,
             current_limit_bytes: 96 * MIB,
         },
+        &mut sweep_actions,
     );
     assert!(!sweep_actions.is_empty(), "denied OOM must launch a sweep");
 

@@ -43,13 +43,15 @@ fn throttled_tenant_cannot_take_from_the_other_pool() {
     let mut c = two_tenant_controller();
     // Tenant A is fully allocated: throttles must not yield grants even
     // though tenant B has 2 unallocated cores sitting right there.
+    let mut actions = Vec::new();
     for _ in 0..10 {
-        let actions = c.handle(
+        c.handle_into(
             SimTime::ZERO,
             ToController::CpuStats {
                 container: ContainerId::new(0),
                 stats: throttled(2.0),
             },
+            &mut actions,
         );
         assert!(
             actions.is_empty(),
@@ -65,12 +67,14 @@ fn throttled_tenant_cannot_take_from_the_other_pool() {
 fn tenant_with_headroom_still_scales() {
     let mut c = two_tenant_controller();
     // Tenant B has 2 unallocated cores; its throttled container grows.
-    let actions = c.handle(
+    let mut actions = Vec::new();
+    c.handle_into(
         SimTime::ZERO,
         ToController::CpuStats {
             container: ContainerId::new(10),
             stats: throttled(1.0),
         },
+        &mut actions,
     );
     assert_eq!(actions.len(), 1);
     match actions[0] {
@@ -93,13 +97,15 @@ fn oom_grants_come_from_the_owners_pool_only() {
         .expect("tenant B")
         .unallocated_mem_bytes();
     // Tenant A container OOMs; its pool has 512 MiB headroom.
-    let actions = c.handle(
+    let mut actions = Vec::new();
+    c.handle_into(
         SimTime::ZERO,
         ToController::OomEvent {
             container: ContainerId::new(0),
             shortfall_bytes: MIB,
             current_limit_bytes: 256 * MIB,
         },
+        &mut actions,
     );
     assert!(matches!(
         actions[0],
@@ -131,12 +137,14 @@ fn released_capacity_stays_within_the_tenant() {
         unused_runtime_us: 190_000.0,
         throttled: false,
     };
-    c.handle(
+    let mut actions = Vec::new();
+    c.handle_into(
         SimTime::ZERO,
         ToController::CpuStats {
             container: ContainerId::new(1),
             stats: idle,
         },
+        &mut actions,
     );
     let freed = c
         .allocator()
@@ -145,12 +153,14 @@ fn released_capacity_stays_within_the_tenant() {
         .unallocated_cpu_cores();
     assert!(freed > 0.5, "scale-down must free tenant A capacity");
     // ...and tenant A's other container can now grow into it.
-    let actions = c.handle(
+    actions.clear();
+    c.handle_into(
         SimTime::ZERO,
         ToController::CpuStats {
             container: ContainerId::new(0),
             stats: throttled(2.0),
         },
+        &mut actions,
     );
     assert!(
         !actions.is_empty(),
