@@ -15,7 +15,10 @@
 //! `Timeout` events fire and queues grow hundreds of jobs deep; VPA, the
 //! one policy that restarts containers on update, also fails whole deep
 //! queues. Every other cell runs 8 s against a 10 s timeout and schedules
-//! no `Timeout` at all.
+//! no `Timeout` at all. Two last cells pin the request path's arithmetic
+//! at its edges: Autopilot on HipsterShop through a whole burst (25 s),
+//! and a ladder app whose every latency sample is an exact power of two
+//! of milliseconds, the lower edge of a latency-histogram binade.
 //!
 //! The fixture was generated *before* the driver lost its second engine
 //! and its four copy-pasted scaler arms, so a green run proves that
@@ -34,7 +37,9 @@ use escra::harness::{run, MicroSimConfig, MicroSimOutput, Policy, ReportPlan};
 use escra::metrics::trace_fingerprint;
 use escra::net::FaultPlan;
 use escra::simcore::time::SimDuration;
-use escra::workloads::{hipster_shop, teastore, MicroserviceApp, WorkloadKind};
+use escra::workloads::{
+    hipster_shop, teastore, MicroserviceApp, RequestClass, ServiceTier, WorkloadKind,
+};
 use std::path::Path;
 
 /// `escra_bench::SEED` (the committed-artifact master seed) and a second
@@ -187,7 +192,79 @@ fn render() -> String {
             &o,
         ));
     }
+    // Autopilot through a whole burst: 25 s measured from t = 10 s takes
+    // in the burst of [20 s, 30 s), so its decayed histograms hold weight
+    // at both the calm and the burst usage.
+    let (cell, app, wl) = cells().swap_remove(1);
+    let seed = SEEDS[0];
+    out.push_str(&digest_line(
+        &format!("cell={cell} seed={seed} secs=25"),
+        &run(&cfg(&app, &wl, Policy::autopilot_default(), seed)
+            .with_duration(SimDuration::from_secs(25))),
+    ));
+    // Latency samples on exact powers of two.
+    let cfg = MicroSimConfig::new(
+        pow2_ladder(),
+        WorkloadKind::Fixed { rps: 40.0 },
+        Policy::escra_default(),
+        seed,
+    )
+    .with_duration(SimDuration::from_secs(RUN_SECS));
+    let o = run(&cfg);
+    let cdf = o.metrics.latency.cdf();
+    assert_eq!(cdf.len(), 5, "one bucket per rung: {cdf:?}");
+    for (i, &(ms, _)) in cdf.iter().enumerate() {
+        // The midpoint of sub-bucket 0 of the binade [2^(i-1), 2^i) ms.
+        let want = 0.5 * (1u64 << i) as f64 * (1.0 + 0.5 / 64.0);
+        assert_eq!(ms, want, "rung {i}: {cdf:?}");
+    }
+    out.push_str(&digest_line(
+        &format!("cell=Pow2Ladder/fixed40 seed={seed}"),
+        &o,
+    ));
     out
+}
+
+/// A five-rung ladder of one-replica tiers with constant stage costs of
+/// 0.5, 0.5, 1, 2 and 4 core-ms on a one-core thread pool, and one class
+/// stopping at each rung. Requests arrive 25 ms apart and no background
+/// work runs, so no request waits: it takes exactly 0.5, 1, 2, 4 or 8 ms,
+/// a latency sample on the lower edge of a binade of the histogram.
+fn pow2_ladder() -> MicroserviceApp {
+    let costs_ms = [0.5, 0.5, 1.0, 2.0, 4.0];
+    let tiers = costs_ms
+        .iter()
+        .enumerate()
+        .map(|(i, &cpu_per_req_ms)| ServiceTier {
+            name: format!("rung{i}"),
+            replicas: 1,
+            cpu_per_req_ms,
+            cpu_cv: 0.0,
+            mem_base_mib: 64,
+            mem_per_inflight_kib: 256,
+            mem_cache_mib: 32,
+            parallelism: 1.0,
+            startup_cpu_cores: 0.0,
+            bg_work_ms: 0.0,
+            bg_interval_s: 0.0,
+        })
+        .collect();
+    let classes = (0..costs_ms.len())
+        .map(|k| RequestClass {
+            name: format!("to-rung{k}"),
+            weight: 1.0,
+            path: (0..=k).collect(),
+        })
+        .collect();
+    let app = MicroserviceApp {
+        name: "pow2-ladder".into(),
+        tiers,
+        classes,
+        global_cpu_cores: 4.0,
+        global_mem_mib: 1024,
+    };
+    app.validate();
+    app
 }
 
 #[test]
