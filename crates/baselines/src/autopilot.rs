@@ -118,9 +118,18 @@ impl AutopilotConfig {
 
 /// An exponentially decaying histogram over non-negative values with
 /// fixed-width buckets.
+///
+/// Every bucket outside `span` holds exactly zero weight, so decay and
+/// scans touch the span only: a container whose usage stays within a
+/// core touches ~20 of the 1 281 buckets. That is exact, not an
+/// approximation — `0 × decay` is `0`, and a scan that adds zeros to a
+/// zero running sum leaves it zero — so every weight, total and
+/// percentile is the bit the whole-array walk gives.
 #[derive(Debug, Clone)]
 struct DecayedHistogram {
     weights: Vec<f64>,
+    /// The buckets that ever received a sample (empty before the first).
+    span: std::ops::Range<usize>,
     bucket_width: f64,
     decay: f64, // per-sample multiplicative decay
     total: f64,
@@ -131,6 +140,7 @@ impl DecayedHistogram {
         let n = (max_value / bucket_width).ceil() as usize + 1;
         DecayedHistogram {
             weights: vec![0.0; n],
+            span: 0..0,
             bucket_width,
             decay: 0.5f64.powf(1.0 / half_life_samples),
             total: 0.0,
@@ -138,13 +148,18 @@ impl DecayedHistogram {
     }
 
     fn observe(&mut self, value: f64) {
-        for w in &mut self.weights {
+        for w in &mut self.weights[self.span.clone()] {
             *w *= self.decay;
         }
         self.total *= self.decay;
         let idx = ((value / self.bucket_width) as usize).min(self.weights.len() - 1);
         self.weights[idx] += 1.0;
         self.total += 1.0;
+        self.span = if self.span.is_empty() {
+            idx..idx + 1
+        } else {
+            self.span.start.min(idx)..self.span.end.max(idx + 1)
+        };
     }
 
     fn percentile(&self, p: f64) -> f64 {
@@ -152,9 +167,15 @@ impl DecayedHistogram {
             return 0.0;
         }
         let target = self.total * p / 100.0;
+        // The whole-array walk reaches `target` in bucket 0 when a zero
+        // sum already does (`p = 0`); below the span its sum stays zero,
+        // and past the span it never grows.
+        if 0.0 >= target {
+            return self.bucket_width;
+        }
         let mut cum = 0.0;
-        for (i, w) in self.weights.iter().enumerate() {
-            cum += w;
+        for i in self.span.clone() {
+            cum += self.weights[i];
             if cum >= target {
                 return (i as f64 + 1.0) * self.bucket_width;
             }
@@ -176,6 +197,26 @@ struct ContainerState {
     mem_decay: f64,
     applied_cpu: f64,
     applied_mem: u64,
+}
+
+impl ContainerState {
+    fn new(cfg: &AutopilotConfig) -> Self {
+        ContainerState {
+            arms: cfg
+                .arms
+                .iter()
+                .map(|a| ArmState {
+                    // 0.05-core buckets up to 64 cores.
+                    hist: DecayedHistogram::new(0.05, 64.0, a.half_life_samples),
+                    cost: 0.0,
+                })
+                .collect(),
+            mem_peak: 0.0,
+            mem_decay: 0.5f64.powf(1.0 / cfg.mem_half_life_samples),
+            applied_cpu: 0.0,
+            applied_mem: 0,
+        }
+    }
 }
 
 /// The Autopilot-style periodic scaler.
@@ -263,23 +304,9 @@ impl AutopilotScaler {
 
     fn state_for(&mut self, container: ContainerId) -> &mut ContainerState {
         let cfg = &self.cfg;
-        self.containers.entry(container).or_insert_with(|| {
-            ContainerState {
-                arms: cfg
-                    .arms
-                    .iter()
-                    .map(|a| ArmState {
-                        // 0.05-core buckets up to 64 cores.
-                        hist: DecayedHistogram::new(0.05, 64.0, a.half_life_samples),
-                        cost: 0.0,
-                    })
-                    .collect(),
-                mem_peak: 0.0,
-                mem_decay: 0.5f64.powf(1.0 / cfg.mem_half_life_samples),
-                applied_cpu: 0.0,
-                applied_mem: 0,
-            }
-        })
+        self.containers
+            .entry(container)
+            .or_insert_with(|| ContainerState::new(cfg))
     }
 
     fn arm_candidate(arm: &Arm, state: &ArmState, floor: f64) -> f64 {
@@ -291,12 +318,15 @@ impl PeriodicScaler for AutopilotScaler {
     fn observe(&mut self, container: ContainerId, sample: UsageSample) {
         validate_observation(&sample, f64::INFINITY);
         let cost_decay = self.cost_decay;
-        let (w_o, w_u, w_d) = (self.cfg.w_overrun, self.cfg.w_underrun, self.cfg.w_delta);
-        let arms = self.cfg.arms.clone();
-        let floor = self.cfg.min_cpu_cores;
-        let state = self.state_for(container);
+        let cfg = &self.cfg;
+        let (w_o, w_u, w_d) = (cfg.w_overrun, cfg.w_underrun, cfg.w_delta);
+        let floor = cfg.min_cpu_cores;
+        let state = self
+            .containers
+            .entry(container)
+            .or_insert_with(|| ContainerState::new(cfg));
         let applied = state.applied_cpu;
-        for (arm, st) in arms.iter().zip(state.arms.iter_mut()) {
+        for (arm, st) in cfg.arms.iter().zip(state.arms.iter_mut()) {
             st.hist.observe(sample.cpu_cores);
             let candidate = (st.hist.percentile(arm.percentile) * (1.0 + arm.margin)).max(floor);
             let over = (sample.cpu_cores - candidate).max(0.0) / candidate.max(1e-6);
@@ -378,8 +408,131 @@ impl PeriodicScaler for AutopilotScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const C: ContainerId = ContainerId::new(0);
+
+    /// [`DecayedHistogram`] as it was before it tracked its span: decay
+    /// and percentile walk the whole array. The reference the span walk is
+    /// held to.
+    struct FullScan {
+        weights: Vec<f64>,
+        bucket_width: f64,
+        decay: f64,
+        total: f64,
+    }
+
+    impl FullScan {
+        fn new(bucket_width: f64, max_value: f64, half_life_samples: f64) -> Self {
+            let n = (max_value / bucket_width).ceil() as usize + 1;
+            FullScan {
+                weights: vec![0.0; n],
+                bucket_width,
+                decay: 0.5f64.powf(1.0 / half_life_samples),
+                total: 0.0,
+            }
+        }
+
+        fn observe(&mut self, value: f64) {
+            for w in &mut self.weights {
+                *w *= self.decay;
+            }
+            self.total *= self.decay;
+            let idx = ((value / self.bucket_width) as usize).min(self.weights.len() - 1);
+            self.weights[idx] += 1.0;
+            self.total += 1.0;
+        }
+
+        fn percentile(&self, p: f64) -> f64 {
+            if self.total <= 0.0 {
+                return 0.0;
+            }
+            let target = self.total * p / 100.0;
+            let mut cum = 0.0;
+            for (i, w) in self.weights.iter().enumerate() {
+                cum += w;
+                if cum >= target {
+                    return (i as f64 + 1.0) * self.bucket_width;
+                }
+            }
+            self.weights.len() as f64 * self.bucket_width
+        }
+    }
+
+    /// Feeds `values` to both histograms, comparing every percentile the
+    /// default arms read (and `p` = 0 and 100) after each sample, and the
+    /// weights at the end; returns how many weights ended subnormal.
+    fn span_walk_matches_full_scan(
+        bucket_width: f64,
+        max_value: f64,
+        half_life: f64,
+        values: impl IntoIterator<Item = f64>,
+    ) -> Result<usize, TestCaseError> {
+        let mut span = DecayedHistogram::new(bucket_width, max_value, half_life);
+        let mut full = FullScan::new(bucket_width, max_value, half_life);
+        for (i, value) in values.into_iter().enumerate() {
+            span.observe(value);
+            full.observe(value);
+            prop_assert_eq!(
+                span.total.to_bits(),
+                full.total.to_bits(),
+                "total, sample {i}"
+            );
+            for p in [0.0, 50.0, 90.0, 95.0, 99.0, 100.0] {
+                let (got, want) = (span.percentile(p), full.percentile(p));
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "p{p}, sample {i}: {got} vs {want}"
+                );
+            }
+        }
+        for (b, (got, want)) in span.weights.iter().zip(&full.weights).enumerate() {
+            prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "bucket {b}: {got:e} vs {want:e}"
+            );
+        }
+        Ok(span.weights.iter().filter(|w| w.is_subnormal()).count())
+    }
+
+    proptest! {
+        #[test]
+        fn decayed_histogram_span_walk_is_the_full_scan_to_the_bit(
+            // Runs of one value: zero, a usage, or one past the 64-core
+            // range (clamped into the last bucket).
+            runs in proptest::collection::vec((1usize..300, 0u8..4, 0.0f64..64.0), 1..6),
+            half_life in 0usize..4,
+            fine in any::<bool>(),
+        ) {
+            let half_life = [0.5, 2.0, 30.0, 600.0][half_life];
+            let (bucket_width, max_value) = if fine { (0.05, 64.0) } else { (0.1, 10.0) };
+            let values = runs.iter().flat_map(|&(len, kind, v)| {
+                let value = match kind {
+                    0 => 0.0,
+                    1 => 64.0 + v,
+                    _ => v,
+                };
+                std::iter::repeat_n(value, len)
+            });
+            span_walk_matches_full_scan(bucket_width, max_value, half_life, values)?;
+        }
+    }
+
+    #[test]
+    fn decayed_histogram_span_walk_matches_through_subnormal_weights() {
+        // A quarter per sample: an old peak's weight passes through the
+        // subnormals (after ~511 samples) on its way to zero (~537).
+        for calm in [520, 530, 600] {
+            let values = [5.0, 70.0]
+                .into_iter()
+                .chain(std::iter::repeat_n(1.0, calm));
+            let subnormal = span_walk_matches_full_scan(0.05, 64.0, 0.5, values)
+                .unwrap_or_else(|e| panic!("calm {calm}: {e}"));
+            assert_eq!(subnormal > 0, calm < 537, "calm {calm}");
+        }
+    }
 
     fn sample(cpu: f64, mem_mib: u64) -> UsageSample {
         UsageSample {

@@ -7,8 +7,8 @@
 //! The ingest rate is measured twice over identical telemetry:
 //!
 //! * **unbatched** — one [`ToController::CpuStats`] per container through
-//!   `Controller::handle_into` with a fresh action vector per message
-//!   (the original, allocating ingest path);
+//!   `Controller::handle_into`, one message per call (the original
+//!   ingest path; it reuses one action buffer, as every caller does);
 //! * **batched** — per-node entry batches through the allocation-free
 //!   `Controller::ingest_cpu_batch` with caller-owned, reused buffers.
 //!
@@ -96,11 +96,12 @@ fn stats_for(round: u64, i: u64) -> CpuPeriodStats {
     }
 }
 
-/// Per-message ingest through `handle_into` with a fresh action vector
-/// per message, in node-major container order so both measurements
-/// drive the shared pools identically.
+/// Per-message ingest through `handle_into` with a reused action
+/// buffer, in node-major container order so both measurements drive the
+/// shared pools identically.
 fn measure_unbatched(rounds: u64) -> (f64, u64, ControllerStats) {
     let mut controller = setup();
+    let mut out = Vec::new();
     let mut actions = 0u64;
     let start = Instant::now();
     for round in 0..rounds {
@@ -112,9 +113,9 @@ fn measure_unbatched(rounds: u64) -> (f64, u64, ControllerStats) {
                     container: ContainerId::new(i),
                     stats: stats_for(round, i),
                 };
-                let mut out = Vec::new();
                 controller.handle_into(now, msg, &mut out);
                 actions += out.len() as u64;
+                out.clear();
                 i += NODES;
             }
         }

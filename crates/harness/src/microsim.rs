@@ -754,6 +754,7 @@ struct Sim<'a> {
     /// Per-tier lognormal `(mu, sigma)` of a background job's work.
     bg_work: Vec<(f64, f64)>,
     // Reusable per-window buffers (the hot loops allocate nothing).
+    arrivals: Vec<SimTime>,
     completions: Vec<(usize, SimTime)>,
     grant: Vec<f64>,
     consumed: Vec<f64>,
@@ -902,6 +903,14 @@ impl<'a> Sim<'a> {
             }
         }
 
+        // The cluster mints ids densely from 0, in deployment order.
+        debug_assert!(
+            containers
+                .iter()
+                .enumerate()
+                .all(|(idx, c)| c.as_u64() == idx as u64),
+            "container ids are not their deployment indices"
+        );
         // Static placement: build the per-node membership once.
         let node_count = cluster.nodes().len();
         let mut node_members: Vec<Vec<usize>> = vec![Vec::new(); node_count];
@@ -962,6 +971,7 @@ impl<'a> Sim<'a> {
                 .iter()
                 .map(|t| lognormal_params(t.bg_work_ms * 1_000.0, 0.5))
                 .collect(),
+            arrivals: Vec::new(),
             completions: Vec::new(),
             grant: vec![0.0; n],
             consumed: vec![0.0; n],
@@ -983,23 +993,27 @@ impl<'a> Sim<'a> {
     fn enqueue_stage(&mut self, request: usize, tier: usize, work_us: f64, at: SimTime) {
         // Round-robin over running replicas; fall back to plain
         // round-robin when none are running (requests queue at a
-        // restarting replica and wait or time out).
+        // restarting replica and wait or time out). The cursor wraps
+        // instead of taking `% len`: `rr[tier]` is always a member index.
         let members = &self.tier_members[tier];
         let start = self.rr[tier];
-        let mut chosen = None;
-        for k in 0..members.len() {
-            let idx = members[(start + k) % members.len()];
+        debug_assert!(start < members.len(), "round-robin cursor out of range");
+        let next = |k: usize| if k + 1 == members.len() { 0 } else { k + 1 };
+        let mut k = start;
+        let (idx, next_rr) = loop {
+            let idx = members[k];
             if self
                 .cluster
                 .container(self.containers[idx])
                 .is_some_and(|c| c.is_running())
             {
-                chosen = Some((idx, (start + k + 1) % members.len()));
-                break;
+                break (idx, next(k));
             }
-        }
-        let (idx, next_rr) =
-            chosen.unwrap_or((members[start % members.len()], (start + 1) % members.len()));
+            k = next(k);
+            if k == start {
+                break (members[start], next(start));
+            }
+        };
         self.rr[tier] = next_rr;
         if request != BG_REQUEST {
             self.stage_of[request] = idx;
@@ -1028,9 +1042,11 @@ impl<'a> Sim<'a> {
     }
 
     /// [`Sim::fail_queue`] for every container the Controller killed.
+    /// Container `idx` has raw id `idx` ([`Sim::new`] asserts it).
     fn fail_killed(&mut self, killed: &[ContainerId], now: SimTime) {
         for k in killed {
-            if let Some(idx) = self.containers.iter().position(|c| c == k) {
+            let idx = k.as_u64() as usize;
+            if idx < self.containers.len() {
                 self.fail_queue(idx, now);
             }
         }
@@ -1176,9 +1192,12 @@ impl<'a> Sim<'a> {
         } else {
             win_start
         };
-        let arrivals = self.gen.arrivals_in(from, win_end);
+        // Out of `self` while the loop below enqueues the first stages.
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        arrivals.clear();
+        self.gen.arrivals_into(from, win_end, &mut arrivals);
         let timeout = self.cfg.request_timeout;
-        for at in arrivals {
+        for &at in &arrivals {
             let class = self.cfg.app.sample_class(&mut self.rng);
             let tier0 = self.cfg.app.classes[class].path[0];
             let work = self.service_times[tier0].sample(&mut self.rng);
@@ -1201,6 +1220,7 @@ impl<'a> Sim<'a> {
             }
             self.enqueue_stage(req, tier0, work, at);
         }
+        self.arrivals = arrivals;
     }
 
     /// Window phase 3: per-node max–min fair CPU grants over the static

@@ -7,7 +7,7 @@
 //! directly into queueing delay and tail latency, the paper's central
 //! performance effect.
 
-use escra_simcore::time::{SimDuration, SimTime};
+use escra_simcore::time::{ceil_u64, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// One request-stage waiting in a container's queue.
@@ -95,7 +95,7 @@ pub fn drain_fifo_into(
         let doable = (avail_us * rate_cores).min(budget);
         if front.remaining_us <= doable {
             let need_time_us = front.remaining_us / rate_cores;
-            let completion = start + SimDuration::from_micros(need_time_us.ceil() as u64);
+            let completion = start + SimDuration::from_micros(ceil_u64(need_time_us));
             consumed_us += front.remaining_us;
             budget -= front.remaining_us;
             completions.push((front.request, completion.min(period_end)));

@@ -9,6 +9,16 @@ use serde::{Deserialize, Serialize};
 
 /// Number of linear sub-buckets per power of two (~1.5 % relative error).
 const SUB_BUCKETS: usize = 64;
+/// Mantissa bits that pick the sub-bucket: the top `log2(SUB_BUCKETS)`.
+const SUB_BITS: u32 = SUB_BUCKETS.ilog2();
+const MANTISSA_BITS: u32 = 52;
+const MANTISSA_MASK: u64 = (1 << MANTISSA_BITS) - 1;
+/// Mantissas this close to either end of a binade take the reference
+/// path. Near the top of a binade `log2` can round up to the next integer
+/// — from up to 354 mantissas below 2^1024, fewer at smaller exponents —
+/// and the reference then files the value under the next exponent, which
+/// the bits alone would not; the bottom end is fenced off symmetrically.
+const EDGE_MANTISSAS: u64 = 1 << 11;
 
 /// A log-bucketed histogram of non-negative `f64` samples.
 ///
@@ -34,8 +44,36 @@ pub struct LogHistogram {
     max: f64,
 }
 
+/// The `(exponent, sub-bucket)` of a positive finite `value`, read off
+/// its bits: the unbiased binary exponent and the top [`SUB_BITS`] of the
+/// mantissa. That is what [`bucket_of_reference`] computes for a normal
+/// value away from a binade edge: its `log2` lies strictly inside `(e,
+/// e + 1)` so `floor` gives the exponent `e`, `powi(e)` is exactly `2^e`,
+/// `value − 2^e` is exact (Sterbenz), and dividing by `2^e` and scaling by
+/// [`SUB_BUCKETS`] are exact, so the truncation keeps exactly the top
+/// mantissa bits. Subnormals (where `powi` underflows) and values within
+/// [`EDGE_MANTISSAS`] of a binade edge go to the reference itself, so the
+/// two agree on every input — the bucket `record` files a sample under
+/// never depends on which path found it.
 fn bucket_of(value: f64) -> (i32, usize) {
     debug_assert!(value > 0.0);
+    let bits = value.to_bits();
+    let biased = (bits >> MANTISSA_BITS) as i32; // the sign bit is clear
+    let mantissa = bits & MANTISSA_MASK;
+    let away_from_edges =
+        mantissa.wrapping_sub(EDGE_MANTISSAS) <= MANTISSA_MASK - 2 * EDGE_MANTISSAS;
+    if biased == 0 || !away_from_edges {
+        return bucket_of_reference(value);
+    }
+    (
+        biased - 1023,
+        (mantissa >> (MANTISSA_BITS - SUB_BITS)) as usize,
+    )
+}
+
+/// [`bucket_of`] by floating-point arithmetic: `floor(log2(value))` and the
+/// linear position above `2^exp`.
+fn bucket_of_reference(value: f64) -> (i32, usize) {
     let exp = value.log2().floor() as i32;
     let base = (2.0f64).powi(exp);
     let frac = (value - base) / base; // in [0, 1)
@@ -281,6 +319,47 @@ mod tests {
             last_f = *f;
         }
         assert!((last_f - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bucket_of_is_the_log2_reference_to_the_bucket() {
+        let check = |v: f64| {
+            let want = bucket_of_reference(v);
+            assert_eq!(bucket_of(v), want, "{v:e} ({:#x})", v.to_bits());
+        };
+        // The first and last 4 096 mantissas of every binade, the
+        // subnormal one included.
+        for biased in 0..0x7ffu64 {
+            let edges = (0..4_096).chain(MANTISSA_MASK - 4_095..=MANTISSA_MASK);
+            for mantissa in edges {
+                let v = f64::from_bits(biased << MANTISSA_BITS | mantissa);
+                if v > 0.0 {
+                    check(v);
+                }
+            }
+        }
+        // Subnormals across their range, the normal extremes, powers of
+        // two and their neighbours.
+        for mantissa in (1..=MANTISSA_MASK).step_by(1_000_000_007) {
+            check(f64::from_bits(mantissa));
+        }
+        check(5e-324);
+        check(f64::MAX);
+        for v in [f64::MIN_POSITIVE, 0.5, 1.0, 2.0, 1e-3, 1e6] {
+            check(v);
+            check(f64::from_bits(v.to_bits() + 1));
+            check(f64::from_bits(v.to_bits() - 1));
+        }
+        // 10^6 random positive finite bit patterns.
+        let mut rng = crate::rng::SimRng::new(0x6275_636b); // "buck"
+        let mut checked = 0;
+        while checked < 1_000_000 {
+            let v = f64::from_bits(rng.next_u64() >> 1);
+            if v.is_finite() && v > 0.0 {
+                check(v);
+                checked += 1;
+            }
+        }
     }
 
     #[test]

@@ -143,25 +143,32 @@ impl SimRng {
         self.normal(mu, sigma).exp()
     }
 
-    /// Picks an index according to non-negative `weights`.
+    /// Picks an index according to non-negative `weights`, read twice
+    /// (once to sum them, once to walk them), so a caller can pass them
+    /// where they lie — `classes.iter().map(|c| c.weight)` — instead of
+    /// collecting them first.
     ///
     /// # Panics
     ///
     /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            !weights.is_empty() && total > 0.0,
-            "weights must be non-empty with positive sum"
-        );
+    pub fn weighted_index<I>(&mut self, weights: I) -> usize
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: Clone,
+    {
+        let weights = weights.into_iter();
+        let total: f64 = weights.clone().sum();
+        assert!(total > 0.0, "weights must be non-empty with positive sum");
         let mut x = self.next_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if x < *w {
+        let mut last = 0;
+        for (i, w) in weights.enumerate() {
+            if x < w {
                 return i;
             }
             x -= w;
+            last = i;
         }
-        weights.len() - 1
+        last
     }
 }
 
@@ -243,7 +250,7 @@ mod tests {
         let mut r = SimRng::new(19);
         let mut counts = [0usize; 3];
         for _ in 0..30_000 {
-            counts[r.weighted_index(&[1.0, 2.0, 7.0])] += 1;
+            counts[r.weighted_index([1.0, 2.0, 7.0])] += 1;
         }
         assert!(counts[2] > counts[1] && counts[1] > counts[0]);
         let frac = counts[2] as f64 / 30_000.0;

@@ -108,7 +108,7 @@ impl SimDuration {
     /// Panics if `s` is negative or not finite.
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        SimDuration((s * 1e6).round() as u64)
+        SimDuration(round_u64(s * 1e6))
     }
 
     /// Length in microseconds.
@@ -134,8 +134,29 @@ impl SimDuration {
     /// Multiplies by a non-negative float, rounding to microseconds.
     pub fn mul_f64(self, k: f64) -> SimDuration {
         debug_assert!(k >= 0.0);
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * k))
     }
+}
+
+/// `x.round() as u64`: the nearest integer, ties away from zero, with NaN
+/// and every negative going to 0 and everything from 2⁶⁴ up to
+/// `u64::MAX` — without the libm `round` call the default x86-64 target
+/// (no SSE4.1 `roundsd`) makes of it. The cast truncates and saturates
+/// as `round() as u64` does; `x − trunc(x)` is exact, so the tie test
+/// rounds as `round` does (`0.49999999999999994` included, where
+/// `(x + 0.5) as u64` gives 1).
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add((x - whole as f64 >= 0.5) as u64)
+}
+
+/// `x.ceil() as u64`, saturating like [`round_u64`], without the libm
+/// `ceil` call: a value above its truncation has a fractional part.
+#[inline]
+pub fn ceil_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add((x > whole as f64) as u64)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -268,6 +289,78 @@ mod tests {
             SimDuration::from_secs(1) / SimDuration::from_millis(100),
             10
         );
+    }
+
+    #[test]
+    fn round_u64_and_ceil_u64_are_libm_then_cast_to_the_bit() {
+        let check = |x: f64| {
+            let bits = x.to_bits();
+            assert_eq!(round_u64(x), x.round() as u64, "round {x:e} ({bits:#x})");
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "ceil {x:e} ({bits:#x})");
+        };
+        let two52 = 4503599627370496.0;
+        let two64 = 18446744073709551616.0;
+        for x in [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -0.4,
+            -0.5,
+            -0.6,
+            -1.0,
+            -1.5,
+            -1e300,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.49999999999999994, // the largest double below one half
+            0.5,
+            0.5000000000000001,
+            1.0,
+            1.5,
+            2.5,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            2.0 * two52 - 1.0,
+            2.0 * two52,
+            two64 - 2048.0, // the largest double below 2^64
+            two64,
+            2.0 * two64,
+            1e300,
+            f64::MAX,
+        ] {
+            check(x);
+        }
+        // Every integer and tie below 2^16, then a stride up to 2^52, each
+        // with its neighbours one ulp away on both sides.
+        let dense = 0..1u64 << 16;
+        let sparse = (1u64 << 16..1 << 52).step_by(1_000_003_393);
+        for n in dense.chain(sparse) {
+            for x in [n as f64, n as f64 + 0.5] {
+                check(x);
+                check(f64::from_bits(x.to_bits().wrapping_sub(1)));
+                check(f64::from_bits(x.to_bits() + 1));
+            }
+        }
+        // Every double of [2^52, 2^53) has ulp 1 (integers only), a stride
+        // through it and through 2^53 ..= 2^64 and beyond.
+        for i in (0..1u64 << 52).step_by(999_999_937) {
+            check(f64::from_bits(two52.to_bits() + i));
+            check(f64::from_bits((2.0 * two52).to_bits() + i * 11));
+        }
+        // 10^6 raw bit patterns: half anywhere, half with the exponent
+        // drawn so the value lands between 2^-2 and 2^66.
+        let mut rng = crate::rng::SimRng::new(0x726f_756e); // "roun"
+        for _ in 0..500_000 {
+            let raw = rng.next_u64();
+            check(f64::from_bits(raw));
+            let exponent = 1021 + (raw >> 52) % 69;
+            let near = (raw & ((1 << 52) - 1)) | (exponent << 52) | (raw & (1 << 63));
+            check(f64::from_bits(near));
+        }
     }
 
     #[test]

@@ -170,11 +170,23 @@ impl RequestGenerator {
     ///
     /// Panics if `end < start`.
     pub fn arrivals_in(&mut self, start: SimTime, end: SimTime) -> Vec<SimTime> {
+        let mut out = Vec::new();
+        self.arrivals_into(start, end, &mut out);
+        out
+    }
+
+    /// [`RequestGenerator::arrivals_in`] for a caller that asks for many
+    /// windows: appends the window's arrivals to `out`, a buffer the
+    /// caller keeps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end < start`.
+    pub fn arrivals_into(&mut self, start: SimTime, end: SimTime, out: &mut Vec<SimTime>) {
         assert!(end >= start, "window end before start");
         match &self.kind {
             WorkloadKind::Fixed { rps } => {
                 let gap = SimDuration::from_secs_f64(1.0 / rps.max(1e-9));
-                let mut out = Vec::new();
                 if self.next_fixed < start {
                     self.next_fixed = start;
                 }
@@ -182,12 +194,10 @@ impl RequestGenerator {
                     out.push(self.next_fixed);
                     self.next_fixed += gap;
                 }
-                out
             }
             _ => {
                 // Piecewise-constant thinning per millisecond chunk keeps
                 // burst edges sharp while staying O(arrivals).
-                let mut out = Vec::new();
                 let mut t = start;
                 while t < end {
                     let rate = self.kind.rate_at(t);
@@ -203,7 +213,6 @@ impl RequestGenerator {
                         t += SimDuration::from_millis(10);
                     }
                 }
-                out
             }
         }
     }
@@ -349,6 +358,34 @@ mod tests {
             (rate - 300.0).abs() < 15.0,
             "tiled-window rate {rate} drifted from λ = 300"
         );
+    }
+
+    #[test]
+    fn arrivals_into_appends_what_arrivals_in_returns() {
+        let kinds = [
+            WorkloadKind::Fixed { rps: 37.0 },
+            WorkloadKind::paper_exp(),
+            WorkloadKind::paper_burst(),
+            WorkloadKind::Trace {
+                rates: vec![0.0, 120.0, 40.0],
+            },
+        ];
+        for kind in kinds {
+            let mut by_value = RequestGenerator::new(kind.clone(), 3);
+            let mut by_buffer = by_value.clone();
+            // A buffer that already holds an entry keeps it.
+            let mut buf = vec![SimTime::MAX];
+            let mut t = SimTime::ZERO;
+            for ms in [100u64, 250, 0, 70, 1_000, 330, 2_500] {
+                let end = t + SimDuration::from_millis(ms);
+                let want = by_value.arrivals_in(t, end);
+                buf.truncate(1);
+                by_buffer.arrivals_into(t, end, &mut buf);
+                assert_eq!(buf[0], SimTime::MAX, "{kind:?}");
+                assert_eq!(&buf[1..], &want[..], "{kind:?}");
+                t = end;
+            }
+        }
     }
 
     #[test]

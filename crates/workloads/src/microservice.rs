@@ -147,10 +147,10 @@ impl MicroserviceApp {
         self.tiers.iter().map(|t| t.replicas).sum()
     }
 
-    /// Samples a request class index by weight.
+    /// Samples a request class index by weight, reading the weights
+    /// where the classes hold them (no allocation per draw).
     pub fn sample_class(&self, rng: &mut SimRng) -> usize {
-        let weights: Vec<f64> = self.classes.iter().map(|c| c.weight).collect();
-        rng.weighted_index(&weights)
+        rng.weighted_index(self.classes.iter().map(|c| c.weight))
     }
 
     /// Mean CPU cost of one request averaged over classes, core-ms.
