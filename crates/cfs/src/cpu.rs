@@ -121,13 +121,18 @@ fn quantize(x: f64) -> u32 {
 /// assert!(stats.throttled);
 /// assert_eq!(stats.unused_runtime_us, 0.0);
 /// ```
+///
+/// `repr(C)`, the current period's fields first and the lifetime
+/// counters last: a simulation keeps one per container and walks all of
+/// them every period.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct CpuBandwidth {
-    period: SimDuration,
     quota_cores: f64,
     runtime_remaining_us: f64,
     usage_this_period_us: f64,
     throttled_this_period: bool,
+    period: SimDuration,
     nr_periods: u64,
     nr_throttled: u64,
     total_usage_us: f64,

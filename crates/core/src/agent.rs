@@ -285,34 +285,31 @@ impl Agent {
         delta_bytes: u64,
         sink: &mut S,
     ) -> Vec<ReclaimEntry> {
-        let ids = cluster.running_on(self.node);
         let mut out = Vec::new();
-        for id in ids {
-            if let Some(c) = cluster.container_mut(id) {
-                let usage = c.mem.usage_bytes();
-                let limit = c.mem.limit_bytes();
-                if limit > usage + delta_bytes {
-                    let psi = c.mem.shrink_to(usage + delta_bytes);
-                    if psi > 0 {
-                        if S::ENABLED {
-                            sink.emit(
-                                now,
-                                TraceEventKind::ReclaimShrink {
-                                    container: id.as_u64(),
-                                    new_limit_bytes: c.mem.limit_bytes(),
-                                    psi_bytes: psi,
-                                },
-                            );
-                        }
-                        out.push(ReclaimEntry {
-                            container: id,
-                            new_limit_bytes: c.mem.limit_bytes(),
-                            psi_bytes: psi,
-                        });
+        cluster.for_each_running_on(self.node, |id, c| {
+            let usage = c.mem.usage_bytes();
+            let limit = c.mem.limit_bytes();
+            if limit > usage + delta_bytes {
+                let psi = c.mem.shrink_to(usage + delta_bytes);
+                if psi > 0 {
+                    if S::ENABLED {
+                        sink.emit(
+                            now,
+                            TraceEventKind::ReclaimShrink {
+                                container: id.as_u64(),
+                                new_limit_bytes: c.mem.limit_bytes(),
+                                psi_bytes: psi,
+                            },
+                        );
                     }
+                    out.push(ReclaimEntry {
+                        container: id,
+                        new_limit_bytes: c.mem.limit_bytes(),
+                        psi_bytes: psi,
+                    });
                 }
             }
-        }
+        });
         out
     }
 }

@@ -55,10 +55,9 @@ impl ContainerWatcher {
                     if !self.registered.insert(id) {
                         continue;
                     }
-                    let Some(container) = cluster.container(id) else {
+                    let Some(spec) = cluster.spec(id) else {
                         continue;
                     };
-                    let spec = container.spec();
                     if let Ok(mut acts) = controller.register_container(
                         id,
                         spec.app,

@@ -1332,8 +1332,8 @@ impl<'a> Sim<'a> {
         let period_us = self.period.as_micros() as f64;
         for idx in 0..self.containers.len() {
             let cid = self.containers[idx];
-            let running = self.cluster.container(cid).is_some_and(|c| c.is_running());
             let c = self.cluster.container_mut(cid).expect("container");
+            let running = c.is_running();
             if self.consumed[idx] > 0.0 {
                 c.cpu.consume(self.consumed[idx]);
             }
@@ -1530,37 +1530,20 @@ impl<'a> Sim<'a> {
     /// per policy.
     fn apply_memory_target(&mut self, idx: usize, target: u64, now: SimTime) {
         let cid = self.containers[idx];
-        let is_running = self.cluster.container(cid).is_some_and(|c| c.is_running());
-        if !is_running {
+        let c = self.cluster.container_mut(cid).expect("container");
+        if !c.is_running() {
             return;
         }
-        let usage = self
-            .cluster
-            .container(cid)
-            .expect("container")
-            .mem
-            .usage_bytes();
+        let usage = c.mem.usage_bytes();
         if target <= usage {
-            self.cluster
-                .container_mut(cid)
-                .expect("container")
-                .mem
-                .uncharge(usage - target);
+            c.mem.uncharge(usage - target);
             return;
         }
         let delta = target - usage;
-        let outcome = self
-            .cluster
-            .container_mut(cid)
-            .expect("container")
-            .mem
-            .try_charge(delta);
-        if let ChargeOutcome::WouldOom { shortfall_bytes } = outcome {
+        if let ChargeOutcome::WouldOom { shortfall_bytes } = c.mem.try_charge(delta) {
+            let (node, current_limit_bytes) = (c.node(), c.mem.limit_bytes());
             match &mut self.mode {
                 Mode::Escra(plane) => {
-                    let c = self.cluster.container(cid).expect("container");
-                    let node = c.node();
-                    let current_limit_bytes = c.mem.limit_bytes();
                     plane.send(
                         now,
                         node_addr(node),
@@ -1590,23 +1573,16 @@ impl<'a> Sim<'a> {
                 }
                 Mode::Profile => {
                     // Profiling runs are uncapped; grow the limit.
-                    let c = self.cluster.container_mut(cid).expect("container");
-                    let new_limit = c.mem.limit_bytes() + shortfall_bytes + 64 * MIB;
-                    c.mem.set_limit_bytes(new_limit);
+                    c.mem
+                        .set_limit_bytes(current_limit_bytes + shortfall_bytes + 64 * MIB);
                     let _ = c.mem.try_charge(delta);
                 }
                 Mode::Static | Mode::Periodic { .. } => {
                     // Vanilla kernel behaviour: OOM kill + restart. A
                     // periodic scaler learns about the kill (Autopilot
                     // bumps its memory estimate on OOM events).
-                    let limit = self
-                        .cluster
-                        .container(cid)
-                        .expect("container")
-                        .mem
-                        .limit_bytes();
                     if let Mode::Periodic { scaler, .. } = &mut self.mode {
-                        scaler.on_oom(cid, limit);
+                        scaler.on_oom(cid, current_limit_bytes);
                     }
                     self.cluster.oom_kill(cid, now).expect("known container");
                     self.fail_queue(idx, now);

@@ -20,10 +20,10 @@ echo "== bench smoke (controller ingest vs committed baseline) =="
 # BENCH_controller.json floors gate full-length runs only).
 cargo run -q -p escra-bench --release --bin overhead_controller -- --columnar --smoke --check
 
-echo "== frozen benchmark (unit tests, then three 1 s workloads, against the working tree) =="
+echo "== frozen benchmark (unit tests, then all five workloads for 1 s each, against the working tree) =="
 # Its own package, pinned to the crates' public surface (run.sh builds it); a digest that moves between repetitions is `correct false`.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for w in paper_matrix micro_scale trace_dense; do
+for w in paper_matrix micro_scale trace_dense trace_sparse ctl_mixed; do
     bash benchmark/run.sh --workload "$w" --seconds 1 | awk '$2 == "correct" { c = $3 } $2 == "failed" { f = $3 } END { exit !(c == "true" && f == "0") }'
 done
 
