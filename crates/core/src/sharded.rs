@@ -160,8 +160,13 @@ impl ShardedController {
     /// Splits one node's columnar telemetry block across home shards,
     /// preserving entry order within each shard, and feeds each shard
     /// its sub-block — the columnar counterpart of
-    /// [`ShardedController::ingest_cpu_batch`], clocked the same way.
+    /// [`ShardedController::ingest_cpu_batch`], clocked the same way. A
+    /// block that is not [`CpuStatsColumns::is_well_formed`] is refused
+    /// whole, as [`Controller::ingest_cpu_columns`] refuses it.
     pub fn ingest_cpu_columns(&mut self, columns: &CpuStatsColumns) {
+        if !columns.is_well_formed() {
+            return;
+        }
         for i in 0..columns.len() {
             let container = ContainerId::new(columns.container_raw[i] as u64);
             let shard = self.shard_of_container(container);

@@ -94,6 +94,18 @@ impl CpuStatsColumns {
         self.container_raw.is_empty()
     }
 
+    /// True when the four `u32` columns have one length and `throttled`
+    /// holds exactly `len.div_ceil(64)` words. Every block built by
+    /// [`CpuStatsColumns::push_raw`] is; one decoded off the wire need
+    /// not be, and the Controller refuses such a block whole.
+    pub fn is_well_formed(&self) -> bool {
+        let n = self.container_raw.len();
+        self.quota_mcores.len() == n
+            && self.unused_us.len() == n
+            && self.usage_us.len() == n
+            && self.throttled.len() == n.div_ceil(64)
+    }
+
     /// Clears all columns, retaining capacity (the recycled-block
     /// contract of the sharded ingest path).
     pub fn clear(&mut self) {
