@@ -21,6 +21,7 @@
 //! * [`types`] — the [`types::PeriodicScaler`] trait and shared
 //!   recommendation/profile types.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

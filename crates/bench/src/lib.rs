@@ -12,6 +12,7 @@
 //! cargo run -p escra-bench --release --bin table1_summary
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

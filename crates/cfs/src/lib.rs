@@ -18,6 +18,7 @@
 //! this crate reproduces the *semantics* those hooks expose, which is all
 //! the Escra control plane consumes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -15,6 +15,7 @@
 //! Execution (who gets CPU this period, what memory is charged) is driven
 //! by the harness crate; this crate owns structure and lifecycle.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

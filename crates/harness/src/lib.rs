@@ -19,6 +19,7 @@
 //! * [`sweep`] — the deterministic parallel sweep runner the benchmark
 //!   grids execute on (bit-identical to serial execution).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

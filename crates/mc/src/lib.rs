@@ -42,6 +42,7 @@
 //! renders via `render_merged`, plus a [`escra_net::FaultPlan`] analogue
 //! for microsim robustness reruns.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

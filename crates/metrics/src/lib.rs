@@ -23,6 +23,7 @@
 //! * [`fingerprint`] — canonical FNV-1a state/trace fingerprints used by
 //!   the `escra-mc` model checker's visited set and replay witnesses.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -23,6 +23,7 @@
 //!   multiset: the network as the `escra-mc` model checker sees it,
 //!   branching over every deliver/drop/duplicate choice.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -207,6 +207,7 @@ impl InlineWindow {
 
     /// Adds a sample, evicting the oldest when full.
     #[inline]
+    #[allow(unsafe_code)]
     pub fn push(&mut self, value: f64) {
         if self.len < self.cap {
             self.buf[self.len as usize] = value;

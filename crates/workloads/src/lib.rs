@@ -20,6 +20,7 @@
 //! * [`synthetic_trace`] — seeded synthetic app populations
 //!   (steady/diurnal/bursty mixes) normalizing into the same form.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

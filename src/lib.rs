@@ -51,6 +51,7 @@
 //! `EXPERIMENTS.md` for paper-vs-measured results; every table and
 //! figure of the paper has a regenerating binary in `escra-bench`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use escra_baselines as baselines;
