@@ -3,9 +3,9 @@
 //! length n, the reclamation margin δ, and the reclamation interval —
 //! all on HipsterShop × Burst, the cell most sensitive to reaction speed.
 
-use escra_bench::{write_json, SEED};
+use escra_bench::{write_json, Args, SEED};
 use escra_core::EscraConfig;
-use escra_harness::{run, MicroSimConfig, Policy};
+use escra_harness::{MicroSimConfig, Policy};
 use escra_metrics::{to_json, Table};
 use escra_simcore::time::SimDuration;
 use escra_workloads::{hipster_shop, WorkloadKind};
@@ -18,7 +18,7 @@ fn run_with(cfg: EscraConfig) -> escra_metrics::RunMetrics {
         SEED,
     )
     .with_duration(SimDuration::from_secs(45));
-    run(&sim).metrics
+    escra_harness::run(&sim).metrics
 }
 
 fn row(table: &mut Table, name: String, m: &escra_metrics::RunMetrics) {
@@ -31,7 +31,7 @@ fn row(table: &mut Table, name: String, m: &escra_metrics::RunMetrics) {
     ]);
 }
 
-fn main() {
+pub fn run(_: &Args) {
     let headers = vec![
         "variant",
         "tput(req/s)",

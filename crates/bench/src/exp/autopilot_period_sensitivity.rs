@@ -4,13 +4,13 @@
 //! same sweep under the Burst workload where the effect is strongest.
 
 use escra_baselines::AutopilotConfig;
-use escra_bench::{write_json, SEED};
+use escra_bench::{write_json, Args, SEED};
 use escra_harness::{profile_run, run_with_profiles, MicroSimConfig, Policy};
 use escra_metrics::{to_json, Table};
 use escra_simcore::time::SimDuration;
 use escra_workloads::{hipster_shop, WorkloadKind};
 
-fn main() {
+pub fn run(_: &Args) {
     let mut dump = Vec::new();
     for (wl_name, wl) in [
         ("fixed", WorkloadKind::paper_fixed()),

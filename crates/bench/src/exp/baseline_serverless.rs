@@ -10,11 +10,11 @@
 //! trace population for CI; the comparisons keep the same shape.
 
 use escra_baselines::{ArcVConfig, TinyAutoscalerConfig};
-use escra_bench::{write_json, SEED};
+use escra_bench::{write_json, Args, SEED};
 use escra_core::EscraConfig;
 use escra_harness::serverless_sim::{run_serverless, ServerlessApp, ServerlessConfig};
 use escra_harness::{run_trace_sim, BaselineScalerKind, TraceSimConfig};
-use escra_metrics::{to_json, CostModel, Table};
+use escra_metrics::{to_json, CostBreakdown, CostModel, Table};
 use escra_workloads::serverless::{grid_search_task, image_process};
 use escra_workloads::{mega_mix, synthetic_trace};
 use serde::Serialize;
@@ -39,6 +39,16 @@ fn modes() -> [Mode; 4] {
     ]
 }
 
+/// `cfg` with `mode`'s scaler.
+fn under(mode: Mode, mut cfg: ServerlessConfig) -> ServerlessConfig {
+    match mode {
+        Mode::Vanilla => {}
+        Mode::Baseline(kind) => cfg.baseline = Some(kind),
+        Mode::Escra => cfg.escra = Some(EscraConfig::default()),
+    }
+    cfg
+}
+
 #[derive(Serialize)]
 struct CostRow {
     driver: String,
@@ -51,14 +61,31 @@ struct CostRow {
     dollars_per_kilo_request: f64,
 }
 
-fn main() {
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            other => panic!("unknown flag {other:?} (expected --smoke)"),
+impl CostRow {
+    fn new(driver: &str, policy: &str, requests: u64, cost: CostBreakdown) -> CostRow {
+        CostRow {
+            driver: driver.into(),
+            policy: policy.into(),
+            requests,
+            cost_cpu: cost.cpu,
+            cost_mem: cost.mem,
+            cost_oom: cost.oom,
+            cost_total: cost.total(),
+            dollars_per_kilo_request: CostModel::default().per_kilo_request(&cost, requests),
         }
     }
+
+    /// The table's cost($) and $/1k req columns.
+    fn columns(&self) -> [String; 2] {
+        [
+            format!("{:.4}", self.cost_total),
+            format!("{:.4}", self.dollars_per_kilo_request),
+        ]
+    }
+}
+
+pub fn run(args: &Args) {
+    let smoke = args.smoke;
     let model = CostModel::default();
     let mut dump = Vec::new();
 
@@ -76,19 +103,14 @@ fn main() {
         "$/1k req",
     ]);
     for mode in modes() {
-        let mut cfg = ServerlessConfig {
+        let cfg = ServerlessConfig {
             app: ServerlessApp::ImageProcess { iterations },
             ..ServerlessConfig::image_process(None, 11)
         };
-        match mode {
-            Mode::Vanilla => {}
-            Mode::Baseline(kind) => cfg.baseline = Some(kind),
-            Mode::Escra => cfg.escra = Some(EscraConfig::default()),
-        }
-        let out = run_serverless(&cfg, &image_process());
+        let out = run_serverless(&under(mode, cfg), &image_process());
         let m = &out.metrics;
-        let cost = model.run_cost(m);
-        let per_kilo = model.per_kilo_request(&cost, m.latency.successes());
+        let row = CostRow::new("image-process", &m.policy, m.latency.successes(), model.run_cost(m));
+        let [cost, per_kilo] = row.columns();
         table.row(vec![
             m.policy.clone(),
             format!("{:.0}", m.latency.mean_ms()),
@@ -96,19 +118,10 @@ fn main() {
             format!("{}", m.latency.successes()),
             format!("{:.2}", m.cpu_limit_series.mean()),
             format!("{:.0}", m.mem_limit_series.mean()),
-            format!("{:.4}", cost.total()),
-            format!("{per_kilo:.4}"),
+            cost,
+            per_kilo,
         ]);
-        dump.push(CostRow {
-            driver: "image-process".into(),
-            policy: m.policy.clone(),
-            requests: m.latency.successes(),
-            cost_cpu: cost.cpu,
-            cost_mem: cost.mem,
-            cost_oom: cost.oom,
-            cost_total: cost.total(),
-            dollars_per_kilo_request: per_kilo,
-        });
+        dump.push(row);
         eprintln!("  {} done", m.policy);
     }
     println!("{}", table.render());
@@ -124,16 +137,11 @@ fn main() {
         "$/1k req",
     ]);
     for mode in modes() {
-        let mut cfg = ServerlessConfig::grid_search(None, 100);
-        match mode {
-            Mode::Vanilla => {}
-            Mode::Baseline(kind) => cfg.baseline = Some(kind),
-            Mode::Escra => cfg.escra = Some(EscraConfig::default()),
-        }
+        let cfg = under(mode, ServerlessConfig::grid_search(None, 100));
         let out = run_serverless(&cfg, &grid_search_task());
         let m = &out.metrics;
-        let cost = model.run_cost(m);
-        let per_kilo = model.per_kilo_request(&cost, m.latency.successes());
+        let row = CostRow::new("grid-search", &m.policy, m.latency.successes(), model.run_cost(m));
+        let [cost, per_kilo] = row.columns();
         table.row(vec![
             m.policy.clone(),
             format!(
@@ -142,19 +150,10 @@ fn main() {
             ),
             format!("{:.2}", m.cpu_limit_series.mean()),
             format!("{:.0}", m.mem_limit_series.mean()),
-            format!("{:.4}", cost.total()),
-            format!("{per_kilo:.4}"),
+            cost,
+            per_kilo,
         ]);
-        dump.push(CostRow {
-            driver: "grid-search".into(),
-            policy: m.policy.clone(),
-            requests: m.latency.successes(),
-            cost_cpu: cost.cpu,
-            cost_mem: cost.mem,
-            cost_oom: cost.oom,
-            cost_total: cost.total(),
-            dollars_per_kilo_request: per_kilo,
-        });
+        dump.push(row);
         eprintln!("  {} done", m.policy);
     }
     println!("{}", table.render());
@@ -185,7 +184,8 @@ fn main() {
         let out = run_trace_sim(&population, &cfg);
         let m = &out.metrics;
         let cost = model.serverless_cost(&out.serverless, m.oom_kills);
-        let per_kilo = model.per_kilo_request(&cost, out.serverless.invocations);
+        let row = CostRow::new("trace", &m.policy, out.serverless.invocations, cost);
+        let [cost, per_kilo] = row.columns();
         table.row(vec![
             m.policy.clone(),
             format!("{}", out.serverless.invocations),
@@ -193,19 +193,10 @@ fn main() {
             format!("{}", m.oom_kills),
             format!("{:.0}", out.serverless.alloc_cpu_core_secs),
             format!("{:.0}", out.serverless.alloc_mem_mib_secs),
-            format!("{:.4}", cost.total()),
-            format!("{per_kilo:.4}"),
+            cost,
+            per_kilo,
         ]);
-        dump.push(CostRow {
-            driver: "trace".into(),
-            policy: m.policy.clone(),
-            requests: out.serverless.invocations,
-            cost_cpu: cost.cpu,
-            cost_mem: cost.mem,
-            cost_oom: cost.oom,
-            cost_total: cost.total(),
-            dollars_per_kilo_request: per_kilo,
-        });
+        dump.push(row);
         eprintln!("  {} done", m.policy);
     }
     println!("{}", table.render());

@@ -1,14 +1,14 @@
 //! Regenerates **Fig. 2**: Escra's CPU limit tracking a dynamic
 //! sysbench-style workload saturating 1–4 CPUs over ~40 s.
 
-use escra_bench::write_json;
+use escra_bench::{write_json, Args};
 use escra_core::EscraConfig;
 use escra_harness::tracking::run_tracking;
 use escra_metrics::{to_json, Table};
 use escra_simcore::time::SimDuration;
 use escra_workloads::SysbenchLoad;
 
-fn main() {
+pub fn run(_: &Args) {
     let result = run_tracking(
         &EscraConfig::default(),
         &SysbenchLoad::paper_fig2(),

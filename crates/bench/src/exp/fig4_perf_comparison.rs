@@ -3,7 +3,7 @@
 //! tiny autoscaler, ARC-V), for all four applications × four
 //! workloads.
 
-use escra_bench::{parse_sweep_args, run_matrix_args, write_json};
+use escra_bench::{matrix_cells, run_cells_args, write_json, Args};
 use escra_metrics::{to_json, Table};
 use serde::Serialize;
 
@@ -16,8 +16,8 @@ struct Bar {
     throughput_increase_pct: f64,
 }
 
-fn main() {
-    let cells = run_matrix_args(&parse_sweep_args());
+pub fn run(args: &Args) {
+    let cells = run_cells_args(matrix_cells(), args);
     let mut table = Table::new(vec![
         "app",
         "workload",

@@ -6,7 +6,7 @@
 //!   for OpenWhisk, OpenWhisk + Escra, and OpenWhisk + Escra with 20 %
 //!   fewer cores/MiB.
 
-use escra_bench::write_json;
+use escra_bench::{write_json, Args};
 use escra_core::EscraConfig;
 use escra_harness::serverless_sim::{run_serverless, ServerlessConfig};
 use escra_metrics::{downsample_cdf, to_json, Table};
@@ -16,7 +16,7 @@ use escra_workloads::serverless::{grid_search_task, image_process};
 /// GridSearch repetitions (paper: 50; scaled for bench runtime).
 const GRID_RUNS: u64 = 8;
 
-fn main() {
+pub fn run(_: &Args) {
     // ---- 7a: ImageProcess request latency CDF ----
     println!("Fig. 7a — ImageProcess request latency (ms)");
     let mut table = Table::new(vec!["config", "mean", "p50", "p80", "p99", "requests"]);

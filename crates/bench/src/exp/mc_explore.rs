@@ -33,6 +33,7 @@
 //! The default mode additionally prints each minimal counterexample
 //! script and its merged decision trace.
 
+use escra_bench::Args;
 use escra_mc::{explore, McConfig, Mutation, Strategy, Violation};
 
 /// Pinned reachable-state counts. Exploration is deterministic, so
@@ -46,8 +47,8 @@ const STALE_EXPECTED_STATES: usize = 215;
 /// [`McConfig::cross_kind`]'s pinned count.
 const CROSS_EXPECTED_STATES: usize = 76;
 
-fn main() {
-    let verbose = !std::env::args().any(|a| a == "--smoke");
+pub fn run(args: &Args) {
+    let verbose = !args.smoke;
 
     run_clean("smoke", &McConfig::smoke(), SMOKE_EXPECTED_STATES);
     run_clean("tight_pool", &McConfig::tight_pool(), TIGHT_EXPECTED_STATES);

@@ -3,13 +3,13 @@
 //! number of managed containers. The paper measures a 12.06 Mbps peak
 //! for 32 containers and expects linear scaling with container count.
 
-use escra_bench::{write_json, SEED};
-use escra_harness::{run, MicroSimConfig, Policy};
+use escra_bench::{write_json, Args, SEED};
+use escra_harness::{MicroSimConfig, Policy};
 use escra_metrics::{to_json, Table};
 use escra_simcore::time::SimDuration;
 use escra_workloads::{hipster_shop, media_microservice, teastore, train_ticket, WorkloadKind};
 
-fn main() {
+pub fn run(_: &Args) {
     let mut table = Table::new(vec![
         "app",
         "containers",
@@ -33,7 +33,7 @@ fn main() {
             SEED,
         )
         .with_duration(SimDuration::from_secs(60));
-        let out = run(&cfg);
+        let out = escra_harness::run(&cfg);
         let net = out.network.expect("escra run accounts bytes");
         let secs = 60.0 + 10.0; // measured run + warm-up
         let per_container = net.total_bytes() as f64 / n as f64 / secs;

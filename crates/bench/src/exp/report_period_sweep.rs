@@ -7,16 +7,15 @@
 //! pass `--serial` to re-run serially and assert byte-identical output,
 //! `--smoke` for a short run, `--threads N` to size the pool.
 
-use escra_bench::{assert_byte_identical, parse_sweep_args, write_json, SEED};
+use escra_bench::{assert_byte_identical, write_json, Args, SEED};
 use escra_core::EscraConfig;
 use escra_harness::sweep::{run_serial, run_sweep, scenarios, Scenario};
-use escra_harness::{run, MicroSimConfig, Policy};
+use escra_harness::{MicroSimConfig, Policy};
 use escra_metrics::{to_json, Table};
 use escra_simcore::time::SimDuration;
 use escra_workloads::{hipster_shop, WorkloadKind};
 
-fn main() {
-    let args = parse_sweep_args();
+pub fn run(args: &Args) {
     let duration = args.duration_secs();
     let f = |s: &Scenario<u64>| {
         let ms = s.input;
@@ -27,12 +26,12 @@ fn main() {
             SEED,
         )
         .with_duration(SimDuration::from_secs(duration));
-        let m = run(&cfg).metrics;
+        let m = escra_harness::run(&cfg).metrics;
         (ms, m.latency.p(99.0), m.latency.p(99.9), m.throughput())
     };
     let periods: Vec<u64> = vec![50, 100, 150, 200];
-    let dump = run_sweep(scenarios(SEED, periods.clone()), args.threads, f);
-    if args.serial_check {
+    let dump = run_sweep(scenarios(SEED, periods.clone()), args.workers(), f);
+    if args.serial {
         let serial = run_serial(scenarios(SEED, periods), f);
         assert_byte_identical(&dump, &serial);
     }

@@ -11,8 +11,8 @@
 //! reconciliation on the container's next OOM event — so containers are
 //! still never OOM-killed.
 
-use escra_bench::{write_json, RUN_SECS, SEED};
-use escra_harness::{controller_addr, node_addr, run, MicroSimConfig, Policy};
+use escra_bench::{write_json, Args, RUN_SECS, SEED};
+use escra_harness::{controller_addr, node_addr, MicroSimConfig, Policy};
 use escra_metrics::{to_json, Table};
 use escra_net::FaultPlan;
 use escra_simcore::time::{SimDuration, SimTime};
@@ -45,7 +45,7 @@ fn partition_plan(plan: FaultPlan) -> FaultPlan {
     )
 }
 
-fn main() {
+pub fn run(_: &Args) {
     let mut table = Table::new(vec![
         "loss%",
         "partition",
@@ -75,7 +75,7 @@ fn main() {
             )
             .with_duration(SimDuration::from_secs(RUN_SECS))
             .with_faults(plan);
-            let out = run(&cfg);
+            let out = escra_harness::run(&cfg);
             let stats = out.controller_stats.expect("escra stats");
             let m = &out.metrics;
             let row = Row {

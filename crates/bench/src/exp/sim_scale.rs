@@ -12,15 +12,18 @@
 //!
 //! `--smoke` shortens the scale run (still ≥ 1M container-periods).
 
-use escra_bench::{write_json, SEED};
-use escra_harness::{run, MicroSimConfig, Policy};
+use escra_bench::{fail, manifest_json, write_json, Args, Baseline, SEED};
+use escra_harness::{MicroSimConfig, Policy};
 use escra_metrics::Table;
 use escra_simcore::time::SimDuration;
 use escra_workloads::{MicroserviceApp, RequestClass, ServiceTier, WorkloadKind};
 use std::time::Instant;
 
 /// Committed baseline written by `--record`, validated by `--check`.
-const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
+pub const BASELINE: Baseline = Baseline {
+    file: "BENCH_sim.json",
+    keys: &["container_periods_per_sec"],
+};
 
 /// Scale-run cluster size (the ISSUE's 10k-node target).
 const SCALE_NODES: usize = 10_000;
@@ -77,69 +80,12 @@ fn scale_cfg(duration_secs: u64) -> MicroSimConfig {
     cfg
 }
 
-/// Minimal JSON number extraction: the vendored serde_json shim only
-/// serializes, so the committed baseline is read back by string search.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = json.find(&pat)?;
-    let rest = &json[at + pat.len()..];
-    let rest = &rest[rest.find(':')? + 1..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// First line of `cmd args…`'s stdout, or "unknown".
-fn first_line_of(cmd: &str, args: &[&str]) -> String {
-    std::process::Command::new(cmd)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| {
-            String::from_utf8_lossy(&o.stdout)
-                .lines()
-                .next()
-                .map(str::to_owned)
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// Who measured the numbers, as a JSON object: the commit the tree was
-/// at (`-dirty` with uncommitted changes), the compiler, the CPU and the
-/// threads the run used (the driver is single-threaded).
-fn manifest_json() -> String {
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            let line = s.lines().find(|l| l.starts_with("model name"))?;
-            Some(line.split(':').nth(1)?.trim().to_owned())
-        })
-        .unwrap_or_else(|| "unknown".into());
-    format!(
-        "{{\"git_rev\": {:?}, \"rustc\": {:?}, \"cpu\": {:?}, \"threads\": 1}}",
-        first_line_of("git", &["describe", "--always", "--dirty", "--abbrev=12"]),
-        first_line_of("rustc", &["--version"]),
-        cpu,
-    )
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let record = args.iter().any(|a| a == "--record");
-    for a in &args {
-        assert!(
-            matches!(a.as_str(), "--smoke" | "--check" | "--record"),
-            "unknown flag {a:?} (expected --smoke, --check, --record)"
-        );
-    }
-
-    let duration_secs = if smoke { 10 } else { 50 };
+pub fn run(args: &Args) {
+    let duration_secs = if args.smoke { 10 } else { 50 };
     let cfg = scale_cfg(duration_secs);
     let containers = cfg.app.container_count() as u64;
     let start = Instant::now();
-    let out = run(&cfg);
+    let out = escra_harness::run(&cfg);
     let wall = start.elapsed().as_secs_f64();
 
     let container_periods = out.sim.rounds * containers;
@@ -155,37 +101,24 @@ fn main() {
         "scale run served no requests"
     );
 
+    let rows = [
+        ("nodes", format!("{SCALE_NODES}")),
+        ("containers", format!("{containers}")),
+        ("simulated", format!("{duration_secs}s (+10s warm-up)")),
+        ("rounds", format!("{}", out.sim.rounds)),
+        ("container-periods", format!("{container_periods}")),
+        ("heap events", format!("{}", out.sim.heap_events)),
+        ("heap events/container-period", format!("{events_per_cp:.4}")),
+        ("background jobs", format!("{}", out.sim.bg_jobs)),
+        ("requests served", format!("{}", out.metrics.latency.successes())),
+        ("wall time", format!("{wall:.2}s")),
+        ("container-periods/s", format!("{cp_rate:.0}")),
+        ("heap events/s", format!("{ev_rate:.0}")),
+    ];
     let mut table = Table::new(vec!["metric", "value"]);
-    table.row(vec!["nodes".into(), format!("{SCALE_NODES}")]);
-    table.row(vec!["containers".into(), format!("{containers}")]);
-    table.row(vec![
-        "simulated".into(),
-        format!("{duration_secs}s (+10s warm-up)"),
-    ]);
-    table.row(vec!["rounds".into(), format!("{}", out.sim.rounds)]);
-    table.row(vec![
-        "container-periods".into(),
-        format!("{container_periods}"),
-    ]);
-    table.row(vec![
-        "heap events".into(),
-        format!("{}", out.sim.heap_events),
-    ]);
-    table.row(vec![
-        "heap events/container-period".into(),
-        format!("{events_per_cp:.4}"),
-    ]);
-    table.row(vec![
-        "background jobs".into(),
-        format!("{}", out.sim.bg_jobs),
-    ]);
-    table.row(vec![
-        "requests served".into(),
-        format!("{}", out.metrics.latency.successes()),
-    ]);
-    table.row(vec!["wall time".into(), format!("{wall:.2}s")]);
-    table.row(vec!["container-periods/s".into(), format!("{cp_rate:.0}")]);
-    table.row(vec!["heap events/s".into(), format!("{ev_rate:.0}")]);
+    for (metric, value) in rows {
+        table.row(vec![metric.into(), value]);
+    }
     println!("Event-heap scale run ({SCALE_NODES} nodes, host-clock)");
     println!("{}", table.render());
 
@@ -206,37 +139,21 @@ fn main() {
     let path = write_json("sim_scale", &json);
     println!("numbers written to {}", path.display());
 
-    if record {
-        std::fs::write(BASELINE_PATH, &json).expect("write committed baseline");
-        println!("committed baseline recorded to {BASELINE_PATH}");
+    if args.record {
+        BASELINE.record(&json);
     }
-    if check {
-        let committed = std::fs::read_to_string(BASELINE_PATH)
-            .unwrap_or_else(|e| panic!("read {BASELINE_PATH}: {e} (run with --record first)"));
-        let committed_rate = extract_number(&committed, "container_periods_per_sec")
-            .expect("baseline has container_periods_per_sec");
-        println!(
-            "check: {cp_rate:.0} container-periods/s vs committed {committed_rate:.0} \
-             (floor {:.0})",
-            0.5 * committed_rate
-        );
-        if cp_rate < 0.5 * committed_rate {
-            eprintln!(
-                "FAIL: scale-run throughput regressed >2x vs committed baseline \
-                 ({cp_rate:.0} < 0.5 * {committed_rate:.0})"
-            );
-            std::process::exit(1);
-        }
+    if args.check {
+        let committed = BASELINE.load().unwrap_or_else(|e| fail(&e));
+        committed.gate("container_periods_per_sec", 0.5, cp_rate, "container-periods/s");
         println!(
             "check: {events_per_cp:.4} heap events per container-period \
              (ceiling {MAX_HEAP_EVENTS_PER_CP})"
         );
         if events_per_cp > MAX_HEAP_EVENTS_PER_CP {
-            eprintln!(
-                "FAIL: {events_per_cp:.4} heap events per container-period > \
+            fail(&format!(
+                "{events_per_cp:.4} heap events per container-period > \
                  {MAX_HEAP_EVENTS_PER_CP}: aligned reports are back on per-node timers"
-            );
-            std::process::exit(1);
+            ));
         }
         println!("check: OK");
     }

@@ -4,13 +4,13 @@
 //! motivates using 1.5× as the static comparison point — plus Escra,
 //! which escapes the trade-off.
 
-use escra_bench::{write_json, SEED};
+use escra_bench::{write_json, Args, SEED};
 use escra_harness::{profile_run, run_with_profiles, MicroSimConfig, Policy};
 use escra_metrics::{to_json, Table};
 use escra_simcore::time::SimDuration;
 use escra_workloads::{media_microservice, WorkloadKind};
 
-fn main() {
+pub fn run(_: &Args) {
     let base = MicroSimConfig::new(
         media_microservice(),
         WorkloadKind::paper_fixed(),
@@ -29,43 +29,28 @@ fn main() {
         "OOMs",
     ]);
     let mut dump = Vec::new();
-    for factor in [0.75, 1.0, 1.5] {
+    let allocations = [
+        ("static-0.75x", Policy::Static { factor: 0.75 }),
+        ("static-1x", Policy::Static { factor: 1.0 }),
+        ("static-1.5x", Policy::Static { factor: 1.5 }),
+        ("escra", Policy::escra_default()),
+    ];
+    for (name, policy) in allocations {
         let cfg = MicroSimConfig {
-            policy: Policy::Static { factor },
+            policy,
             ..base.clone()
         };
         let m = run_with_profiles(&cfg, &profiles).metrics;
         table.row(vec![
-            format!("static-{factor}x"),
+            name.into(),
             format!("{:.1}", m.throughput()),
             format!("{:.0}", m.latency.p(99.9)),
             format!("{:.2}", m.slack.cpu_p(50.0)),
             format!("{:.0}", m.slack.mem_p(50.0)),
             format!("{}", m.oom_kills),
         ]);
-        dump.push((
-            format!("static-{factor}x"),
-            m.throughput(),
-            m.latency.p(99.9),
-        ));
+        dump.push((name, m.throughput(), m.latency.p(99.9)));
     }
-    let escra = run_with_profiles(
-        &MicroSimConfig {
-            policy: Policy::escra_default(),
-            ..base.clone()
-        },
-        &profiles,
-    )
-    .metrics;
-    table.row(vec![
-        "escra".into(),
-        format!("{:.1}", escra.throughput()),
-        format!("{:.0}", escra.latency.p(99.9)),
-        format!("{:.2}", escra.slack.cpu_p(50.0)),
-        format!("{:.0}", escra.slack.mem_p(50.0)),
-        format!("{}", escra.oom_kills),
-    ]);
-    dump.push(("escra".into(), escra.throughput(), escra.latency.p(99.9)));
 
     println!("Static provisioning study — MediaMicroservice, fixed 400 req/s");
     println!("(paper 6-B: performance increases and slack worsens from 0.75x to 1.5x;");

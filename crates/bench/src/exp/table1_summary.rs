@@ -6,7 +6,7 @@
 //! Also prints the §VI-E OOM counts (Escra must be zero; baselines may
 //! OOM).
 
-use escra_bench::{cost_columns, parse_sweep_args, run_matrix_args, write_json};
+use escra_bench::{cost_columns, matrix_cells, run_cells_args, write_json, Args};
 use escra_metrics::{to_json, Comparison, Table};
 
 fn mean(xs: &[f64]) -> f64 {
@@ -17,8 +17,8 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-fn main() {
-    let cells = run_matrix_args(&parse_sweep_args());
+pub fn run(args: &Args) {
+    let cells = run_cells_args(matrix_cells(), args);
 
     let mut per_cell = Table::new(vec![
         "app",
@@ -64,64 +64,21 @@ fn main() {
     println!("Per-cell results ({} cells x 5 policies):\n", cells.len());
     println!("{}", per_cell.render());
 
+    let fields: [fn(&Comparison) -> f64; 6] = [
+        |c| c.latency_decrease_pct,
+        |c| c.throughput_increase_pct,
+        |c| c.cpu_slack_p50_reduction_pct,
+        |c| c.cpu_slack_p99_reduction_pct,
+        |c| c.mem_slack_p50_reduction_pct,
+        |c| c.mem_slack_p99_reduction_pct,
+    ];
     let summarize = |name: &str, cmps: &[Comparison]| -> Vec<String> {
-        vec![
-            name.into(),
-            format!(
-                "{:.1}%",
-                mean(
-                    &cmps
-                        .iter()
-                        .map(|c| c.latency_decrease_pct)
-                        .collect::<Vec<_>>()
-                )
-            ),
-            format!(
-                "{:.1}%",
-                mean(
-                    &cmps
-                        .iter()
-                        .map(|c| c.throughput_increase_pct)
-                        .collect::<Vec<_>>()
-                )
-            ),
-            format!(
-                "{:.1}%",
-                mean(
-                    &cmps
-                        .iter()
-                        .map(|c| c.cpu_slack_p50_reduction_pct)
-                        .collect::<Vec<_>>()
-                )
-            ),
-            format!(
-                "{:.1}%",
-                mean(
-                    &cmps
-                        .iter()
-                        .map(|c| c.cpu_slack_p99_reduction_pct)
-                        .collect::<Vec<_>>()
-                )
-            ),
-            format!(
-                "{:.1}%",
-                mean(
-                    &cmps
-                        .iter()
-                        .map(|c| c.mem_slack_p50_reduction_pct)
-                        .collect::<Vec<_>>()
-                )
-            ),
-            format!(
-                "{:.1}%",
-                mean(
-                    &cmps
-                        .iter()
-                        .map(|c| c.mem_slack_p99_reduction_pct)
-                        .collect::<Vec<_>>()
-                )
-            ),
-        ]
+        let mut row = vec![name.to_string()];
+        for field in fields {
+            let xs: Vec<f64> = cmps.iter().map(field).collect();
+            row.push(format!("{:.1}%", mean(&xs)));
+        }
+        row
     };
     let mut table1 = Table::new(vec![
         "comparison",

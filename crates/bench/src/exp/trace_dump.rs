@@ -17,18 +17,19 @@
 //! a canonical per-container order, so the `.trace` file is a pure
 //! function of the seed.
 
-use escra_bench::SEED;
+use escra_bench::{Args, SEED};
 use escra_cfs::MIB;
 use escra_cluster::{AppId, Cluster, ContainerId, ContainerSpec, NodeId, NodeSpec};
 use escra_core::{
     Action, Agent, AgentReport, Controller, CpuStatsEntry, EscraConfig, ReclaimEntry, ToAgent,
     ToController, TraceRecorder,
 };
+use escra_harness::{controller_addr, node_addr};
 use escra_metrics::trace::{kind_counts, merge_events, render_merged};
 use escra_metrics::{
     grant_latency_histogram, ExpoSnapshot, HistogramSummary, NamedCounter, PromText,
 };
-use escra_net::{Addr, FaultDecision, FaultInjector, FaultPlan};
+use escra_net::{FaultDecision, FaultInjector, FaultPlan};
 use escra_simcore::time::{SimDuration, SimTime};
 
 const NODES: usize = 4;
@@ -48,14 +49,6 @@ const TRACE_CAP: usize = 65_536;
 const CLASS_CONTROLLER: u16 = 0;
 const CLASS_AGENT: u16 = 1;
 const CLASS_FAULT: u16 = 2;
-
-fn controller_addr() -> Addr {
-    Addr::from_raw(0)
-}
-
-fn node_addr(node: NodeId) -> Addr {
-    Addr::from_raw(1 + node.as_u64())
-}
 
 fn recorder(class: u16) -> TraceRecorder {
     TraceRecorder::with_capacity(TRACE_CAP).with_class(class)
@@ -97,7 +90,7 @@ fn dedup_reclaims(actions: &mut Vec<Action>) {
 }
 
 #[allow(clippy::too_many_lines)] // one linear scenario script
-fn main() {
+pub fn run(_: &Args) {
     let cfg = EscraConfig::default();
 
     // --- Deployment: 4 nodes, 6 apps x 2 containers. ------------------
@@ -172,6 +165,11 @@ fn main() {
     for round in 0..ROUNDS {
         let now = START + PERIOD * round;
         cluster.tick(now);
+        // Copies of one message the faulty fabric delivers (0 if dropped).
+        let mut deliver = |from, to| match faults.decide_traced(now, from, to, &mut fault_rec) {
+            FaultDecision::Drop => 0,
+            FaultDecision::Deliver { copies, .. } => copies,
+        };
 
         // CPU demand: each container alternates a heavy burst (throttles
         // at its quota, driving scale-ups) with a quiet phase (unused
@@ -236,13 +234,8 @@ fn main() {
             }
             let node = NodeId::new(n as u64);
             let msg = ToController::CpuStatsBatch { node, entries };
-            match faults.decide_traced(now, node_addr(node), controller_addr(), &mut fault_rec) {
-                FaultDecision::Drop => {}
-                FaultDecision::Deliver { copies, .. } => {
-                    for _ in 0..copies {
-                        inbox.push(msg.clone());
-                    }
-                }
+            for _ in 0..deliver(node_addr(node), controller_addr()) {
+                inbox.push(msg.clone());
             }
         }
         // OOM events were queued before the fault fabric; route them now
@@ -252,18 +245,8 @@ fn main() {
             match &msg {
                 ToController::OomEvent { container, .. } => {
                     let node = cluster.container(*container).expect("known").node();
-                    match faults.decide_traced(
-                        now,
-                        node_addr(node),
-                        controller_addr(),
-                        &mut fault_rec,
-                    ) {
-                        FaultDecision::Drop => {}
-                        FaultDecision::Deliver { copies, .. } => {
-                            for _ in 0..copies {
-                                controller.handle_into(now, msg.clone(), &mut actions);
-                            }
-                        }
+                    for _ in 0..deliver(node_addr(node), controller_addr()) {
+                        controller.handle_into(now, msg.clone(), &mut actions);
                     }
                 }
                 _ => controller.handle_into(now, msg, &mut actions),
@@ -282,56 +265,26 @@ fn main() {
             match a {
                 Action::Agent { node, cmd } => {
                     let nidx = node.as_u64() as usize;
-                    match faults.decide_traced(
-                        now,
-                        controller_addr(),
-                        node_addr(node),
-                        &mut fault_rec,
-                    ) {
-                        FaultDecision::Drop => {}
-                        FaultDecision::Deliver { copies, .. } => {
-                            for _ in 0..copies {
-                                let report = agents[nidx].apply_traced(
-                                    now,
-                                    &mut cluster,
-                                    cmd,
-                                    &mut agent_recs[nidx],
-                                );
-                                match report {
-                                    AgentReport::Applied => {
-                                        if let ToAgent::SetMemLimit { container, seq, .. } = cmd {
-                                            // The ack is the RPC response;
-                                            // it rides the same faulty link.
-                                            if faults.decide_traced(
-                                                now,
-                                                node_addr(node),
-                                                controller_addr(),
-                                                &mut fault_rec,
-                                            ) != FaultDecision::Drop
-                                            {
-                                                controller.handle_into(
-                                                    now,
-                                                    ToController::LimitAck { container, seq },
-                                                    &mut actions,
-                                                );
-                                            }
-                                        }
+                    for _ in 0..deliver(controller_addr(), node_addr(node)) {
+                        let rec = &mut agent_recs[nidx];
+                        match agents[nidx].apply_traced(now, &mut cluster, cmd, rec) {
+                            AgentReport::Applied => {
+                                if let ToAgent::SetMemLimit { container, seq, .. } = cmd {
+                                    // The ack is the RPC response; it
+                                    // rides the same faulty link.
+                                    if deliver(node_addr(node), controller_addr()) > 0 {
+                                        let ack = ToController::LimitAck { container, seq };
+                                        controller.handle_into(now, ack, &mut actions);
                                     }
-                                    AgentReport::Reclaimed(entries) => {
-                                        if faults.decide_traced(
-                                            now,
-                                            node_addr(node),
-                                            controller_addr(),
-                                            &mut fault_rec,
-                                        ) != FaultDecision::Drop
-                                        {
-                                            report_arrived = true;
-                                            reclaim_entries.extend(entries);
-                                        }
-                                    }
-                                    AgentReport::Stale => {}
                                 }
                             }
+                            AgentReport::Reclaimed(entries) => {
+                                if deliver(node_addr(node), controller_addr()) > 0 {
+                                    report_arrived = true;
+                                    reclaim_entries.extend(entries);
+                                }
+                            }
+                            AgentReport::Stale => {}
                         }
                     }
                 }

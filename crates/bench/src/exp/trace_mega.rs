@@ -21,11 +21,10 @@
 //! and re-asserts the scale floors (≥ 10 000 apps, ≥ 1M
 //! container-periods).
 
-use escra_bench::{assert_byte_identical, write_json, SEED};
+use escra_bench::{assert_byte_identical, fail, write_json, Args, Baseline, SEED};
 use escra_core::EscraConfig;
 use escra_harness::{
-    default_threads, run_serial, run_sweep, run_trace_sim, scenarios, ReportPlan, TraceSimConfig,
-    TraceSimOutput,
+    run_serial, run_sweep, run_trace_sim, scenarios, ReportPlan, TraceSimConfig, TraceSimOutput,
 };
 use escra_metrics::{to_json, LatencyRecorder, ServerlessStats, SlackRecorder};
 use escra_simcore::time::SimTime;
@@ -35,7 +34,10 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Committed baseline written by `--record`, validated by `--check`.
-const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
+pub const BASELINE: Baseline = Baseline {
+    file: "BENCH_trace.json",
+    keys: &["container_periods_per_sec", "container_periods"],
+};
 
 /// Fixed shard count — independent of `--threads`, so the grid (and its
 /// seeds) never changes shape with the worker pool.
@@ -134,6 +136,7 @@ fn shard_cfg(seed: u64, nodes_per_shard: usize) -> TraceSimConfig {
 }
 
 /// Merged cross-shard view (reduced in shard-index order).
+#[derive(Default)]
 struct Merged {
     latency: LatencyRecorder,
     slack: SlackRecorder,
@@ -149,19 +152,7 @@ struct Merged {
 }
 
 fn merge(outs: &[TraceSimOutput]) -> Merged {
-    let mut m = Merged {
-        latency: LatencyRecorder::new(),
-        slack: SlackRecorder::new(),
-        serverless: ServerlessStats::new(),
-        cpu_limit: BTreeMap::new(),
-        mem_limit: BTreeMap::new(),
-        oom_kills: 0,
-        container_periods: 0,
-        throttled_periods: 0,
-        pods_spawned: 0,
-        peak_pods: 0,
-        control_bytes: 0,
-    };
+    let mut m = Merged::default();
     for out in outs {
         m.latency.merge(&out.metrics.latency);
         m.slack.merge(&out.metrics.slack);
@@ -192,45 +183,9 @@ fn mean(series: &BTreeMap<SimTime, f64>) -> f64 {
     }
 }
 
-/// Minimal JSON number extraction (the vendored serde_json shim only
-/// serializes; committed baselines are read back by string search).
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = json.find(&pat)?;
-    let rest = &json[at + pat.len()..];
-    let rest = &rest[rest.find(':')? + 1..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn main() {
-    let mut smoke = false;
-    let mut check = false;
-    let mut record = false;
-    let mut serial_check = false;
-    let mut threads = default_threads();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = true,
-            "--record" => record = true,
-            "--serial" => serial_check = true,
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| panic!("--threads needs a positive integer"));
-            }
-            other => panic!(
-                "unknown flag {other:?} (expected --smoke, --check, --record, --serial, \
-                 --threads N)"
-            ),
-        }
-    }
-
-    let (apps, minutes, nodes) = if smoke {
+pub fn run(args: &Args) {
+    let threads = args.workers();
+    let (apps, minutes, nodes) = if args.smoke {
         (SMOKE_APPS, SMOKE_MINUTES, SMOKE_NODES)
     } else {
         (FULL_APPS, FULL_MINUTES, FULL_NODES)
@@ -247,19 +202,14 @@ fn main() {
     let outs = run_sweep(scenarios(SEED, shards.clone()), threads, f);
     let wall = start.elapsed().as_secs_f64();
 
-    let summaries: Vec<ShardSummary> = outs
-        .iter()
-        .enumerate()
-        .map(|(i, o)| summarize(i, shard_sizes[i], o))
-        .collect();
-    if serial_check {
+    let summaries_of = |outs: &[TraceSimOutput]| -> Vec<ShardSummary> {
+        let shard = |(i, o): (usize, &TraceSimOutput)| summarize(i, shard_sizes[i], o);
+        outs.iter().enumerate().map(shard).collect()
+    };
+    let summaries = summaries_of(&outs);
+    if args.serial {
         let serial_outs = run_serial(scenarios(SEED, shards), f);
-        let serial_summaries: Vec<ShardSummary> = serial_outs
-            .iter()
-            .enumerate()
-            .map(|(i, o)| summarize(i, shard_sizes[i], o))
-            .collect();
-        assert_byte_identical(&summaries, &serial_summaries);
+        assert_byte_identical(&summaries, &summaries_of(&serial_outs));
     }
 
     let m = merge(&outs);
@@ -353,33 +303,16 @@ fn main() {
     let det = write_json(&format!("{tag}.shards"), &shards_json);
     println!("shard summaries written to {}", det.display());
 
-    if record {
-        std::fs::write(BASELINE_PATH, &json).expect("write committed baseline");
-        println!("committed baseline recorded to {BASELINE_PATH}");
+    if args.record {
+        BASELINE.record(&json);
     }
-    if check {
-        let committed = std::fs::read_to_string(BASELINE_PATH)
-            .unwrap_or_else(|e| panic!("read {BASELINE_PATH}: {e} (run with --record first)"));
-        let committed_rate = extract_number(&committed, "container_periods_per_sec")
-            .expect("baseline has container_periods_per_sec");
-        let committed_cp = extract_number(&committed, "container_periods")
-            .expect("baseline has container_periods");
+    if args.check {
+        let committed = BASELINE.load().unwrap_or_else(|e| fail(&e));
         assert!(
-            committed_cp >= 1_000_000.0,
+            committed.get("container_periods") >= 1_000_000.0,
             "committed baseline must record >= 1M container-periods at full scale"
         );
-        println!(
-            "check: {cp_rate:.0} container-periods/s vs committed {committed_rate:.0} \
-             (floor {:.0})",
-            0.5 * committed_rate
-        );
-        if cp_rate < 0.5 * committed_rate {
-            eprintln!(
-                "FAIL: trace-mega throughput regressed >2x vs committed baseline \
-                 ({cp_rate:.0} < 0.5 * {committed_rate:.0})"
-            );
-            std::process::exit(1);
-        }
+        committed.gate("container_periods_per_sec", 0.5, cp_rate, "container-periods/s");
         println!("check: OK");
     }
 }

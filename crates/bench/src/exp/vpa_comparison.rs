@@ -5,13 +5,13 @@
 //! requests, and the once-per-minute rescale cannot follow bursts.
 
 use escra_baselines::VpaConfig;
-use escra_bench::{write_json, SEED};
+use escra_bench::{write_json, Args, SEED};
 use escra_harness::{profile_run, run_with_profiles, MicroSimConfig, Policy};
 use escra_metrics::{to_json, Table};
 use escra_simcore::time::SimDuration;
 use escra_workloads::{teastore, WorkloadKind};
 
-fn main() {
+pub fn run(_: &Args) {
     let mut table = Table::new(vec![
         "workload",
         "policy",

@@ -1,15 +1,17 @@
 //! # escra-bench
 //!
 //! The benchmark harness that regenerates **every table and figure** of
-//! the paper's evaluation. Each artifact has a dedicated binary (see the
-//! experiment index in `DESIGN.md`); this library holds the shared
-//! experiment-matrix runner so Figs. 4–6 and Table I reuse one set of
-//! runs.
+//! the paper's evaluation. One binary, `escra-bench`, runs each artifact
+//! as a subcommand (see the experiment index in `DESIGN.md`, or run it
+//! with no argument); this library holds what the experiments share:
+//! the flag parser, the committed-baseline gate, the experiment-matrix
+//! runner (so Figs. 4–6 and Table I reuse one set of runs) and the
+//! renderers of Figs. 5/6 and 8/9.
 //!
 //! Run any artifact with, e.g.:
 //!
 //! ```text
-//! cargo run -p escra-bench --release --bin table1_summary
+//! cargo run -p escra-bench --release -- table1_summary
 //! ```
 
 #![forbid(unsafe_code)]
@@ -18,7 +20,7 @@
 
 use escra_harness::sweep::{default_threads, run_serial, run_sweep, scenarios, Scenario};
 use escra_harness::{profile_run, run_with_profiles, MicroSimConfig, Policy};
-use escra_metrics::RunMetrics;
+use escra_metrics::{downsample_cdf, to_json, RunMetrics, SlackRecorder, Table};
 use escra_simcore::time::SimDuration;
 use escra_workloads::{
     alibaba_workload, hipster_shop, media_microservice, teastore, train_ticket, MicroserviceApp,
@@ -32,20 +34,63 @@ pub const SMOKE_RUN_SECS: u64 = 8;
 /// Default master seed for the experiment matrix.
 pub const SEED: u64 = 20220701;
 
-/// Command-line options shared by the sweep-runner figure binaries.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepArgs {
-    /// `--smoke`: run with [`SMOKE_RUN_SECS`] instead of [`RUN_SECS`].
+/// Every flag an experiment can accept.
+pub const FLAGS: [&str; 5] = ["--smoke", "--serial", "--threads", "--check", "--record"];
+
+/// An experiment's command line, parsed by [`Args::parse`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Args {
+    /// `--smoke`: the short CI variant of the experiment.
     pub smoke: bool,
     /// `--serial`: re-run the grid serially and assert the serialized
     /// results are byte-identical to the parallel run (the CI gate).
-    pub serial_check: bool,
-    /// `--threads N`: sweep worker count (defaults to
-    /// [`default_threads`]).
-    pub threads: usize,
+    pub serial: bool,
+    /// `--threads N`: sweep worker count (shard count for
+    /// `overhead_controller`).
+    pub threads: Option<usize>,
+    /// `--check`: gate the run against its committed [`Baseline`].
+    pub check: bool,
+    /// `--record`: write the run's numbers as the committed [`Baseline`].
+    pub record: bool,
 }
 
-impl SweepArgs {
+impl Args {
+    /// Parses the arguments after the experiment name, accepting only the
+    /// flags in `accepted` (a subset of [`FLAGS`]). The error names the
+    /// accepted flags.
+    pub fn parse(
+        accepted: &[&str],
+        argv: impl IntoIterator<Item = String>,
+    ) -> Result<Args, String> {
+        let reject = |what: String| format!("{what}; accepted: {}", usage(accepted));
+        let mut args = Args::default();
+        let mut it = argv.into_iter();
+        while let Some(flag) = it.next() {
+            if !accepted.contains(&flag.as_str()) {
+                return Err(reject(format!("unexpected flag {flag:?}")));
+            }
+            match flag.as_str() {
+                "--smoke" => args.smoke = true,
+                "--serial" => args.serial = true,
+                "--check" => args.check = true,
+                "--record" => args.record = true,
+                "--threads" => {
+                    let n = it.next().and_then(|v| v.parse::<usize>().ok());
+                    let n = n.filter(|&n| n > 0);
+                    let n = n.ok_or_else(|| reject("--threads needs a positive integer".into()))?;
+                    args.threads = Some(n);
+                }
+                _ => return Err(reject(format!("unknown flag {flag:?}"))),
+            }
+        }
+        Ok(args)
+    }
+
+    /// The sweep worker count: `--threads`, else [`default_threads`].
+    pub fn workers(&self) -> usize {
+        self.threads.unwrap_or_else(default_threads)
+    }
+
     /// The per-run duration these options select.
     pub fn duration_secs(&self) -> u64 {
         if self.smoke {
@@ -56,55 +101,151 @@ impl SweepArgs {
     }
 }
 
-/// Parses `--smoke`, `--serial`, and `--threads N` from `std::env::args`.
-///
-/// # Panics
-///
-/// Panics on unknown flags or a malformed `--threads` value, printing
-/// the offending argument.
-pub fn parse_sweep_args() -> SweepArgs {
-    let mut args = SweepArgs {
-        smoke: false,
-        serial_check: false,
-        threads: default_threads(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--serial" => args.serial_check = true,
-            "--threads" => {
-                let n = it
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| panic!("--threads needs a positive integer"));
-                args.threads = n;
-            }
-            other => panic!("unknown flag {other:?} (expected --smoke, --serial, --threads N)"),
+/// `accepted` as the index and parse errors print it.
+pub fn usage(accepted: &[&str]) -> String {
+    if accepted.is_empty() {
+        return "none".into();
+    }
+    let shown: Vec<&str> = accepted
+        .iter()
+        .map(|&f| if f == "--threads" { "--threads N" } else { f })
+        .collect();
+    shown.join(", ")
+}
+
+/// Prints `FAIL: {msg}` to stderr and exits with status 1: how a gate
+/// reports a failed check.
+pub fn fail(msg: &str) -> ! {
+    eprintln!("FAIL: {msg}");
+    std::process::exit(1)
+}
+
+/// A committed `BENCH_*.json` baseline at the repository root: what
+/// `--record` writes and `--check` gates against.
+#[derive(Debug)]
+pub struct Baseline {
+    /// File name under the repository root.
+    pub file: &'static str,
+    /// Every key the experiment's `--check` reads.
+    pub keys: &'static [&'static str],
+}
+
+impl Baseline {
+    /// The committed file's path.
+    fn path(&self) -> String {
+        format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), self.file)
+    }
+
+    /// Commits `json` as the new baseline.
+    pub fn record(&self, json: &str) {
+        let path = self.path();
+        std::fs::write(&path, json).expect("write committed baseline");
+        println!("committed baseline recorded to {path}");
+    }
+
+    /// Reads the committed file and looks up every gated key.
+    pub fn load(&self) -> Result<Committed, String> {
+        let path = self.path();
+        let json = std::fs::read_to_string(&path)
+            .map_err(|e| format!("read {path}: {e} (run with --record first)"))?;
+        self.lookup(&json)
+    }
+
+    /// Looks up every gated key in `json`; the error names the first
+    /// missing key and the file.
+    fn lookup(&self, json: &str) -> Result<Committed, String> {
+        let values = self.keys.iter().map(|&key| {
+            extract_number(json, key)
+                .map(|v| (key, v))
+                .ok_or_else(|| format!("{} has no numeric {key:?}", self.file))
+        });
+        Ok(Committed {
+            file: self.file,
+            values: values.collect::<Result<_, _>>()?,
+        })
+    }
+}
+
+/// The gated numbers of a loaded [`Baseline`].
+#[derive(Debug)]
+pub struct Committed {
+    file: &'static str,
+    values: Vec<(&'static str, f64)>,
+}
+
+impl Committed {
+    /// The committed value of `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not one of the baseline's gated keys.
+    pub fn get(&self, key: &str) -> f64 {
+        let found = self.values.iter().find(|(k, _)| *k == key);
+        found.map(|&(_, v)| v).unwrap_or_else(|| {
+            panic!("{key:?} is not a gated key of {}", self.file);
+        })
+    }
+
+    /// Prints `measured` (in `unit`) against its floor, `frac` × the
+    /// committed `key`, and [`fail`]s the run below it.
+    pub fn gate(&self, key: &str, frac: f64, measured: f64, unit: &str) {
+        let committed = self.get(key);
+        let floor = frac * committed;
+        println!("check: {measured:.0} {unit} vs committed {committed:.0} (floor {floor:.0})");
+        if measured < floor {
+            fail(&format!(
+                "{unit} fell below {frac} x the committed {key:?} of {} \
+                 ({measured:.0} < {frac} * {committed:.0})",
+                self.file
+            ));
         }
     }
-    args
 }
 
-/// The four paper workloads with their display names.
-pub fn paper_workloads() -> Vec<(&'static str, WorkloadKind)> {
-    vec![
-        ("alibaba", alibaba_workload(240)),
-        ("burst", WorkloadKind::paper_burst()),
-        ("exp", WorkloadKind::paper_exp()),
-        ("fixed", WorkloadKind::paper_fixed()),
-    ]
+/// Minimal JSON number extraction: the vendored serde_json shim only
+/// serializes, so a committed baseline is read back by string search.
+fn extract_number(json: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\"");
+    let at = json.find(&pat)?;
+    let rest = &json[at + pat.len()..];
+    let rest = &rest[rest.find(':')? + 1..];
+    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
 }
 
-/// The four paper applications with their display names.
-pub fn paper_apps_named() -> Vec<(&'static str, MicroserviceApp)> {
-    vec![
-        ("MediaMicroservice", media_microservice()),
-        ("HipsterShop", hipster_shop()),
-        ("TrainTicket", train_ticket()),
-        ("Teastore", teastore()),
-    ]
+/// First line of `cmd args…`'s stdout, or "unknown".
+fn first_line_of(cmd: &str, args: &[&str]) -> String {
+    std::process::Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| {
+            String::from_utf8_lossy(&o.stdout)
+                .lines()
+                .next()
+                .map(str::to_owned)
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Who measured the numbers, as a JSON object: the commit the tree was
+/// at (`-dirty` with uncommitted changes), the compiler, the CPU and the
+/// threads the run used (the drivers are single-threaded).
+pub fn manifest_json() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    format!(
+        "{{\"git_rev\": {:?}, \"rustc\": {:?}, \"cpu\": {:?}, \"threads\": 1}}",
+        first_line_of("git", &["describe", "--always", "--dirty", "--abbrev=12"]),
+        first_line_of("rustc", &["--version"]),
+        cpu,
+    )
 }
 
 /// Results of one (app, workload) cell under the five compared policies.
@@ -141,15 +282,9 @@ impl CellResult {
 
 /// Runs one cell: a single profiling pre-run shared by the baselines,
 /// then one run per policy.
-pub fn run_cell(
-    app_name: &'static str,
-    app: &MicroserviceApp,
-    workload_name: &'static str,
-    workload: &WorkloadKind,
-    duration_secs: u64,
-    seed: u64,
-) -> CellResult {
-    let base = MicroSimConfig::new(app.clone(), workload.clone(), Policy::static_1_5x(), seed)
+pub fn run_cell(cell: &MatrixCell, duration_secs: u64, seed: u64) -> CellResult {
+    let (app, workload) = (cell.app.clone(), cell.workload.clone());
+    let base = MicroSimConfig::new(app, workload, Policy::static_1_5x(), seed)
         .with_duration(SimDuration::from_secs(duration_secs));
     let profiles = profile_run(&base);
 
@@ -162,8 +297,8 @@ pub fn run_cell(
     };
 
     CellResult {
-        app: app_name,
-        workload: workload_name,
+        app: cell.app_name,
+        workload: cell.workload_name,
         escra: run_policy(Policy::escra_default()),
         static_1_5: run_policy(Policy::static_1_5x()),
         autopilot: run_policy(Policy::autopilot_default()),
@@ -186,18 +321,25 @@ pub struct MatrixCell {
     pub workload: WorkloadKind,
 }
 
-/// The 4 × 4 grid in serial iteration order (apps outer, workloads
-/// inner), wrapped in sweep [`Scenario`]s keyed on `seed`.
-///
-/// Note the paper cells deliberately run with the *master* seed itself
-/// (`scenario.seed` is derived and available, but every committed
-/// artifact in `EXPERIMENTS.md` was produced with one shared seed per
-/// cell, and changing that would invalidate the recorded numbers). The
-/// fork-derived seeds are exercised by the sweep runner's own tests.
-pub fn matrix_scenarios(seed: u64) -> Vec<Scenario<MatrixCell>> {
+/// The full 4 × 4 grid (the paper's 16 microservice cells; run under
+/// 5 policies, its "all 32 experiments" are these runs for the two
+/// paper baseline comparisons, and tiny/ARC-V extend the same grid), in
+/// serial iteration order: apps outer, workloads inner.
+pub fn matrix_cells() -> Vec<MatrixCell> {
+    let apps = [
+        ("MediaMicroservice", media_microservice()),
+        ("HipsterShop", hipster_shop()),
+        ("TrainTicket", train_ticket()),
+        ("Teastore", teastore()),
+    ];
     let mut cells = Vec::new();
-    for (app_name, app) in paper_apps_named() {
-        for (workload_name, workload) in paper_workloads() {
+    for (app_name, app) in apps {
+        for (workload_name, workload) in [
+            ("alibaba", alibaba_workload(240)),
+            ("burst", WorkloadKind::paper_burst()),
+            ("exp", WorkloadKind::paper_exp()),
+            ("fixed", WorkloadKind::paper_fixed()),
+        ] {
             cells.push(MatrixCell {
                 app_name,
                 app: app.clone(),
@@ -206,49 +348,22 @@ pub fn matrix_scenarios(seed: u64) -> Vec<Scenario<MatrixCell>> {
             });
         }
     }
-    scenarios(seed, cells)
+    cells
 }
 
-fn matrix_cell_fn(duration_secs: u64, seed: u64) -> impl Fn(&Scenario<MatrixCell>) -> CellResult {
-    move |s: &Scenario<MatrixCell>| {
-        eprintln!(
-            "running {} x {} ...",
-            s.input.app_name, s.input.workload_name
-        );
-        run_cell(
-            s.input.app_name,
-            &s.input.app,
-            s.input.workload_name,
-            &s.input.workload,
-            duration_secs,
-            seed,
-        )
-    }
-}
-
-/// Runs the full 4 × 4 matrix (the paper's 16 microservice cells ×
-/// 5 policies — its "all 32 experiments" are these runs for the two
-/// paper baseline comparisons; tiny/ARC-V extend the same grid) on the
-/// deterministic parallel sweep runner.
-pub fn run_matrix(duration_secs: u64, seed: u64) -> Vec<CellResult> {
-    run_matrix_on(duration_secs, seed, default_threads())
-}
-
-/// [`run_matrix`] with an explicit worker count. Results are in grid
-/// order and bit-identical for every `threads` value.
-pub fn run_matrix_on(duration_secs: u64, seed: u64, threads: usize) -> Vec<CellResult> {
-    run_sweep(
-        matrix_scenarios(seed),
-        threads,
-        matrix_cell_fn(duration_secs, seed),
-    )
-}
-
-/// Reference serial matrix run; [`run_matrix_on`] must match it
-/// byte-for-byte once serialized (asserted by the `--serial` flag of
-/// the figure binaries).
-pub fn run_matrix_serial(duration_secs: u64, seed: u64) -> Vec<CellResult> {
-    run_serial(matrix_scenarios(seed), matrix_cell_fn(duration_secs, seed))
+/// The grid cells of a figure's named `(app, workload)` panels, in
+/// panel order.
+pub fn panel_cells(panels: &[(&'static str, &'static str)]) -> Vec<MatrixCell> {
+    let grid = matrix_cells();
+    panels
+        .iter()
+        .map(|&(app, workload)| {
+            grid.iter()
+                .find(|c| c.app_name == app && c.workload_name == workload)
+                .unwrap_or_else(|| panic!("unknown panel {app} x {workload}"))
+                .clone()
+        })
+        .collect()
 }
 
 /// Asserts two result sets serialize to byte-identical JSON — the
@@ -275,56 +390,139 @@ pub fn assert_byte_identical<T: serde::Serialize>(parallel: &[T], serial: &[T]) 
     );
 }
 
-/// Runs the matrix per `args`: parallel on `args.threads` workers, with
-/// the byte-identity re-run when `--serial` was given.
-pub fn run_matrix_args(args: &SweepArgs) -> Vec<CellResult> {
-    let cells = run_matrix_on(args.duration_secs(), SEED, args.threads);
-    if args.serial_check {
-        let serial = run_matrix_serial(args.duration_secs(), SEED);
-        assert_byte_identical(&cells, &serial);
-    }
-    cells
-}
-
-/// Builds the sweep grid for a figure's named `(app, workload)` panels.
-pub fn panel_cells(panels: &[(&'static str, &'static str)]) -> Vec<MatrixCell> {
-    let apps = paper_apps_named();
-    let workloads = paper_workloads();
-    panels
-        .iter()
-        .map(|&(app_name, workload_name)| MatrixCell {
-            app_name,
-            app: apps
-                .iter()
-                .find(|(n, _)| *n == app_name)
-                .unwrap_or_else(|| panic!("unknown app {app_name}"))
-                .1
-                .clone(),
-            workload_name,
-            workload: workloads
-                .iter()
-                .find(|(n, _)| *n == workload_name)
-                .unwrap_or_else(|| panic!("unknown workload {workload_name}"))
-                .1
-                .clone(),
-        })
-        .collect()
-}
-
-/// Runs an arbitrary cell list per `args` (parallel + optional serial
-/// identity check), preserving input order — the fig. 5/6 panel path.
-pub fn run_cells_args(cells: Vec<MatrixCell>, args: &SweepArgs) -> Vec<CellResult> {
-    let f = matrix_cell_fn(args.duration_secs(), SEED);
-    let results = run_sweep(scenarios(SEED, cells.clone()), args.threads, &f);
-    if args.serial_check {
-        let serial = run_serial(scenarios(SEED, cells), &f);
+/// Runs `cells` per `args` on the deterministic parallel sweep runner,
+/// preserving input order, with the byte-identity re-run when `--serial`
+/// was given.
+///
+/// Every cell runs with the *master* seed itself (`scenario.seed` is
+/// derived and available, but every committed artifact in
+/// `EXPERIMENTS.md` was produced with one shared seed per cell, and
+/// changing that would invalidate the recorded numbers). The
+/// fork-derived seeds are exercised by the sweep runner's own tests.
+pub fn run_cells_args(cells: Vec<MatrixCell>, args: &Args) -> Vec<CellResult> {
+    let f = |s: &Scenario<MatrixCell>| {
+        let cell = &s.input;
+        eprintln!("running {} x {} ...", cell.app_name, cell.workload_name);
+        run_cell(cell, args.duration_secs(), SEED)
+    };
+    let results = run_sweep(scenarios(SEED, cells.clone()), args.workers(), f);
+    if args.serial {
+        let serial = run_serial(scenarios(SEED, cells), f);
         assert_byte_identical(&results, &serial);
     }
     results
 }
 
+/// The four panels of Figs. 5 and 6: (app, workload).
+const SLACK_PANELS: [(&str, &str); 4] = [
+    ("TrainTicket", "fixed"),
+    ("Teastore", "alibaba"),
+    ("HipsterShop", "exp"),
+    ("MediaMicroservice", "burst"),
+];
+
+/// Figs. 5/6: one slack CDF per policy (Escra, Autopilot, Static) on
+/// each of the four highlighted panels.
+#[derive(Debug)]
+pub struct SlackCdfFigure {
+    /// Figure label, e.g. `"Fig. 5"`.
+    pub fig: &'static str,
+    /// The slack resource and its unit, as the panel caption names them.
+    pub caption: &'static str,
+    /// One percentile of the slack, formatted for the panel table.
+    pub percentile: fn(&SlackRecorder, f64) -> String,
+    /// The slack CDF.
+    pub cdf: fn(&SlackRecorder) -> Vec<(f64, f64)>,
+    /// Closing lines quoting the paper.
+    pub paper: &'static [&'static str],
+    /// Artifact name under `target/escra-results/`.
+    pub artifact: &'static str,
+}
+
+impl SlackCdfFigure {
+    /// Runs the panels per `args`, prints one percentile table per panel
+    /// and writes the downsampled CDFs.
+    pub fn run(&self, args: &Args) {
+        let cells = run_cells_args(panel_cells(&SLACK_PANELS), args);
+        let mut dump = Vec::new();
+        for cell in &cells {
+            println!(
+                "\n{} panel: {} - {} ({})",
+                self.fig, cell.app, cell.workload, self.caption
+            );
+            let mut table = Table::new(vec!["policy", "p25", "p50", "p75", "p90", "p99"]);
+            for m in [&cell.escra, &cell.autopilot, &cell.static_1_5] {
+                let mut row = vec![m.policy.clone()];
+                for p in [25.0, 50.0, 75.0, 90.0, 99.0] {
+                    row.push((self.percentile)(&m.slack, p));
+                }
+                table.row(row);
+                let cdf = downsample_cdf(&(self.cdf)(&m.slack), 200);
+                dump.push((cell.app, cell.workload, m.policy.clone(), cdf));
+            }
+            println!("{}", table.render());
+        }
+        for line in self.paper {
+            println!("{line}");
+        }
+        let path = write_json(self.artifact, &to_json(&dump));
+        println!("CDFs written to {}", path.display());
+    }
+}
+
+/// Figs. 8/9: prints `header`, then OpenWhisk's and Escra's aggregate
+/// CPU/memory limits and the savings between them in 30 s buckets, then
+/// `footer`, and writes the four limit series at 1 s as `artifact`.
+pub fn limits_figure(
+    artifact: &str,
+    header: &[&str],
+    vanilla: &RunMetrics,
+    escra: &RunMetrics,
+    footer: &[String],
+) {
+    let mut table = Table::new(vec![
+        "t(s)",
+        "OW cpu(cores)",
+        "Escra cpu",
+        "cpu savings",
+        "OW mem(MiB)",
+        "Escra mem",
+        "mem savings",
+    ]);
+    let v_cpu = vanilla.cpu_limit_series.resample_secs(30);
+    let e_cpu = escra.cpu_limit_series.resample_secs(30);
+    let v_mem = vanilla.mem_limit_series.resample_secs(30);
+    let e_mem = escra.mem_limit_series.resample_secs(30);
+    for i in 0..v_cpu.len().min(e_cpu.len()) {
+        table.row(vec![
+            format!("{:.0}", v_cpu[i].0),
+            format!("{:.1}", v_cpu[i].1),
+            format!("{:.1}", e_cpu[i].1),
+            format!("{:.1}", v_cpu[i].1 - e_cpu[i].1),
+            format!("{:.0}", v_mem[i].1),
+            format!("{:.0}", e_mem[i].1),
+            format!("{:.0}", v_mem[i].1 - e_mem[i].1),
+        ]);
+    }
+    for line in header {
+        println!("{line}");
+    }
+    println!("\n{}", table.render());
+    for line in footer {
+        println!("{line}");
+    }
+    let dump = (
+        vanilla.cpu_limit_series.resample_secs(1),
+        escra.cpu_limit_series.resample_secs(1),
+        vanilla.mem_limit_series.resample_secs(1),
+        escra.mem_limit_series.resample_secs(1),
+    );
+    let path = write_json(artifact, &to_json(&dump));
+    println!("series written to {}", path.display());
+}
+
 /// Formats the cost-efficiency columns shared by every table-rendering
-/// binary: total run cost in normalized dollars and dollars per
+/// experiment: total run cost in normalized dollars and dollars per
 /// 1 000 successful requests, both under the default [`CostModel`]
 /// (see `DESIGN.md` §13).
 ///
@@ -349,23 +547,83 @@ pub fn write_json(name: &str, json: &str) -> std::path::PathBuf {
 mod tests {
     use super::*;
 
+    const SWEEP: &[&str] = &["--smoke", "--serial", "--threads"];
+
+    fn args_of(accepted: &[&str], argv: &[&str]) -> Result<Args, String> {
+        Args::parse(accepted, argv.iter().map(|a| a.to_string()))
+    }
+
     #[test]
-    fn workload_and_app_lists_are_complete() {
-        assert_eq!(paper_workloads().len(), 4);
-        assert_eq!(paper_apps_named().len(), 4);
+    fn parser_sets_the_flags_it_accepts() {
+        let args = args_of(
+            &FLAGS,
+            &["--smoke", "--threads", "4", "--serial", "--check"],
+        );
+        let want = Args {
+            smoke: true,
+            serial: true,
+            threads: Some(4),
+            check: true,
+            record: false,
+        };
+        assert_eq!(args, Ok(want));
+        assert_eq!(args_of(&[], &[]), Ok(Args::default()));
+    }
+
+    #[test]
+    fn parser_rejections_name_the_accepted_flags() {
+        for (accepted, argv) in [
+            (SWEEP, &["--bogus"][..]),
+            (&["--smoke"][..], &["--check"][..]),
+            (SWEEP, &["--threads", "0"][..]),
+            (SWEEP, &["--smoke", "--threads"][..]),
+            (SWEEP, &["--threads", "four"][..]),
+        ] {
+            let err = args_of(accepted, argv).expect_err("must be rejected");
+            assert!(err.ends_with(&usage(accepted)), "{argv:?}: {err}");
+        }
+        let err = args_of(&[], &["--smoke"]).expect_err("takes no flags");
+        assert!(err.ends_with("accepted: none"), "{err}");
+        assert_eq!(usage(SWEEP), "--smoke, --serial, --threads N");
+    }
+
+    #[test]
+    fn a_missing_gated_key_fails_naming_key_and_file() {
+        let baseline = Baseline {
+            file: "BENCH_x.json",
+            keys: &["t4", "columnar_t8"],
+        };
+        let committed = baseline
+            .lookup("{\n  \"t4\": 7,\n  \"columnar_t8\": 9\n}\n")
+            .expect("both keys present");
+        assert_eq!(
+            (committed.get("t4"), committed.get("columnar_t8")),
+            (7.0, 9.0)
+        );
+        let err = baseline
+            .lookup("{\n  \"t4\": 7,\n  \"columnar_t4\": 9\n}\n")
+            .expect_err("columnar_t8 is missing");
+        assert!(
+            err.contains("columnar_t8") && err.contains("BENCH_x.json"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn the_grid_and_panels_are_complete() {
+        assert_eq!(matrix_cells().len(), 16);
+        assert_eq!(panel_cells(&SLACK_PANELS).len(), 4);
     }
 
     #[test]
     fn one_small_cell_runs() {
-        let (name, app) = &paper_apps_named()[3]; // Teastore (smallest)
-        let cell = run_cell(
-            name,
-            app,
-            "fixed",
-            &WorkloadKind::Fixed { rps: 120.0 },
-            10,
-            1,
-        );
+        let cell = MatrixCell {
+            app_name: "Teastore", // the smallest app
+            app: teastore(),
+            workload_name: "fixed",
+            workload: WorkloadKind::Fixed { rps: 120.0 },
+        };
+        let cell = run_cell(&cell, 10, 1);
         assert!(cell.escra.latency.successes() > 800);
         assert!(cell.static_1_5.latency.successes() > 800);
         assert!(cell.autopilot.latency.successes() > 600);

@@ -49,7 +49,8 @@
 //!
 //! See `DESIGN.md` for the system inventory and per-experiment index and
 //! `EXPERIMENTS.md` for paper-vs-measured results; every table and
-//! figure of the paper has a regenerating binary in `escra-bench`.
+//! figure of the paper has a regenerating subcommand of the
+//! `escra-bench` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
