@@ -109,7 +109,12 @@ pub fn run(args: &Args) {
         };
         let out = run_serverless(&under(mode, cfg), &image_process());
         let m = &out.metrics;
-        let row = CostRow::new("image-process", &m.policy, m.latency.successes(), model.run_cost(m));
+        let row = CostRow::new(
+            "image-process",
+            &m.policy,
+            m.latency.successes(),
+            model.run_cost(m),
+        );
         let [cost, per_kilo] = row.columns();
         table.row(vec![
             m.policy.clone(),
@@ -140,7 +145,12 @@ pub fn run(args: &Args) {
         let cfg = under(mode, ServerlessConfig::grid_search(None, 100));
         let out = run_serverless(&cfg, &grid_search_task());
         let m = &out.metrics;
-        let row = CostRow::new("grid-search", &m.policy, m.latency.successes(), model.run_cost(m));
+        let row = CostRow::new(
+            "grid-search",
+            &m.policy,
+            m.latency.successes(),
+            model.run_cost(m),
+        );
         let [cost, per_kilo] = row.columns();
         table.row(vec![
             m.policy.clone(),

@@ -17,16 +17,17 @@ pub fn run(_: &Args) {
     };
     let vanilla = run(false);
     let escra = run(true);
-    let (v_cpu, e_cpu) = (vanilla.cpu_limit_series.mean(), escra.cpu_limit_series.mean());
-    let (v_mem, e_mem) = (vanilla.mem_limit_series.mean(), escra.mem_limit_series.mean());
+    let (v, e) = (&vanilla, &escra);
+    let (v_cpu, e_cpu) = (v.cpu_limit_series.mean(), e.cpu_limit_series.mean());
+    let (v_mem, e_mem) = (v.mem_limit_series.mean(), e.mem_limit_series.mean());
     limits_figure(
         "fig8_imageprocess_limits",
         &[
             "Fig. 8 — ImageProcess aggregate limits (30 s buckets over one iteration)",
             "(paper: OpenWhisk ~12 vCPU vs Escra ~7 vCPU, memory savings ~1550 MiB)",
         ],
-        &vanilla,
-        &escra,
+        v,
+        e,
         &[format!(
             "means: OW cpu {v_cpu:.1} cores vs Escra {e_cpu:.1} (saving {:.1}); \
              OW mem {v_mem:.0} MiB vs Escra {e_mem:.0} (saving {:.0})",

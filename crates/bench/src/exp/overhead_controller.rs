@@ -42,7 +42,8 @@ use escra_cfs::{CpuPeriodStats, MIB};
 use escra_cluster::{AppId, ContainerId, NodeId};
 use escra_core::telemetry::ToController;
 use escra_core::{
-    Controller, ControllerStats, CpuStatsColumns, CpuStatsEntry, EscraConfig, ShardedController,
+    Action, Controller, ControllerStats, CpuStatsColumns, CpuStatsEntry, EscraConfig,
+    ShardedController,
 };
 use escra_metrics::Table;
 use escra_simcore::time::SimTime;
@@ -105,98 +106,45 @@ fn stats_for(round: u64, i: u64) -> CpuPeriodStats {
     }
 }
 
-/// Per-message ingest through `handle_into` with a reused action
-/// buffer, in node-major container order so both measurements drive the
-/// shared pools identically.
-fn measure_unbatched(rounds: u64) -> (f64, u64, ControllerStats) {
-    let mut controller = setup();
-    let mut out = Vec::new();
-    let mut actions = 0u64;
-    let start = Instant::now();
-    for round in 0..rounds {
-        let now = SimTime::from_millis(round * 100);
-        for node in 0..NODES {
-            let mut i = node;
-            while i < CONTAINERS {
-                let msg = ToController::CpuStats {
-                    container: ContainerId::new(i),
-                    stats: stats_for(round, i),
-                };
-                controller.handle_into(now, msg, &mut out);
-                actions += out.len() as u64;
-                out.clear();
-                i += NODES;
-            }
-        }
-    }
-    let rate = (rounds * CONTAINERS) as f64 / start.elapsed().as_secs_f64();
-    (rate, actions, controller.stats())
+/// One node's telemetry for `round`: its containers in id order, so
+/// every measurement drives the shared pools identically.
+fn node_stats(round: u64, node: u64) -> impl Iterator<Item = (ContainerId, CpuPeriodStats)> {
+    let ids = (node..CONTAINERS).step_by(NODES as usize);
+    ids.map(move |i| (ContainerId::new(i), stats_for(round, i)))
 }
 
-/// Batched ingest: each node's entries are collected into a reused batch
-/// buffer (modelling the Agent's per-period coalescing) and fed through
-/// the allocation-free `ingest_cpu_batch` with a reused action buffer.
-fn measure_batched(rounds: u64) -> (f64, u64, ControllerStats) {
+/// [`node_stats`] as the reused row batch `batch`.
+fn fill_rows(batch: &mut Vec<CpuStatsEntry>, round: u64, node: u64) {
+    batch.clear();
+    let entry = |(container, stats)| CpuStatsEntry { container, stats };
+    batch.extend(node_stats(round, node).map(entry));
+}
+
+/// [`node_stats`] as the reused column block `block`.
+fn fill_columns(block: &mut CpuStatsColumns, round: u64, node: u64) {
+    block.clear();
+    for (container, stats) in node_stats(round, node) {
+        block.push(container, &stats);
+    }
+}
+
+/// Times `send(controller, round, node, out)` over every node's
+/// telemetry for `rounds` rounds on a fresh [`setup`] Controller, with
+/// one reused action buffer counted and cleared after each send.
+/// Returns the entries/s, the actions emitted and the final stats.
+fn measure(
+    rounds: u64,
+    mut send: impl FnMut(&mut Controller, u64, u64, &mut Vec<Action>),
+) -> (f64, u64, ControllerStats) {
     let mut controller = setup();
-    let per_node = (CONTAINERS / NODES) as usize + 1;
-    let mut batches: Vec<Vec<CpuStatsEntry>> =
-        (0..NODES).map(|_| Vec::with_capacity(per_node)).collect();
-    let mut out = Vec::new();
-    let mut actions = 0u64;
+    let (mut out, mut actions) = (Vec::new(), 0);
     let start = Instant::now();
     for round in 0..rounds {
-        for (node, batch) in batches.iter_mut().enumerate() {
-            batch.clear();
-            let mut i = node as u64;
-            while i < CONTAINERS {
-                batch.push(CpuStatsEntry {
-                    container: ContainerId::new(i),
-                    stats: stats_for(round, i),
-                });
-                i += NODES;
-            }
-            controller.ingest_cpu_batch(batch, &mut out);
+        for node in 0..NODES {
+            send(&mut controller, round, node, &mut out);
             actions += out.len() as u64;
             out.clear();
         }
-    }
-    let rate = (rounds * CONTAINERS) as f64 / start.elapsed().as_secs_f64();
-    (rate, actions, controller.stats())
-}
-
-/// Columnar ingest: the same telemetry as [`measure_batched`], packed
-/// into per-node struct-of-arrays blocks and fed through
-/// `Controller::ingest_cpu_columns`. The blocks are built
-/// *outside* the timed loop: fixed-point quantization is
-/// Agent-side work (the wire carries the columns already encoded), so
-/// the timed section covers exactly what the Controller core pays —
-/// just as the row paths' in-loop struct pushes stand in for reading
-/// rows off the wire. The bench telemetry values are exactly
-/// representable in the fixed-point columns, so the decisions
-/// (asserted by the caller) are identical to the row paths.
-fn measure_columnar(rounds: u64) -> (f64, u64, ControllerStats) {
-    let mut controller = setup();
-    let per_node = (CONTAINERS / NODES) as usize + 1;
-    let mut blocks: Vec<CpuStatsColumns> = Vec::with_capacity((rounds * NODES) as usize);
-    for round in 0..rounds {
-        for node in 0..NODES {
-            let mut block = CpuStatsColumns::new();
-            block.reserve(per_node);
-            let mut i = node;
-            while i < CONTAINERS {
-                block.push(ContainerId::new(i), &stats_for(round, i));
-                i += NODES;
-            }
-            blocks.push(block);
-        }
-    }
-    let mut out = Vec::new();
-    let mut actions = 0u64;
-    let start = Instant::now();
-    for block in &blocks {
-        controller.ingest_cpu_columns(block, &mut out);
-        actions += out.len() as u64;
-        out.clear();
     }
     let rate = (rounds * CONTAINERS) as f64 / start.elapsed().as_secs_f64();
     (rate, actions, controller.stats())
@@ -229,42 +177,24 @@ fn setup_sharded(shards: usize) -> ShardedController {
     sharded
 }
 
-/// One sharded trial: the same per-node telemetry as
-/// [`measure_batched`], as one reused row batch or, with `columnar`, one
-/// reused column block per send (split by
-/// `ShardedController::ingest_cpu_columns` into reused per-shard
-/// sub-blocks), fanned out by the router and drained every round.
-/// Returns the critical-path rate (total entries / max per-shard ingest
-/// CPU time), the actions drained, and the merged stats.
-fn sharded_trial(rounds: u64, shards: usize, columnar: bool) -> (f64, u64, ControllerStats) {
+/// One sharded trial: `send(sharded, round, node)` feeds each node's
+/// telemetry to the router, which fans it out to the shards; actions
+/// are drained every round. Returns the critical-path rate (total
+/// entries / max per-shard ingest CPU time), the actions drained, and
+/// the merged stats.
+fn sharded_trial(
+    rounds: u64,
+    shards: usize,
+    mut send: impl FnMut(&mut ShardedController, u64, u64),
+) -> (f64, u64, ControllerStats) {
     let mut sharded = setup_sharded(shards);
     let mut out = Vec::new();
     sharded.drain_actions_into(&mut out); // discard registration bootstrap
     out.clear();
-    let per_node = (CONTAINERS / NODES) as usize + 1;
-    let mut batch: Vec<CpuStatsEntry> = Vec::with_capacity(per_node);
-    let mut block = CpuStatsColumns::new();
-    block.reserve(per_node);
     let mut actions = 0u64;
     for round in 0..rounds {
         for node in 0..NODES {
-            batch.clear();
-            block.clear();
-            let mut i = node;
-            while i < CONTAINERS {
-                let (container, stats) = (ContainerId::new(i), stats_for(round, i));
-                if columnar {
-                    block.push(container, &stats);
-                } else {
-                    batch.push(CpuStatsEntry { container, stats });
-                }
-                i += NODES;
-            }
-            if columnar {
-                sharded.ingest_cpu_columns(&block);
-            } else {
-                sharded.ingest_cpu_batch(&batch);
-            }
+            send(&mut sharded, round, node);
         }
         sharded.drain_actions_into(&mut out);
         actions += out.len() as u64;
@@ -295,8 +225,25 @@ fn best_of(mut trial: impl FnMut() -> (f64, u64, ControllerStats)) -> (f64, u64,
     (best, actions, stats)
 }
 
+/// Best-of-[`SHARDED_TRIALS`] sharded trials, each node's telemetry
+/// sent as one reused row batch or, with `columnar`, one reused column
+/// block (split by `ShardedController::ingest_cpu_columns` into reused
+/// per-shard sub-blocks).
 fn measure_sharded(rounds: u64, shards: usize, columnar: bool) -> (f64, u64, ControllerStats) {
-    best_of(|| sharded_trial(rounds, shards, columnar))
+    let (mut batch, mut block) = (Vec::new(), CpuStatsColumns::new());
+    best_of(|| {
+        if columnar {
+            sharded_trial(rounds, shards, |sharded, round, node| {
+                fill_columns(&mut block, round, node);
+                sharded.ingest_cpu_columns(&block);
+            })
+        } else {
+            sharded_trial(rounds, shards, |sharded, round, node| {
+                fill_rows(&mut batch, round, node);
+                sharded.ingest_cpu_batch(&batch);
+            })
+        }
+    })
 }
 
 /// A scaling curve as JSON members `"{prefix}t{shards}": rate`. The
@@ -315,7 +262,7 @@ fn render_json(
     unbatched: f64,
     batched: f64,
     curve: &[(usize, f64)],
-    columnar: f64,
+    col: f64,
     columnar_curve: &[(usize, f64)],
 ) -> String {
     let per_core = batched / 10.0;
@@ -329,14 +276,14 @@ fn render_json(
          \"containers_per_20core_node\": {:.0},\n  \
          \"sharded_entries_per_sec_by_threads\": {{\n{}\n  }},\n  \
          \"sharded_speedup_4t_vs_1t\": {:.2},\n  \
-         \"columnar_entries_per_sec\": {columnar:.0},\n  \
+         \"columnar_entries_per_sec\": {col:.0},\n  \
          \"columnar_speedup_vs_batched\": {:.2},\n  \
          \"columnar_sharded_entries_per_sec_by_threads\": {{\n{}\n  }}\n}}\n",
         batched / PRE_PR_UNBATCHED_MSGS_PER_SEC,
         per_core * 20.0,
         curve_json("", curve),
         if t1 > 0.0 { t4 / t1 } else { 0.0 },
-        if batched > 0.0 { columnar / batched } else { 0.0 },
+        if batched > 0.0 { col / batched } else { 0.0 },
         curve_json("columnar_", columnar_curve),
     )
 }
@@ -367,15 +314,50 @@ pub fn run(args: &Args) {
         }
     }
 
-    let (unbatched_rate, actions_a, stats_a) = best_of(|| measure_unbatched(rounds));
-    let (batched_rate, actions_b, stats_b) = best_of(|| measure_batched(rounds));
+    // Per-message ingest through `handle_into`, one message per call.
+    let (unbatched_rate, actions_a, stats_a) = best_of(|| {
+        measure(rounds, |controller, round, node, out| {
+            let now = SimTime::from_millis(round * 100);
+            for (container, stats) in node_stats(round, node) {
+                controller.handle_into(now, ToController::CpuStats { container, stats }, out);
+            }
+        })
+    });
+    // Batched ingest: each node's entries collected into a reused batch
+    // (modelling the Agent's per-period coalescing) and fed through the
+    // allocation-free `ingest_cpu_batch`.
+    let mut batch = Vec::new();
+    let (batched_rate, actions_b, stats_b) = best_of(|| {
+        measure(rounds, |controller, round, node, out| {
+            fill_rows(&mut batch, round, node);
+            controller.ingest_cpu_batch(&batch, out);
+        })
+    });
     assert_eq!(
         stats_a, stats_b,
         "batched and per-message ingest must make identical decisions"
     );
     assert_eq!(actions_a, actions_b);
 
-    let (columnar_rate, actions_c, stats_c) = best_of(|| measure_columnar(rounds));
+    // Columnar ingest: the same telemetry as per-node column blocks, fed
+    // through `ingest_cpu_columns`. The blocks are built *outside* the
+    // timed loop: fixed-point quantization is Agent-side work (the wire
+    // carries the columns already encoded), so the timed section covers
+    // exactly what the Controller core pays — just as the row paths'
+    // in-loop batch fills stand in for reading rows off the wire. The
+    // bench telemetry values are exactly representable in the
+    // fixed-point columns, so the decisions are identical to the rows'.
+    let mut blocks = Vec::with_capacity((rounds * NODES) as usize);
+    for (round, node) in (0..rounds).flat_map(|r| (0..NODES).map(move |n| (r, n))) {
+        let mut block = CpuStatsColumns::new();
+        fill_columns(&mut block, round, node);
+        blocks.push(block);
+    }
+    let (columnar_rate, actions_c, stats_c) = best_of(|| {
+        measure(rounds, |controller, round, node, out| {
+            controller.ingest_cpu_columns(&blocks[(round * NODES + node) as usize], out);
+        })
+    });
     assert_eq!(
         (actions_c, &stats_c),
         (actions_b, &stats_b),
@@ -404,24 +386,31 @@ pub fn run(args: &Args) {
     let columnar_curve = sharded_curve(true);
 
     let per_core = batched_rate / 10.0; // each container reports at 10 Hz
+    let rate = |r: f64| format!("{r:.0}");
     let mut rows: Vec<(String, String)> = vec![
         (
             "telemetry entries processed (each path)".into(),
             format!("{}", rounds * CONTAINERS),
         ),
         ("actions emitted".into(), format!("{actions_b}")),
-        ("unbatched ingest rate (msg/s/core)".into(), format!("{unbatched_rate:.0}")),
-        ("batched ingest rate (entries/s/core)".into(), format!("{batched_rate:.0}")),
+        (
+            "unbatched ingest rate (msg/s/core)".into(),
+            rate(unbatched_rate),
+        ),
+        (
+            "batched ingest rate (entries/s/core)".into(),
+            rate(batched_rate),
+        ),
         (
             "pre-optimisation baseline (msg/s/core)".into(),
-            format!("{PRE_PR_UNBATCHED_MSGS_PER_SEC:.0}"),
+            rate(PRE_PR_UNBATCHED_MSGS_PER_SEC),
         ),
         (
             "speedup vs pre-optimisation".into(),
             format!("{:.2}x", batched_rate / PRE_PR_UNBATCHED_MSGS_PER_SEC),
         ),
-        ("containers manageable per core".into(), format!("{per_core:.0}")),
-        ("containers per 20-core node".into(), format!("{:.0}", per_core * 20.0)),
+        ("containers manageable per core".into(), rate(per_core)),
+        ("containers per 20-core node".into(), rate(per_core * 20.0)),
     ];
     let curve_rows = |form: &str, curve: &[(usize, f64)]| -> Vec<(String, String)> {
         let row = |&(shards, rate): &(usize, f64)| {
@@ -466,8 +455,7 @@ pub fn run(args: &Args) {
     }
     if args.check {
         let committed = BASELINE.load().unwrap_or_else(|e| fail(&e));
-        let pre = "pre_pr_unbatched_msgs_per_sec";
-        committed.gate(pre, 2.0, batched_rate, "batched entries/s (2x pre-optimisation)");
+        committed.gate("pre_pr_unbatched_msgs_per_sec", 2.0, batched_rate);
         let (t1, t4) = (curve[0].1, rate_at(&curve, 4));
         println!(
             "check: sharded t4 {t4:.0} vs t1 {t1:.0} ({:.2}x, floor 2.5x)",
@@ -485,10 +473,10 @@ pub fn run(args: &Args) {
         // pre-slab floor, the t4/t1 scaling ratio and the key lookups.
         if !smoke {
             let col_t8 = rate_at(&columnar_curve, 8);
-            committed.gate("batched_entries_per_sec", 0.8, batched_rate, "batched entries/s");
-            committed.gate("t4", 0.8, t4, "sharded t4 entries/s");
-            committed.gate("columnar_entries_per_sec", 0.8, columnar_rate, "columnar entries/s");
-            committed.gate("columnar_t8", 0.8, col_t8, "columnar t8 entries/s");
+            committed.gate("batched_entries_per_sec", 0.8, batched_rate);
+            committed.gate("t4", 0.8, t4);
+            committed.gate("columnar_entries_per_sec", 0.8, columnar_rate);
+            committed.gate("columnar_t8", 0.8, col_t8);
         }
         println!("check: OK");
     }

@@ -32,10 +32,8 @@ pub fn run(args: &Args) {
         "cost($)",
         "$/1k req",
     ]);
-    let mut static_cmps = Vec::new();
-    let mut autopilot_cmps = Vec::new();
-    let mut tiny_cmps = Vec::new();
-    let mut arc_v_cmps = Vec::new();
+    // Per cell: Static, Autopilot, tiny and ARC-V, each vs Escra.
+    let mut cmps: Vec<[Comparison; 4]> = Vec::new();
     let mut escra_ooms = 0;
     let mut autopilot_ooms_max = 0;
     for c in &cells {
@@ -54,10 +52,8 @@ pub fn run(args: &Args) {
                 per_kilo,
             ]);
         }
-        static_cmps.push(Comparison::between(&c.static_1_5, &c.escra));
-        autopilot_cmps.push(Comparison::between(&c.autopilot, &c.escra));
-        tiny_cmps.push(Comparison::between(&c.tiny, &c.escra));
-        arc_v_cmps.push(Comparison::between(&c.arc_v, &c.escra));
+        let baselines = [&c.static_1_5, &c.autopilot, &c.tiny, &c.arc_v];
+        cmps.push(baselines.map(|b| Comparison::between(b, &c.escra)));
         escra_ooms += c.escra.oom_kills;
         autopilot_ooms_max = autopilot_ooms_max.max(c.autopilot.oom_kills);
     }
@@ -72,10 +68,10 @@ pub fn run(args: &Args) {
         |c| c.mem_slack_p50_reduction_pct,
         |c| c.mem_slack_p99_reduction_pct,
     ];
-    let summarize = |name: &str, cmps: &[Comparison]| -> Vec<String> {
+    let summarize = |name: &str, baseline: usize| -> Vec<String> {
         let mut row = vec![name.to_string()];
         for field in fields {
-            let xs: Vec<f64> = cmps.iter().map(field).collect();
+            let xs: Vec<f64> = cmps.iter().map(|c| field(&c[baseline])).collect();
             row.push(format!("{:.1}%", mean(&xs)));
         }
         row
@@ -89,10 +85,9 @@ pub fn run(args: &Args) {
         "d50% mem slack",
         "d99% mem slack",
     ]);
-    table1.row(summarize("Static vs. Escra", &static_cmps));
-    table1.row(summarize("Autopilot vs. Escra", &autopilot_cmps));
-    table1.row(summarize("Tiny vs. Escra", &tiny_cmps));
-    table1.row(summarize("ARC-V vs. Escra", &arc_v_cmps));
+    for (i, name) in ["Static", "Autopilot", "Tiny", "ARC-V"].iter().enumerate() {
+        table1.row(summarize(&format!("{name} vs. Escra"), i));
+    }
     println!("TABLE I (paper: Static row = 38.0/25.4/81.3/74.2/55.0/95.9; Autopilot row = 36.1/54.5/78.3/78.6/26.7/68.9):\n");
     println!("{}", table1.render());
 
@@ -100,16 +95,6 @@ pub fn run(args: &Args) {
     println!("  escra total OOMs: {escra_ooms}");
     println!("  autopilot max OOMs in one experiment: {autopilot_ooms_max}");
 
-    let dump: Vec<_> = (0..static_cmps.len())
-        .map(|i| {
-            (
-                &static_cmps[i],
-                &autopilot_cmps[i],
-                &tiny_cmps[i],
-                &arc_v_cmps[i],
-            )
-        })
-        .collect();
-    let path = write_json("table1", &to_json(&dump));
+    let path = write_json("table1", &to_json(&cmps));
     println!("\nraw comparisons written to {}", path.display());
 }

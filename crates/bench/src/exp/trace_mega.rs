@@ -312,7 +312,7 @@ pub fn run(args: &Args) {
             committed.get("container_periods") >= 1_000_000.0,
             "committed baseline must record >= 1M container-periods at full scale"
         );
-        committed.gate("container_periods_per_sec", 0.5, cp_rate, "container-periods/s");
+        committed.gate("container_periods_per_sec", 0.5, cp_rate);
         println!("check: OK");
     }
 }

@@ -186,16 +186,18 @@ impl Committed {
         })
     }
 
-    /// Prints `measured` (in `unit`) against its floor, `frac` × the
-    /// committed `key`, and [`fail`]s the run below it.
-    pub fn gate(&self, key: &str, frac: f64, measured: f64, unit: &str) {
+    /// Prints `measured` against its floor, `frac` × the committed `key`,
+    /// and [`fail`]s the run below it.
+    pub fn gate(&self, key: &str, frac: f64, measured: f64) {
         let committed = self.get(key);
         let floor = frac * committed;
-        println!("check: {measured:.0} {unit} vs committed {committed:.0} (floor {floor:.0})");
+        println!(
+            "check: {measured:.0} vs {frac} x committed {key} {committed:.0} (floor {floor:.0})"
+        );
         if measured < floor {
             fail(&format!(
-                "{unit} fell below {frac} x the committed {key:?} of {} \
-                 ({measured:.0} < {frac} * {committed:.0})",
+                "{measured:.0} fell below {frac} x the committed {key:?} of {} \
+                 ({committed:.0})",
                 self.file
             ));
         }

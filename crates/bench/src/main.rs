@@ -31,13 +31,36 @@ const SWEEP: &[&str] = &["--smoke", "--serial", "--threads"];
 const GATED: &[&str] = &["--smoke", "--check", "--record"];
 const GATED_SHARDS: &[&str] = &["--smoke", "--threads", "--check", "--record"];
 
-/// Declares each experiment's module (`src/exp/<name>.rs`, exposing
-/// `run(&Args)`) and its row of `EXPERIMENTS`, the index in paper order.
+/// One module per experiment (`src/exp/<name>.rs`), each exposing
+/// `run(&Args)`.
+mod exp {
+    pub mod ablation_design_choices;
+    pub mod autopilot_period_sensitivity;
+    pub mod baseline_serverless;
+    pub mod fig2_cpu_tracking;
+    pub mod fig4_perf_comparison;
+    pub mod fig5_cpu_slack_cdf;
+    pub mod fig6_mem_slack_cdf;
+    pub mod fig7_serverless_latency;
+    pub mod fig8_imageprocess_limits;
+    pub mod fig9_gridsearch_limits;
+    pub mod mc_explore;
+    pub mod overhead_controller;
+    pub mod overhead_network;
+    pub mod report_period_sweep;
+    pub mod robustness_sweep;
+    pub mod sim_scale;
+    pub mod static_provisioning_study;
+    pub mod table1_summary;
+    pub mod trace_dump;
+    pub mod trace_mega;
+    pub mod vpa_comparison;
+}
+
+/// Builds `EXPERIMENTS`, the index in paper order, from one
+/// `name, flags, about;` row per experiment.
 macro_rules! experiments {
     ($($name:ident, $flags:expr, $about:literal;)*) => {
-        mod exp {
-            $(pub mod $name;)*
-        }
         const EXPERIMENTS: &[Experiment] = &[$(Experiment {
             name: stringify!($name),
             about: $about,
