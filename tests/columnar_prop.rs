@@ -39,7 +39,13 @@
 //! several periods at once reports it), and unknown ids — never
 //! registered, or deregistered in an earlier round — sit within
 //! [`EDGE`] entries of both ends of a datagram. That is the shape a walk
-//! that reads ahead of the entry it decides has to get right.
+//! that reads ahead of the entry it decides has to get right. Beside the
+//! identity of the three forms, which a defect shared by all three would
+//! pass, every live container's windowed decision inputs are held to a
+//! plain `VecDeque` model of its last reports, and every app's Σ-sums to
+//! its pool. A sibling property repeats this at window lengths on both
+//! sides of the allocator's inline ring (1, 4, 5, 6, 7 and 24 periods),
+//! so the ring arena is reached through both walks too.
 //!
 //! ## Ragged blocks
 //!
@@ -56,7 +62,7 @@ use escra::metrics::trace::{render_merged, TraceRecorder};
 use escra::simcore::rng::SimRng;
 use escra::simcore::time::{SimDuration, SimTime};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Containers in the scenario (two per app — sibling pool interactions
 /// must behave identically across ingest forms).
@@ -276,6 +282,172 @@ fn state_hash(c: &Controller<TraceRecorder>) -> u64 {
     h.finish()
 }
 
+/// One case of the fleet-shape properties under `cfg`. Beside the
+/// identity of the three serial forms, every side's windowed decision
+/// inputs for every live container must be those of a plain model of
+/// its last `window_periods` reports (reset when the id registers), and
+/// every app's tracked quotas and memory limits must sum to its pool's
+/// allocation.
+fn fleet_shape_case(cfg: EscraConfig, seed: u64, rounds: usize) -> Result<(), TestCaseError> {
+    let mut rng = SimRng::new(seed);
+    let mut sides = [(); 3]
+        .map(|_| Controller::with_sink(cfg.clone(), TraceRecorder::with_capacity(TRACE_CAP)));
+    for a in 0..REACH_APPS {
+        for c in &mut sides {
+            c.register_app(AppId::new(a), 24.0, 8 << 30);
+        }
+    }
+    let mut live: Vec<u64> = (0..REACH_CONT).collect();
+    // Each live container's last `window_periods` (throttled, unused
+    // cores) reports, oldest first.
+    let mut model: BTreeMap<u64, VecDeque<(bool, f64)>> = BTreeMap::new();
+    for &id in &live {
+        register_everywhere(&mut sides, id);
+        model.insert(id, VecDeque::new());
+    }
+    let mut dead: Vec<u64> = Vec::new();
+    let mut next_id = REACH_CONT;
+    let (mut acts_m, mut acts_b, mut acts_c) = (Vec::new(), Vec::new(), Vec::new());
+    let mut now = SimTime::ZERO;
+    for round in 0..rounds {
+        now += SimDuration::from_millis(100);
+        // Some containers leave — their ids stay in the stream as
+        // stale telemetry — and fresh ones take the freed slab slots.
+        for _ in 0..1 + below(&mut rng, 3) {
+            let gone = live.swap_remove(below(&mut rng, live.len()));
+            for c in &mut sides {
+                c.deregister_container(ContainerId::new(gone))
+                    .expect("live");
+            }
+            model.remove(&gone);
+            dead.push(gone);
+        }
+        for _ in 0..1 + below(&mut rng, 3) {
+            register_everywhere(&mut sides, next_id);
+            model.insert(next_id, VecDeque::new());
+            live.push(next_id);
+            next_id += 1;
+        }
+        for datagram in 0..2 {
+            let ids = fleet_datagram_ids(&mut rng, &live, &dead);
+            let reports: Vec<Report> = ids
+                .iter()
+                .map(|&id| {
+                    let quota = sides[0].allocator().quota_of(ContainerId::new(id));
+                    let quota_mcores = (quota.unwrap_or(1.0) * 1000.0).round() as u32;
+                    let usage_us = below(&mut rng, quota_mcores as usize * 100 + 1) as u32;
+                    Report {
+                        container: id,
+                        quota_mcores,
+                        usage_us,
+                        unused_us: quota_mcores * 100 - usage_us,
+                        throttled: below(&mut rng, 5) < 2,
+                    }
+                })
+                .collect();
+            let [by_msg, by_batch, by_cols] = &mut sides;
+            acts_m.clear();
+            acts_b.clear();
+            acts_c.clear();
+            for rep in &reports {
+                let e = rep.entry();
+                by_msg.handle_into(
+                    now,
+                    ToController::CpuStats {
+                        container: e.container,
+                        stats: e.stats,
+                    },
+                    &mut acts_m,
+                );
+            }
+            let entries: Vec<CpuStatsEntry> = reports.iter().map(Report::entry).collect();
+            by_batch.ingest_cpu_batch_at(now, &entries, &mut acts_b);
+            let mut cols = CpuStatsColumns::new();
+            for rep in &reports {
+                rep.push_into(&mut cols);
+            }
+            by_cols.ingest_cpu_columns_at(now, &cols, &mut acts_c);
+            prop_assert_eq!(
+                &acts_m,
+                &acts_b,
+                "per-message vs batch ({}/{})",
+                round,
+                datagram
+            );
+            prop_assert_eq!(
+                &acts_m,
+                &acts_c,
+                "per-message vs columnar ({}/{})",
+                round,
+                datagram
+            );
+            prop_assert_eq!(by_msg.stats(), by_batch.stats());
+            prop_assert_eq!(by_msg.stats(), by_cols.stats());
+            for rep in &reports {
+                if let Some(window) = model.get_mut(&rep.container) {
+                    let unused = rep.entry().stats.unused_cores(cfg.report_period);
+                    window.push_back((rep.throttled, unused));
+                    if window.len() > cfg.window_periods {
+                        window.pop_front();
+                    }
+                }
+            }
+            for (&id, window) in &model {
+                let expect = if window.is_empty() {
+                    (0.0, 0.0)
+                } else {
+                    let n = window.len() as f64;
+                    let ones = window.iter().filter(|s| s.0).count() as f64;
+                    let mut sum = 0.0;
+                    for s in window {
+                        sum += s.1;
+                    }
+                    (ones / n, sum / n)
+                };
+                for side in sides.iter() {
+                    let got = side.allocator().decision_inputs(ContainerId::new(id));
+                    prop_assert_eq!(
+                        got.map(|(t, u)| (t.to_bits(), u.to_bits())),
+                        Some((expect.0.to_bits(), expect.1.to_bits())),
+                        "windows of {} ({}/{})",
+                        id,
+                        round,
+                        datagram
+                    );
+                }
+            }
+            for a in 0..REACH_APPS {
+                let app = AppId::new(a);
+                for side in sides.iter() {
+                    let (alloc, pool) = (side.allocator(), side.allocator().app_pool(app));
+                    let pool = pool.expect("registered app");
+                    prop_assert_eq!(alloc.tracked_mem_sum(app), pool.allocated_mem_bytes());
+                    prop_assert!(
+                        (alloc.tracked_cpu_sum(app) - pool.allocated_cpu_cores()).abs() < 1e-6
+                    );
+                }
+            }
+        }
+    }
+    let [by_msg, by_batch, by_cols] = &sides;
+    prop_assert!(by_msg.stats().scale_ups > 0 && by_msg.stats().scale_downs > 0);
+    for side in &sides {
+        prop_assert_eq!(side.sink().dropped(), 0);
+    }
+    let t_msg = render_merged(&[by_msg.sink()]);
+    prop_assert_eq!(
+        &t_msg,
+        &render_merged(&[by_batch.sink()]),
+        "trace: per-message vs batch"
+    );
+    prop_assert_eq!(
+        &t_msg,
+        &render_merged(&[by_cols.sink()]),
+        "trace: per-message vs columnar"
+    );
+    Ok(())
+}
+
 proptest! {
     /// The acceptance-criteria identity: columnar vs `ingest_cpu_batch`
     /// vs per-message `CpuStats`, serial and sharded at N ∈ {1, 2, 4,
@@ -485,91 +657,21 @@ proptest! {
         seed in any::<u64>(),
         rounds in 2usize..10,
     ) {
-        let mut rng = SimRng::new(seed);
-        let mut sides =
-            [(); 3].map(|_| Controller::with_sink(EscraConfig::default(), TraceRecorder::with_capacity(TRACE_CAP)));
-        for a in 0..REACH_APPS {
-            for c in &mut sides {
-                c.register_app(AppId::new(a), 24.0, 8 << 30);
-            }
+        fleet_shape_case(EscraConfig::default(), seed, rounds)?;
+    }
+
+    /// The same datagrams at window lengths on both sides of the
+    /// allocator's inline ring (5 periods): the shortest window, the
+    /// longest inline one, the first that spills to the ring arena and
+    /// the longest supported, with their neighbours.
+    #[test]
+    fn fleet_shape_datagrams_are_decision_identical_at_every_window_length(
+        seed in any::<u64>(),
+        rounds in 2usize..6,
+    ) {
+        for periods in [1, 4, 5, 6, 7, 24] {
+            fleet_shape_case(EscraConfig::default().with_window(periods), seed, rounds)?;
         }
-        let mut live: Vec<u64> = (0..REACH_CONT).collect();
-        for &id in &live {
-            register_everywhere(&mut sides, id);
-        }
-        let mut dead: Vec<u64> = Vec::new();
-        let mut next_id = REACH_CONT;
-        let (mut acts_m, mut acts_b, mut acts_c) = (Vec::new(), Vec::new(), Vec::new());
-        let mut now = SimTime::ZERO;
-        for round in 0..rounds {
-            now += SimDuration::from_millis(100);
-            // Some containers leave — their ids stay in the stream as
-            // stale telemetry — and fresh ones take the freed slab slots.
-            for _ in 0..1 + below(&mut rng, 3) {
-                let gone = live.swap_remove(below(&mut rng, live.len()));
-                for c in &mut sides {
-                    c.deregister_container(ContainerId::new(gone)).expect("live");
-                }
-                dead.push(gone);
-            }
-            for _ in 0..1 + below(&mut rng, 3) {
-                register_everywhere(&mut sides, next_id);
-                live.push(next_id);
-                next_id += 1;
-            }
-            for datagram in 0..2 {
-                let ids = fleet_datagram_ids(&mut rng, &live, &dead);
-                let reports: Vec<Report> = ids
-                    .iter()
-                    .map(|&id| {
-                        let quota = sides[0].allocator().quota_of(ContainerId::new(id));
-                        let quota_mcores = (quota.unwrap_or(1.0) * 1000.0).round() as u32;
-                        let usage_us = below(&mut rng, quota_mcores as usize * 100 + 1) as u32;
-                        Report {
-                            container: id,
-                            quota_mcores,
-                            usage_us,
-                            unused_us: quota_mcores * 100 - usage_us,
-                            throttled: below(&mut rng, 5) < 2,
-                        }
-                    })
-                    .collect();
-                let [by_msg, by_batch, by_cols] = &mut sides;
-                acts_m.clear();
-                acts_b.clear();
-                acts_c.clear();
-                for rep in &reports {
-                    let e = rep.entry();
-                    by_msg.handle_into(
-                        now,
-                        ToController::CpuStats {
-                            container: e.container,
-                            stats: e.stats,
-                        },
-                        &mut acts_m,
-                    );
-                }
-                let entries: Vec<CpuStatsEntry> = reports.iter().map(Report::entry).collect();
-                by_batch.ingest_cpu_batch_at(now, &entries, &mut acts_b);
-                let mut cols = CpuStatsColumns::new();
-                for rep in &reports {
-                    rep.push_into(&mut cols);
-                }
-                by_cols.ingest_cpu_columns_at(now, &cols, &mut acts_c);
-                prop_assert_eq!(&acts_m, &acts_b, "per-message vs batch ({}/{})", round, datagram);
-                prop_assert_eq!(&acts_m, &acts_c, "per-message vs columnar ({}/{})", round, datagram);
-                prop_assert_eq!(by_msg.stats(), by_batch.stats());
-                prop_assert_eq!(by_msg.stats(), by_cols.stats());
-            }
-        }
-        let [by_msg, by_batch, by_cols] = &sides;
-        prop_assert!(by_msg.stats().scale_ups > 0 && by_msg.stats().scale_downs > 0);
-        for side in &sides {
-            prop_assert_eq!(side.sink().dropped(), 0);
-        }
-        let t_msg = render_merged(&[by_msg.sink()]);
-        prop_assert_eq!(&t_msg, &render_merged(&[by_batch.sink()]), "trace: per-message vs batch");
-        prop_assert_eq!(&t_msg, &render_merged(&[by_cols.sink()]), "trace: per-message vs columnar");
     }
 
     /// Column blocks off a hostile wire: the four `u32` columns and the
