@@ -18,11 +18,11 @@ use crate::types::{
 };
 use escra_cluster::ContainerId;
 use escra_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 
 /// ARC-V configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ArcVConfig {
     /// Utilization (usage/limit) above which a non-falling phase grows
     /// the limit.

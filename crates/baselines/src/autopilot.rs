@@ -18,11 +18,11 @@ use crate::types::{
 };
 use escra_cluster::ContainerId;
 use escra_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One bandit arm: a decayed-histogram percentile with a safety margin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Arm {
     /// Histogram half-life in samples.
     pub half_life_samples: f64,
@@ -35,7 +35,7 @@ pub struct Arm {
 /// Autopilot configuration. The weight values (`w_o`, `w_u`, …) are the
 /// parameters the paper notes Google tuned by hand; as in the paper we
 /// tune them for best baseline performance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AutopilotConfig {
     /// How often limits are recomputed. Autopilot defaults to 5 min; the
     /// paper shows 1 s is its best case and compares against that.

@@ -17,11 +17,11 @@ use crate::types::{
 };
 use escra_cluster::ContainerId;
 use escra_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Tiny-Autoscaler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TinyAutoscalerConfig {
     /// Sliding-window length, in samples (one sample per second in the
     /// harness; the paper's windows are 10–60 s).

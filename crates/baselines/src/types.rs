@@ -2,10 +2,10 @@
 
 use escra_cluster::ContainerId;
 use escra_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A limit recommendation emitted by a periodic autoscaler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LimitUpdate {
     /// Target container.
     pub container: ContainerId,
@@ -19,7 +19,7 @@ pub struct LimitUpdate {
 }
 
 /// One usage observation for a container over a sample interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct UsageSample {
     /// Mean CPU usage over the interval, in cores.
     pub cpu_cores: f64,
@@ -108,7 +108,7 @@ pub trait PeriodicScaler {
 /// Peak resource usage measured for one container during a profiling run
 /// (with coarse, seconds-level aggregation — the paper stresses that
 /// such tooling "smooths out usage spikes", §VI-C).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct ContainerProfile {
     /// Peak 1-second-averaged CPU usage, in cores.
     pub peak_cpu_cores: f64,

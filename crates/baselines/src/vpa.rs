@@ -12,11 +12,11 @@ use crate::types::{
 };
 use escra_cluster::ContainerId;
 use escra_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// VPA configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct VpaConfig {
     /// Desired usage/limit ratio after a rescale.
     pub target_utilization: f64,

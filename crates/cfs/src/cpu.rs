@@ -8,7 +8,7 @@
 //! statistics (quota, unused runtime, whether throttled) are exported.
 
 use escra_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The default CFS period (100 ms), matching both Linux and the paper's
 /// telemetry report period (§VI-I "Why a 100ms Report Period?").
@@ -21,7 +21,7 @@ pub const MIN_QUOTA_CORES: f64 = 0.01;
 /// Per-period statistics exported by the Escra kernel hook at each period
 /// boundary (paper §IV-B): the cgroup quota, the unused runtime left in
 /// the CFS bandwidth structure, and whether the group was throttled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CpuPeriodStats {
     /// Quota at the end of the period, in cores (quota_us / period_us).
     pub quota_cores: f64,

@@ -8,7 +8,7 @@
 //! paper's kernel hook in `try_charge()` that catches a container "right
 //! before it gets OOMed" (§III).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Bytes per MiB, used throughout the workspace for readability.
 pub const MIB: u64 = 1024 * 1024;
@@ -17,7 +17,7 @@ pub const MIB: u64 = 1024 * 1024;
 pub const PAGE_BYTES: u64 = 4096;
 
 /// Outcome of a [`MemCgroup::try_charge`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ChargeOutcome {
     /// The charge fit under the limit and was applied.
     Charged,
@@ -49,7 +49,7 @@ impl ChargeOutcome {
 ///     _ => unreachable!(),
 /// }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MemCgroup {
     limit_bytes: u64,
     usage_bytes: u64,

@@ -9,7 +9,7 @@ use crate::container::{Container, ContainerSpec, ContainerState};
 use crate::ids::{ContainerId, NodeId};
 use crate::node::{Node, NodeSpec};
 use escra_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Ids per slab chunk, a power of two: the chunk and the slot in it are
 /// a shift and a mask of the raw id.
@@ -20,7 +20,7 @@ const CHUNK: usize = 1 << CHUNK_BITS;
 const FIRST_CAPACITY: usize = 64;
 
 /// Placement strategy for new containers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum Placement {
     /// Cycle through nodes in order (Kubernetes default-ish spreading).
     #[default]

@@ -4,11 +4,11 @@ use crate::ids::{AppId, NodeId};
 use escra_cfs::cpu::CpuBandwidth;
 use escra_cfs::memory::MemCgroup;
 use escra_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Static description of a container to deploy (the YAML the paper's
 /// Application Deployer ingests, reduced to what the simulation needs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ContainerSpec {
     /// Human-readable name, e.g. `"frontend"` or `"user-service-3"`.
     pub name: String,
@@ -65,7 +65,7 @@ impl ContainerSpec {
 }
 
 /// Lifecycle state of a container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ContainerState {
     /// Starting (cold start / restart); becomes `Running` at the instant.
     Starting {

@@ -1,13 +1,13 @@
 //! Typed identifiers for cluster entities.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize,
         )]
         pub struct $name(u64);
 

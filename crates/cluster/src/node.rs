@@ -1,10 +1,10 @@
 //! Worker nodes.
 
 use crate::ids::{ContainerId, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Static capacity of a worker node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NodeSpec {
     /// Number of physical cores.
     pub cores: u32,

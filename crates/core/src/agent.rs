@@ -10,11 +10,11 @@ use escra_cluster::{Cluster, ContainerId, NodeId};
 use escra_metrics::fingerprint::StateHash;
 use escra_metrics::trace::{NoopSink, TraceEventKind, TraceSink};
 use escra_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Result of one reclamation sweep entry: the container's limit after the
 /// shrink and the bytes reclaimed (ψ).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ReclaimEntry {
     /// The container that was shrunk.
     pub container: ContainerId,

@@ -7,7 +7,7 @@
 //! DESIGN.md §4) the behaviour-matched defaults are γ = 0.25, κ = 1.0.
 
 use escra_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the Escra Resource Allocator and Controller.
 ///
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = EscraConfig::default().with_upsilon(35.0); // ImageProcess setting
 /// assert_eq!(cfg.upsilon, 35.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EscraConfig {
     /// Υ — scale-up gain, taken literally from the paper's formula
     /// `throttle_rate · unallocated · Υ` (Υ = 20 for microservices, 35

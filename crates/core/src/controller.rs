@@ -22,7 +22,7 @@ use escra_cluster::{AppId, ContainerId, NodeId};
 use escra_metrics::fingerprint::StateHash;
 use escra_metrics::trace::{NoopSink, TraceEventKind, TraceSink};
 use escra_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How many entries ahead of the one it decides a telemetry walk
@@ -51,7 +51,7 @@ pub enum Action {
 
 /// Lifetime counters for the overhead analysis (§VI-I) and the OOM
 /// comparison (§VI-E).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ControllerStats {
     /// Telemetry messages ingested.
     pub cpu_stats_ingested: u64,

@@ -7,7 +7,7 @@
 //! from the global pool and every shrink returns to it.
 
 use escra_cluster::AppId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Global resource pool for one application.
 ///
@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// dc.release_cpu(2.0);
 /// assert_eq!(dc.unallocated_cpu_cores(), 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DistributedContainer {
     app: AppId,
     cpu_limit_cores: f64,

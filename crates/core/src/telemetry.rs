@@ -8,7 +8,7 @@
 use escra_cfs::CpuPeriodStats;
 use escra_cluster::{AppId, ContainerId, NodeId};
 use escra_net::batch_wire_bytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Envelope overhead of one UDP CPU-statistic message: IP/UDP headers
 /// plus the node tag. Shared across all entries of a per-node batch.
@@ -39,7 +39,7 @@ pub const LIMIT_UPDATE_WIRE_BYTES: u64 = 160;
 pub const RECLAIM_RPC_WIRE_BYTES: u64 = 192;
 
 /// One container's per-period CPU statistic inside a per-node batch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CpuStatsEntry {
     /// Reporting container.
     pub container: ContainerId,
@@ -63,7 +63,7 @@ pub struct CpuStatsEntry {
 ///
 /// Entry order (the Agent's collection order) is significant, exactly
 /// as in [`ToController::CpuStatsBatch`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct CpuStatsColumns {
     /// Raw container ids, one per entry.
     pub container_raw: Vec<u32>,
@@ -204,7 +204,7 @@ impl CpuStatsColumns {
 }
 
 /// Messages flowing from worker nodes to the Controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum ToController {
     /// A new container announces itself (kernel syscall at deploy, §IV-B).
     Register {
@@ -300,7 +300,7 @@ impl ToController {
 }
 
 /// Commands from the Controller to a node Agent (gRPC).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ToAgent {
     /// Set a container's CPU quota (applied without restart).
     SetCpuQuota {

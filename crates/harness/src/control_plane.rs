@@ -1,0 +1,437 @@
+//! The Escra control plane of the [`microsim`](crate::microsim) driver:
+//! the Controller, one Agent per node, and the simulated fabric between
+//! them.
+//!
+//! Every runtime message passes through a [`FaultInjector`]; with
+//! [`FaultPlan::none`] the injector draws no randomness and every message
+//! is delivered synchronously, which keeps faultless runs bit-identical
+//! to the pre-fault-layer simulator.
+//!
+//! # Tracing
+//!
+//! The plane is generic over a [`TraceSink`], the way
+//! [`Controller<S>`] is: the Controller records into its own sink, every
+//! Agent into one sink per node ([`Agent::apply_traced`]), and the fault
+//! injector into one more ([`FaultInjector::decide_traced`]). Tracing
+//! only emits — it draws no randomness and moves no decision — and at
+//! the default [`NoopSink`] every site compiles away.
+
+use crate::pod_host::agent_for;
+use escra_cluster::{Cluster, ContainerId, NodeId};
+use escra_core::telemetry::{cpu_batch_wire_bytes, ToController};
+use escra_core::{
+    deploy_app, Action, Agent, AgentReport, AppConfig, Controller, CpuStatsEntry, EscraConfig,
+    ReclaimEntry, ToAgent,
+};
+use escra_metrics::trace::{NoopSink, TraceSink};
+use escra_net::{Addr, BandwidthAccountant, FaultDecision, FaultInjector, FaultPlan};
+use escra_simcore::events::EventQueue;
+use escra_simcore::time::SimTime;
+use std::collections::VecDeque;
+
+/// Merge classes of the Controller's, every Agent's and the fault
+/// injector's trace sinks: they keep unrelated seq streams from being
+/// compared in a merge.
+const CLASS_CONTROLLER: u16 = 0;
+const CLASS_AGENT: u16 = 1;
+const CLASS_FAULT: u16 = 2;
+
+/// Well-known control-plane address of the Controller.
+pub fn controller_addr() -> Addr {
+    Addr::from_raw(0)
+}
+
+/// Well-known control-plane address of the Agent on `node`.
+///
+/// Telemetry and OOM events from a container travel over its node's
+/// link, so a partition of `node_addr(n) ↔ controller_addr()` cuts off
+/// everything hosted on `n`.
+pub fn node_addr(node: NodeId) -> Addr {
+    Addr::from_raw(1 + node.as_u64())
+}
+
+/// A message in flight on the Escra control plane.
+#[derive(Debug, Clone)]
+enum Envelope {
+    /// Node → Controller (telemetry, OOM events, limit acks).
+    ToCtl(ToController),
+    /// Controller → Agent command.
+    ToNode(NodeId, ToAgent),
+    /// Agent → Controller reclamation report (the gRPC response of the
+    /// reclaim RPC; its bytes are priced into the request pair).
+    Report(Vec<ReclaimEntry>),
+}
+
+impl Envelope {
+    fn wire_bytes(&self) -> u64 {
+        match self {
+            Envelope::ToCtl(msg) => msg.wire_bytes(),
+            Envelope::ToNode(_, cmd) => cmd.wire_bytes(),
+            Envelope::Report(_) => 0,
+        }
+    }
+}
+
+/// The Escra control plane: the Controller, one Agent per node, and the
+/// simulated fabric between them, each recording into a sink of type
+/// `S` (see the module docs).
+pub(crate) struct ControlPlane<S: TraceSink = NoopSink> {
+    pub(crate) controller: Controller<S>,
+    agents: Vec<Agent>,
+    /// One trace sink per Agent, in node order.
+    agent_sinks: Vec<S>,
+    pub(crate) accountant: BandwidthAccountant,
+    pub(crate) injector: FaultInjector,
+    fault_sink: S,
+    /// Messages hit by a delay spike, delivered once due.
+    delayed: EventQueue<Envelope>,
+    /// Messages ready for delivery now, in FIFO order.
+    ready: VecDeque<Envelope>,
+    /// Controller output awaiting [`ControlPlane::dispatch`]; empty
+    /// between calls, its capacity reused so the steady-state telemetry
+    /// and timer paths allocate nothing per message.
+    actions: Vec<Action>,
+    /// Messages one [`ControlPlane::pump`] delivers before it gives up
+    /// ([`PUMP_GUARD`]; a test shrinks it to trip the guard on purpose).
+    pump_guard: u32,
+    /// Pumps cut short by the guard.
+    pub(crate) guard_trips: u64,
+}
+
+/// Backstop against a (non-existent today) message cycle; real cascades
+/// are grant → ack → done and terminate in a few rounds. One reclaim
+/// tick on 10 000 nodes delivers 20 000 messages.
+const PUMP_GUARD: u32 = 100_000;
+
+impl<S: TraceSink> ControlPlane<S> {
+    /// Deploys `app` on `cluster` under a fresh Controller, with one
+    /// Agent per node and a fabric faulted by `faults` (seeded from
+    /// `seed`). `sink(class)` builds each component's trace sink.
+    pub(crate) fn deploy(
+        ecfg: &EscraConfig,
+        app: &AppConfig,
+        cluster: &mut Cluster,
+        faults: FaultPlan,
+        seed: u64,
+        sink: impl Fn(u16) -> S,
+    ) -> (Self, Vec<ContainerId>) {
+        let mut controller = Controller::with_sink(ecfg.clone(), sink(CLASS_CONTROLLER));
+        let (containers, actions) =
+            deploy_app(ecfg, app, cluster, &mut controller, SimTime::ZERO).expect("deploy app");
+        let agents: Vec<Agent> = cluster
+            .nodes()
+            .iter()
+            .map(|nd| Agent::new(nd.id()))
+            .collect();
+        let mut plane = ControlPlane {
+            controller,
+            agent_sinks: agents.iter().map(|_| sink(CLASS_AGENT)).collect(),
+            agents,
+            accountant: BandwidthAccountant::new(),
+            injector: FaultInjector::new(faults, seed),
+            fault_sink: sink(CLASS_FAULT),
+            delayed: EventQueue::new(),
+            ready: VecDeque::new(),
+            actions: Vec::new(),
+            pump_guard: PUMP_GUARD,
+            guard_trips: 0,
+        };
+        // Deployment registration runs over per-container TCP sockets
+        // before the workload starts; runtime faults do not apply to it.
+        for a in &actions {
+            if let Action::Agent { node, cmd } = a {
+                plane.accountant.record(SimTime::ZERO, cmd.wire_bytes());
+                plane.apply(cluster, SimTime::ZERO, *node, *cmd);
+            }
+        }
+        (plane, containers)
+    }
+
+    /// The sinks, Controller first, then the Agents in node order, then
+    /// the fault injector.
+    pub(crate) fn into_sinks(mut self) -> Vec<S>
+    where
+        S: Default,
+    {
+        let mut sinks = vec![self.controller.replace_sink(S::default())];
+        sinks.append(&mut self.agent_sinks);
+        sinks.push(self.fault_sink);
+        sinks
+    }
+
+    /// `node`'s Agent applies `cmd`, tracing into the node's sink.
+    fn apply(
+        &mut self,
+        cluster: &mut Cluster,
+        now: SimTime,
+        node: NodeId,
+        cmd: ToAgent,
+    ) -> AgentReport {
+        let sink = &mut self.agent_sinks[node.as_u64() as usize];
+        agent_for(&mut self.agents, node).apply_traced(now, cluster, cmd, sink)
+    }
+
+    /// Sends `node`'s telemetry datagram, leaves `entries` empty and
+    /// delivers until the fabric is quiescent. Returns the containers
+    /// the Controller killed.
+    pub(crate) fn report(
+        &mut self,
+        cluster: &mut Cluster,
+        now: SimTime,
+        node: NodeId,
+        entries: &mut Vec<CpuStatsEntry>,
+    ) -> Vec<ContainerId> {
+        let mut killed = Vec::new();
+        self.send_batch(cluster, now, node, entries, &mut killed);
+        self.pump(cluster, now, &mut killed);
+        killed
+    }
+
+    /// Sends `msg` from `node`'s Agent to the Controller and delivers
+    /// until the fabric is quiescent. Returns the containers killed.
+    pub(crate) fn send_from_node(
+        &mut self,
+        cluster: &mut Cluster,
+        now: SimTime,
+        node: NodeId,
+        msg: ToController,
+    ) -> Vec<ContainerId> {
+        let mut killed = Vec::new();
+        let env = Envelope::ToCtl(msg);
+        self.send(now, node_addr(node), controller_addr(), env);
+        self.pump(cluster, now, &mut killed);
+        killed
+    }
+
+    /// Runs the Controller's periodic reclamation loop and grant-retry
+    /// timers, then delivers until the fabric is quiescent. Returns the
+    /// containers killed.
+    pub(crate) fn tick(&mut self, cluster: &mut Cluster, now: SimTime) -> Vec<ContainerId> {
+        let mut killed = Vec::new();
+        self.controller.tick_into(now, &mut self.actions);
+        self.dispatch(cluster, now, &mut killed);
+        self.pump(cluster, now, &mut killed);
+        killed
+    }
+
+    /// Puts `env` on the wire. Bytes are charged at send time (they
+    /// leave the sender even if the fabric then drops the message).
+    fn send(&mut self, now: SimTime, from: Addr, to: Addr, env: Envelope) {
+        self.accountant.record(now, env.wire_bytes());
+        let decision = self
+            .injector
+            .decide_traced(now, from, to, &mut self.fault_sink);
+        self.enqueue(now, decision, env);
+    }
+
+    /// Queues `env` as the fabric decided: nowhere on a drop, else every
+    /// copy for delivery now or once the delay spike has passed. The
+    /// envelope itself is the last copy.
+    fn enqueue(&mut self, now: SimTime, decision: FaultDecision, env: Envelope) {
+        let FaultDecision::Deliver {
+            copies,
+            extra_delay,
+        } = decision
+        else {
+            return;
+        };
+        let mut put = |env: Envelope| {
+            if extra_delay.is_zero() {
+                self.ready.push_back(env);
+            } else {
+                self.delayed.push(now + extra_delay, env);
+            }
+        };
+        for _ in 1..copies {
+            put(env.clone());
+        }
+        put(env);
+    }
+
+    /// Sends `node`'s telemetry datagram and leaves `entries` empty.
+    ///
+    /// The fabric is asked exactly as [`ControlPlane::send`] asks it.
+    /// When its answer is one copy with no extra delay, and no other
+    /// message is queued ahead of the datagram or falls due with it, the
+    /// Controller reads the entries where they lie and the node keeps
+    /// its buffer: delivering an envelope would do the same things in
+    /// the same order. (A delayed message due at `now` is delivered
+    /// *after* the datagram but *before* the commands it provokes, which
+    /// only the envelope path gets right.) Any other answer moves the
+    /// entries into an envelope.
+    fn send_batch(
+        &mut self,
+        cluster: &mut Cluster,
+        now: SimTime,
+        node: NodeId,
+        entries: &mut Vec<CpuStatsEntry>,
+        killed: &mut Vec<ContainerId>,
+    ) {
+        self.accountant
+            .record(now, cpu_batch_wire_bytes(entries.len()));
+        let decision = self.injector.decide_traced(
+            now,
+            node_addr(node),
+            controller_addr(),
+            &mut self.fault_sink,
+        );
+        let fabric_idle =
+            self.ready.is_empty() && self.delayed.peek_time().is_none_or(|due| due > now);
+        if decision == FaultDecision::CLEAN && fabric_idle {
+            self.controller
+                .ingest_node_batch(now, node, entries, &mut self.actions);
+            entries.clear();
+            self.dispatch(cluster, now, killed);
+        } else {
+            let entries = std::mem::take(entries);
+            self.enqueue(
+                now,
+                decision,
+                Envelope::ToCtl(ToController::CpuStatsBatch { node, entries }),
+            );
+        }
+    }
+
+    /// Routes the buffered controller actions onto the fabric: Agent
+    /// commands travel the wire (and can be dropped/duplicated/delayed);
+    /// kills are local to the Controller's authority and take effect
+    /// immediately. The buffer comes back empty.
+    fn dispatch(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
+        let mut actions = std::mem::take(&mut self.actions);
+        for action in actions.drain(..) {
+            match action {
+                Action::Agent { node, cmd } => self.send(
+                    now,
+                    controller_addr(),
+                    node_addr(node),
+                    Envelope::ToNode(node, cmd),
+                ),
+                Action::KillContainer(cid) => {
+                    let _ = cluster.oom_kill(cid, now);
+                    killed.push(cid);
+                }
+            }
+        }
+        self.actions = actions;
+    }
+
+    /// Delivers every message due at `now` until the fabric is
+    /// quiescent, feeding aggregated reclamation reports back into the
+    /// controller exactly as the synchronous pre-fault simulator did:
+    /// all sweep responses arriving in one delivery round are merged
+    /// into one `on_reclaim_report` call, so grant-vs-kill decisions see
+    /// the whole round's reclaimed total.
+    ///
+    /// A pump that has delivered `pump_guard` messages stops there: the
+    /// reports it has collected are still credited, the trip is counted,
+    /// and what is left in the queue waits for the next pump.
+    fn pump(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
+        let mut budget = self.pump_guard;
+        loop {
+            while let Some((_, env)) = self.delayed.pop_due(now) {
+                self.ready.push_back(env);
+            }
+            if self.ready.is_empty() {
+                break;
+            }
+            let mut reclaim_entries: Vec<ReclaimEntry> = Vec::new();
+            while budget > 0 {
+                let Some(env) = self.ready.pop_front() else {
+                    break;
+                };
+                budget -= 1;
+                match env {
+                    Envelope::ToCtl(msg) => {
+                        self.controller.handle_into(now, msg, &mut self.actions);
+                        self.dispatch(cluster, now, killed);
+                    }
+                    Envelope::ToNode(node, cmd) => {
+                        let reply = match self.apply(cluster, now, node, cmd) {
+                            AgentReport::Applied => match cmd {
+                                ToAgent::SetMemLimit { container, seq, .. } => {
+                                    Envelope::ToCtl(ToController::LimitAck { container, seq })
+                                }
+                                _ => continue,
+                            },
+                            AgentReport::Reclaimed(entries) => Envelope::Report(entries),
+                            AgentReport::Stale => continue,
+                        };
+                        self.send(now, node_addr(node), controller_addr(), reply);
+                    }
+                    Envelope::Report(entries) => reclaim_entries.extend(entries),
+                }
+            }
+            if !reclaim_entries.is_empty() {
+                self.actions
+                    .extend(self.controller.on_reclaim_report(now, &reclaim_entries));
+                self.dispatch(cluster, now, killed);
+            }
+            if budget == 0 && !self.ready.is_empty() {
+                self.guard_trips += 1;
+                return;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use escra_cfs::MIB;
+    use escra_cluster::{AppId, ContainerSpec, NodeSpec};
+
+    #[test]
+    fn a_tripped_pump_guard_still_credits_the_reports_it_collected() {
+        let node = NodeSpec {
+            cores: 20,
+            mem_bytes: 192 * 1024 * MIB,
+        };
+        let mut cluster = Cluster::new(vec![node; 3]);
+        let spec = |i| ContainerSpec::new(format!("c{i}"), AppId::new(0)).with_base_mem(128 * MIB);
+        let app = AppConfig {
+            app: AppId::new(0),
+            name: "app".into(),
+            global_cpu_cores: 12.0,
+            global_mem_bytes: 6 * 1024 * MIB,
+            containers: (0..9).map(spec).collect(),
+        };
+        let ecfg = EscraConfig::default();
+        let (mut plane, containers) =
+            ControlPlane::deploy(&ecfg, &app, &mut cluster, FaultPlan::none(), 1, |_| {
+                NoopSink
+            });
+        let now = SimTime::from_secs(3);
+        cluster.tick(now); // past the cold start: the sweeps find running containers
+        let nodes = plane.agents.len();
+        for n in 0..nodes {
+            plane.ready.push_back(Envelope::ToNode(
+                NodeId::new(n as u64),
+                ToAgent::ReclaimMemory { delta_bytes: MIB },
+            ));
+        }
+        // Room for every sweep and for one of the reports they answer
+        // with: the guard trips holding that report's entries.
+        plane.pump_guard = nodes as u32 + 1;
+        let mut killed = Vec::new();
+        plane.pump(&mut cluster, now, &mut killed);
+        assert_eq!(plane.guard_trips, 1);
+        assert_eq!(plane.ready.len(), nodes - 1, "undelivered reports wait");
+        let credited = plane.controller.stats().reclaimed_bytes;
+        assert!(credited > 0, "the collected report was dropped");
+
+        plane.pump_guard = PUMP_GUARD;
+        plane.pump(&mut cluster, now, &mut killed);
+        assert_eq!(plane.guard_trips, 1);
+        assert!(plane.ready.is_empty() && killed.is_empty());
+        assert!(plane.controller.stats().reclaimed_bytes > credited);
+        // Every ψ the Agents shrank away is back in the pool: the
+        // Controller's books match the cgroups.
+        for &cid in &containers {
+            let cgroup = cluster.container(cid).expect("container");
+            assert_eq!(
+                plane.controller.allocator().mem_limit_of(cid),
+                Some(cgroup.mem.limit_bytes())
+            );
+        }
+    }
+}

@@ -7,7 +7,8 @@
 //! * [`policy`] — the policies under test (Escra / Static / Autopilot /
 //!   VPA / tiny autoscaler / ARC-V);
 //! * [`microsim`] — the microservice experiment loop (Figs. 4–6,
-//!   Table I, §VI-I overheads);
+//!   Table I, §VI-I overheads) on a private `control_plane` (Controller,
+//!   Agents and the faulty fabric; [`run_traced`] records all three);
 //! * [`serverless_sim`] — the OpenWhisk-style invoker loop
 //!   (Figs. 7–9);
 //! * [`trace_sim`] — the trace-driven mega-scenario driver (one
@@ -23,6 +24,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod control_plane;
 pub mod microsim;
 mod pod_host;
 pub mod policy;
@@ -32,9 +34,10 @@ pub mod sweep;
 pub mod trace_sim;
 pub mod tracking;
 
+pub use control_plane::{controller_addr, node_addr};
 pub use microsim::{
-    controller_addr, node_addr, profile_run, run, run_with_profiles, MicroSimConfig,
-    MicroSimOutput, ReportPlan, SimStats,
+    profile_run, run, run_traced, run_with_profiles, MicroSimConfig, MicroSimOutput, ReportPlan,
+    SimStats,
 };
 pub use policy::{BaselineScalerKind, Policy};
 pub use sweep::{default_threads, run_serial, run_sweep, scenario_seed, scenarios, Scenario};

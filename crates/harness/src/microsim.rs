@@ -41,20 +41,19 @@
 // splitting borrows.
 #![allow(clippy::needless_range_loop)]
 
-use crate::pod_host::{agent_for, apply_limit_updates, update_secs};
+use crate::control_plane::ControlPlane;
+use crate::pod_host::{apply_limit_updates, update_secs};
 use crate::policy::Policy;
 use crate::queueing::{backlog_exceeds, capped_demand_us, drain_fifo_into, StageJob};
 use escra_baselines::{validate_observation, ContainerProfile, PeriodicScaler, UsageSample};
 use escra_cfs::{node::arbitrate, ChargeOutcome, MIB};
 use escra_cluster::AppId;
 use escra_cluster::{Cluster, ContainerId, ContainerSpec, NodeId, NodeSpec};
-use escra_core::telemetry::{cpu_batch_wire_bytes, ToController};
-use escra_core::{
-    deploy_app, Action, Agent, AgentReport, AppConfig, Controller, CpuStatsEntry, ReclaimEntry,
-    ToAgent,
-};
+use escra_core::telemetry::ToController;
+use escra_core::{AppConfig, CpuStatsEntry};
+use escra_metrics::trace::{NoopSink, TraceRecorder, TraceSink};
 use escra_metrics::RunMetrics;
-use escra_net::{Addr, BandwidthAccountant, FaultDecision, FaultInjector, FaultPlan, FaultStats};
+use escra_net::{BandwidthAccountant, FaultPlan, FaultStats};
 use escra_simcore::events::EventQueue;
 use escra_simcore::rng::{lognormal_params, SimRng};
 use escra_simcore::time::{SimDuration, SimTime};
@@ -193,230 +192,6 @@ impl MicroSimConfig {
     pub fn with_report_plan(mut self, plan: ReportPlan) -> Self {
         self.report_plan = Some(plan);
         self
-    }
-}
-
-/// Well-known control-plane address of the Controller.
-pub fn controller_addr() -> Addr {
-    Addr::from_raw(0)
-}
-
-/// Well-known control-plane address of the Agent on `node`.
-///
-/// Telemetry and OOM events from a container travel over its node's
-/// link, so a partition of `node_addr(n) ↔ controller_addr()` cuts off
-/// everything hosted on `n`.
-pub fn node_addr(node: NodeId) -> Addr {
-    Addr::from_raw(1 + node.as_u64())
-}
-
-/// A message in flight on the Escra control plane.
-#[derive(Debug, Clone)]
-enum Envelope {
-    /// Node → Controller (telemetry, OOM events, limit acks).
-    ToCtl(ToController),
-    /// Controller → Agent command.
-    ToNode(NodeId, ToAgent),
-    /// Agent → Controller reclamation report (the gRPC response of the
-    /// reclaim RPC; its bytes are priced into the request pair).
-    Report(Vec<ReclaimEntry>),
-}
-
-impl Envelope {
-    fn wire_bytes(&self) -> u64 {
-        match self {
-            Envelope::ToCtl(msg) => msg.wire_bytes(),
-            Envelope::ToNode(_, cmd) => cmd.wire_bytes(),
-            Envelope::Report(_) => 0,
-        }
-    }
-}
-
-/// The Escra control plane: the Controller, one Agent per node, and the
-/// simulated fabric between them.
-///
-/// Every runtime message passes through a [`FaultInjector`]; with
-/// [`FaultPlan::none`] the injector draws no randomness and every message
-/// is delivered synchronously, which keeps faultless runs bit-identical
-/// to the pre-fault-layer simulator.
-struct ControlPlane {
-    controller: Controller,
-    agents: Vec<Agent>,
-    accountant: BandwidthAccountant,
-    injector: FaultInjector,
-    /// Messages hit by a delay spike, delivered once due.
-    delayed: EventQueue<Envelope>,
-    /// Messages ready for delivery now, in FIFO order.
-    ready: VecDeque<Envelope>,
-    /// Controller output awaiting [`ControlPlane::dispatch`]; empty
-    /// between calls, its capacity reused so the steady-state telemetry
-    /// and timer paths allocate nothing per message.
-    actions: Vec<Action>,
-    /// Messages one [`ControlPlane::pump`] delivers before it gives up
-    /// ([`PUMP_GUARD`]; a test shrinks it to trip the guard on purpose).
-    pump_guard: u32,
-    /// Pumps cut short by the guard.
-    guard_trips: u64,
-}
-
-/// Backstop against a (non-existent today) message cycle; real cascades
-/// are grant → ack → done and terminate in a few rounds. One reclaim
-/// tick on 10 000 nodes delivers 20 000 messages.
-const PUMP_GUARD: u32 = 100_000;
-
-impl ControlPlane {
-    /// Puts `env` on the wire. Bytes are charged at send time (they
-    /// leave the sender even if the fabric then drops the message).
-    fn send(&mut self, now: SimTime, from: Addr, to: Addr, env: Envelope) {
-        self.accountant.record(now, env.wire_bytes());
-        let decision = self.injector.decide(now, from, to);
-        self.enqueue(now, decision, env);
-    }
-
-    /// Queues `env` as the fabric decided: nowhere on a drop, else every
-    /// copy for delivery now or once the delay spike has passed. The
-    /// envelope itself is the last copy.
-    fn enqueue(&mut self, now: SimTime, decision: FaultDecision, env: Envelope) {
-        let FaultDecision::Deliver {
-            copies,
-            extra_delay,
-        } = decision
-        else {
-            return;
-        };
-        let mut put = |env: Envelope| {
-            if extra_delay.is_zero() {
-                self.ready.push_back(env);
-            } else {
-                self.delayed.push(now + extra_delay, env);
-            }
-        };
-        for _ in 1..copies {
-            put(env.clone());
-        }
-        put(env);
-    }
-
-    /// Sends `node`'s telemetry datagram and leaves `entries` empty.
-    ///
-    /// The fabric is asked exactly as [`ControlPlane::send`] asks it.
-    /// When its answer is one copy with no extra delay, and no other
-    /// message is queued ahead of the datagram or falls due with it, the
-    /// Controller reads the entries where they lie and the node keeps
-    /// its buffer: delivering an envelope would do the same things in
-    /// the same order. (A delayed message due at `now` is delivered
-    /// *after* the datagram but *before* the commands it provokes, which
-    /// only the envelope path gets right.) Any other answer moves the
-    /// entries into an envelope.
-    fn send_batch(
-        &mut self,
-        cluster: &mut Cluster,
-        now: SimTime,
-        node: NodeId,
-        entries: &mut Vec<CpuStatsEntry>,
-        killed: &mut Vec<ContainerId>,
-    ) {
-        self.accountant
-            .record(now, cpu_batch_wire_bytes(entries.len()));
-        let decision = self
-            .injector
-            .decide(now, node_addr(node), controller_addr());
-        let fabric_idle =
-            self.ready.is_empty() && self.delayed.peek_time().is_none_or(|due| due > now);
-        if decision == FaultDecision::CLEAN && fabric_idle {
-            self.controller
-                .ingest_node_batch(now, node, entries, &mut self.actions);
-            entries.clear();
-            self.dispatch(cluster, now, killed);
-        } else {
-            let entries = std::mem::take(entries);
-            self.enqueue(
-                now,
-                decision,
-                Envelope::ToCtl(ToController::CpuStatsBatch { node, entries }),
-            );
-        }
-    }
-
-    /// Routes the buffered controller actions onto the fabric: Agent
-    /// commands travel the wire (and can be dropped/duplicated/delayed);
-    /// kills are local to the Controller's authority and take effect
-    /// immediately. The buffer comes back empty.
-    fn dispatch(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
-        let mut actions = std::mem::take(&mut self.actions);
-        for action in actions.drain(..) {
-            match action {
-                Action::Agent { node, cmd } => self.send(
-                    now,
-                    controller_addr(),
-                    node_addr(node),
-                    Envelope::ToNode(node, cmd),
-                ),
-                Action::KillContainer(cid) => {
-                    let _ = cluster.oom_kill(cid, now);
-                    killed.push(cid);
-                }
-            }
-        }
-        self.actions = actions;
-    }
-
-    /// Delivers every message due at `now` until the fabric is
-    /// quiescent, feeding aggregated reclamation reports back into the
-    /// controller exactly as the synchronous pre-fault simulator did:
-    /// all sweep responses arriving in one delivery round are merged
-    /// into one `on_reclaim_report` call, so grant-vs-kill decisions see
-    /// the whole round's reclaimed total.
-    ///
-    /// A pump that has delivered `pump_guard` messages stops there: the
-    /// reports it has collected are still credited, the trip is counted,
-    /// and what is left in the queue waits for the next pump.
-    fn pump(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
-        let mut budget = self.pump_guard;
-        loop {
-            while let Some((_, env)) = self.delayed.pop_due(now) {
-                self.ready.push_back(env);
-            }
-            if self.ready.is_empty() {
-                break;
-            }
-            let mut reclaim_entries: Vec<ReclaimEntry> = Vec::new();
-            while budget > 0 {
-                let Some(env) = self.ready.pop_front() else {
-                    break;
-                };
-                budget -= 1;
-                match env {
-                    Envelope::ToCtl(msg) => {
-                        self.controller.handle_into(now, msg, &mut self.actions);
-                        self.dispatch(cluster, now, killed);
-                    }
-                    Envelope::ToNode(node, cmd) => {
-                        let reply = match agent_for(&mut self.agents, node).apply(cluster, cmd) {
-                            AgentReport::Applied => match cmd {
-                                ToAgent::SetMemLimit { container, seq, .. } => {
-                                    Envelope::ToCtl(ToController::LimitAck { container, seq })
-                                }
-                                _ => continue,
-                            },
-                            AgentReport::Reclaimed(entries) => Envelope::Report(entries),
-                            AgentReport::Stale => continue,
-                        };
-                        self.send(now, node_addr(node), controller_addr(), reply);
-                    }
-                    Envelope::Report(entries) => reclaim_entries.extend(entries),
-                }
-            }
-            if !reclaim_entries.is_empty() {
-                self.actions
-                    .extend(self.controller.on_reclaim_report(now, &reclaim_entries));
-                self.dispatch(cluster, now, killed);
-            }
-            if budget == 0 && !self.ready.is_empty() {
-                self.guard_trips += 1;
-                return;
-            }
-        }
     }
 }
 
@@ -608,13 +383,14 @@ struct ReqState {
     finished: bool,
 }
 
-/// What drives allocation during the run.
+/// What drives allocation during the run; `S` is the Escra control
+/// plane's trace sink.
 #[allow(clippy::large_enum_variant)] // one Mode per run; size is irrelevant
-enum Mode {
+enum Mode<S: TraceSink> {
     /// Profiling pre-run: effectively uncapped, record peaks.
     Profile,
     /// Escra event loop.
-    Escra(ControlPlane),
+    Escra(ControlPlane<S>),
     /// Static limits (nothing to do at runtime).
     Static,
     /// A periodic scaler (Autopilot, VPA, tiny autoscaler or ARC-V).
@@ -662,7 +438,30 @@ pub fn run(cfg: &MicroSimConfig) -> MicroSimOutput {
 /// Runs the measured phase with pre-computed profiles (exposed so sweeps
 /// can reuse one profiling run across policies).
 pub fn run_with_profiles(cfg: &MicroSimConfig, profiles: &[ContainerProfile]) -> MicroSimOutput {
-    Sim::new(cfg, false, profiles).run()
+    Sim::new(cfg, false, profiles, |_| NoopSink).run()
+}
+
+/// Events each recorder of [`run_traced`] holds before it wraps.
+const TRACE_CAPACITY: usize = 16_384;
+
+/// [`run`] with the Escra control plane recording into
+/// [`TraceRecorder`]s: the Controller's, then one per node's Agent, then
+/// the fault injector's. Each holds 16 384 events; a longer run wraps
+/// (see [`TraceRecorder::dropped`]). Tracing moves no decision and draws
+/// no randomness, so the output equals [`run`]'s.
+///
+/// # Panics
+///
+/// If `cfg.policy` is not Escra (no other policy has a control plane).
+pub fn run_traced(cfg: &MicroSimConfig) -> (MicroSimOutput, Vec<TraceRecorder>) {
+    let mut sim = Sim::new(cfg, false, &[], |class| {
+        TraceRecorder::with_capacity(TRACE_CAPACITY).with_class(class)
+    });
+    let out = sim.run();
+    let Mode::Escra(plane) = sim.mode else {
+        panic!("only Escra has a control plane to trace")
+    };
+    (out, plane.into_sinks())
 }
 
 /// Runs only the profiling pre-run, returning per-container peaks in
@@ -704,10 +503,12 @@ pub fn profile_run(cfg: &MicroSimConfig) -> Vec<ContainerProfile> {
         app,
         ..cfg.clone()
     };
-    Sim::new(&profile_cfg, true, &[]).run().profiles
+    Sim::new(&profile_cfg, true, &[], |_| NoopSink)
+        .run()
+        .profiles
 }
 
-struct Sim<'a> {
+struct Sim<'a, S: TraceSink> {
     cfg: &'a MicroSimConfig,
     cluster: Cluster,
     containers: Vec<ContainerId>,
@@ -736,7 +537,7 @@ struct Sim<'a> {
     /// draws `work, gap, work, gap, …`, so background timing is
     /// identical across report periods.
     bg_streams: Vec<SimRng>,
-    mode: Mode,
+    mode: Mode<S>,
     period: SimDuration,
     /// The per-node telemetry cadence (aligned when none is configured).
     report_plan: ReportPlan,
@@ -774,8 +575,14 @@ struct Sim<'a> {
     bucket_secs: u64,
 }
 
-impl<'a> Sim<'a> {
-    fn new(cfg: &'a MicroSimConfig, profiling: bool, profiles: &[ContainerProfile]) -> Self {
+impl<'a, S: TraceSink> Sim<'a, S> {
+    /// `sink(class)` builds the trace sinks of an Escra control plane.
+    fn new(
+        cfg: &'a MicroSimConfig,
+        profiling: bool,
+        profiles: &[ContainerProfile],
+        sink: impl Fn(u16) -> S,
+    ) -> Self {
         let app = &cfg.app;
         let n = app.container_count();
         let nodes = vec![
@@ -821,7 +628,6 @@ impl<'a> Sim<'a> {
             match &cfg.policy {
                 Policy::Escra(ecfg) => {
                     period = ecfg.report_period;
-                    let mut controller = Controller::new(ecfg.clone());
                     let app_config = AppConfig {
                         app: app_id,
                         name: app.name.clone(),
@@ -829,39 +635,15 @@ impl<'a> Sim<'a> {
                         global_mem_bytes: app.global_mem_mib * MIB,
                         containers: specs,
                     };
-                    let (ids, actions) = deploy_app(
+                    let (plane, ids) = ControlPlane::deploy(
                         ecfg,
                         &app_config,
                         &mut cluster,
-                        &mut controller,
-                        SimTime::ZERO,
-                    )
-                    .expect("deploy app");
+                        cfg.faults.clone(),
+                        cfg.seed,
+                        sink,
+                    );
                     containers = ids;
-                    let mut plane = ControlPlane {
-                        controller,
-                        agents: cluster
-                            .nodes()
-                            .iter()
-                            .map(|nd| Agent::new(nd.id()))
-                            .collect(),
-                        accountant: BandwidthAccountant::new(),
-                        injector: FaultInjector::new(cfg.faults.clone(), cfg.seed),
-                        delayed: EventQueue::new(),
-                        ready: VecDeque::new(),
-                        actions: Vec::new(),
-                        pump_guard: PUMP_GUARD,
-                        guard_trips: 0,
-                    };
-                    // Deployment registration runs over per-container TCP
-                    // sockets before the workload starts; runtime faults
-                    // do not apply to it.
-                    for a in &actions {
-                        if let Action::Agent { node, cmd } = a {
-                            plane.accountant.record(SimTime::ZERO, cmd.wire_bytes());
-                            agent_for(&mut plane.agents, *node).apply(&mut cluster, *cmd);
-                        }
-                    }
                     mode = Mode::Escra(plane);
                 }
                 policy => {
@@ -1391,10 +1173,7 @@ impl<'a> Sim<'a> {
         if entries.is_empty() {
             return;
         }
-        let mut killed = Vec::new();
-        let node_id = NodeId::new(node as u64);
-        plane.send_batch(&mut self.cluster, now, node_id, entries, &mut killed);
-        plane.pump(&mut self.cluster, now, &mut killed);
+        let killed = plane.report(&mut self.cluster, now, NodeId::new(node as u64), entries);
         self.fail_killed(&killed, now);
     }
 
@@ -1403,10 +1182,7 @@ impl<'a> Sim<'a> {
         let Mode::Escra(plane) = &mut self.mode else {
             return;
         };
-        let mut killed = Vec::new();
-        plane.controller.tick_into(now, &mut plane.actions);
-        plane.dispatch(&mut self.cluster, now, &mut killed);
-        plane.pump(&mut self.cluster, now, &mut killed);
+        let killed = plane.tick(&mut self.cluster, now);
         self.fail_killed(&killed, now);
     }
 
@@ -1544,18 +1320,12 @@ impl<'a> Sim<'a> {
             let (node, current_limit_bytes) = (c.node(), c.mem.limit_bytes());
             match &mut self.mode {
                 Mode::Escra(plane) => {
-                    plane.send(
-                        now,
-                        node_addr(node),
-                        controller_addr(),
-                        Envelope::ToCtl(ToController::OomEvent {
-                            container: cid,
-                            shortfall_bytes,
-                            current_limit_bytes,
-                        }),
-                    );
-                    let mut killed = Vec::new();
-                    plane.pump(&mut self.cluster, now, &mut killed);
+                    let oom = ToController::OomEvent {
+                        container: cid,
+                        shortfall_bytes,
+                        current_limit_bytes,
+                    };
+                    let killed = plane.send_from_node(&mut self.cluster, now, node, oom);
                     self.fail_killed(&killed, now);
                     if !killed.contains(&cid) {
                         // Limit raised (or, under faults, the grant was
@@ -1880,7 +1650,7 @@ mod tests {
     /// The buffers `round_account` fills, after a whole run (the last
     /// event of a run is a flush, so every buffer ends up empty).
     fn pending_stats_after_run(cfg: &MicroSimConfig) -> Vec<Vec<CpuStatsEntry>> {
-        let mut sim = Sim::new(cfg, false, &[]);
+        let mut sim = Sim::new(cfg, false, &[], |_| NoopSink);
         sim.run_events();
         assert!(!sim.active_nodes.is_empty());
         sim.active_nodes
@@ -1905,48 +1675,6 @@ mod tests {
         for buf in pending_stats_after_run(&dup) {
             assert!(buf.is_empty());
             assert_eq!(buf.capacity(), 0, "duplicated datagram went by reference");
-        }
-    }
-
-    #[test]
-    fn a_tripped_pump_guard_still_credits_the_reports_it_collected() {
-        let cfg = quick_cfg(Policy::escra_default());
-        let mut sim = Sim::new(&cfg, false, &[]);
-        let now = SimTime::from_secs(3);
-        sim.cluster.tick(now); // past the cold start: the sweeps find running containers
-        let Mode::Escra(plane) = &mut sim.mode else {
-            unreachable!("escra policy")
-        };
-        let nodes = plane.agents.len();
-        for n in 0..nodes {
-            plane.ready.push_back(Envelope::ToNode(
-                NodeId::new(n as u64),
-                ToAgent::ReclaimMemory { delta_bytes: MIB },
-            ));
-        }
-        // Room for every sweep and for one of the reports they answer
-        // with: the guard trips holding that report's entries.
-        plane.pump_guard = nodes as u32 + 1;
-        let mut killed = Vec::new();
-        plane.pump(&mut sim.cluster, now, &mut killed);
-        assert_eq!(plane.guard_trips, 1);
-        assert_eq!(plane.ready.len(), nodes - 1, "undelivered reports wait");
-        let credited = plane.controller.stats().reclaimed_bytes;
-        assert!(credited > 0, "the collected report was dropped");
-
-        plane.pump_guard = PUMP_GUARD;
-        plane.pump(&mut sim.cluster, now, &mut killed);
-        assert_eq!(plane.guard_trips, 1);
-        assert!(plane.ready.is_empty() && killed.is_empty());
-        assert!(plane.controller.stats().reclaimed_bytes > credited);
-        // Every ψ the Agents shrank away is back in the pool: the
-        // Controller's books match the cgroups.
-        for &cid in &sim.containers {
-            let cgroup = sim.cluster.container(cid).expect("container");
-            assert_eq!(
-                plane.controller.allocator().mem_limit_of(cid),
-                Some(cgroup.mem.limit_bytes())
-            );
         }
     }
 

@@ -13,10 +13,10 @@
 
 use crate::recorders::RunMetrics;
 use crate::serverless::ServerlessStats;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Unit prices, in dollars.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CostModel {
     /// Price of one reserved core for one second.
     pub cpu_core_sec: f64,
@@ -39,7 +39,7 @@ impl Default for CostModel {
 }
 
 /// One run's cost, itemized.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct CostBreakdown {
     /// Reserved-CPU cost, in dollars.
     pub cpu: f64,

@@ -5,10 +5,10 @@
 use escra_simcore::histogram::LogHistogram;
 use escra_simcore::time::{SimDuration, SimTime};
 use escra_simcore::timeseries::TimeSeries;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// End-to-end request latency plus success/failure accounting.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct LatencyRecorder {
     hist_ms: LogHistogram,
     successes: u64,
@@ -79,7 +79,7 @@ impl LatencyRecorder {
 
 /// Absolute slack distributions: CPU in cores, memory in MiB — the
 /// quantities whose CDFs are Figs. 5 and 6.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct SlackRecorder {
     cpu_cores: LogHistogram,
     mem_mib: LogHistogram,
@@ -132,7 +132,7 @@ impl SlackRecorder {
 }
 
 /// Everything measured in one experiment run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunMetrics {
     /// Which policy produced this run (e.g. `"escra"`).
     pub policy: String,
@@ -178,7 +178,7 @@ impl RunMetrics {
 
 /// The headline comparisons of Table I / Fig. 4, computed between a
 /// baseline run and an Escra run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Comparison {
     /// % decrease in 99.9 % latency from baseline to Escra (+ is better).
     pub latency_decrease_pct: f64,

@@ -5,7 +5,7 @@
 
 use escra_simcore::histogram::LogHistogram;
 use escra_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-run serverless statistics.
 ///
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// *Absolute execution slowdown* is `execution time − ideal time`
 /// (throttle stretch only); *absolute total slowdown* is
 /// `arrival-to-completion − ideal time` (adds queueing and cold start).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ServerlessStats {
     /// Completed invocations.
     pub invocations: u64,

@@ -1,7 +1,7 @@
 //! Wire-byte accounting for the network-overhead experiment (§VI-I).
 
 use escra_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Wire size of a batched report that shares one envelope across many
 /// entries: one `header` (IP/UDP framing plus the per-node tag) is
@@ -41,7 +41,7 @@ pub const fn batch_wire_bytes(header_bytes: u64, entry_bytes: u64, entries: u64)
 /// assert_eq!(acc.total_bytes(), 1_750_000);
 /// assert!((acc.peak_mbps() - 12.0).abs() < 1e-9); // 1.5 MB in second 0
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct BandwidthAccountant {
     /// (second index, bytes) — seconds recorded in order, sparse.
     buckets: Vec<(u64, u64)>,

@@ -5,14 +5,14 @@ use crate::fault::{FaultDecision, FaultInjector, FaultPlan, FaultStats};
 use escra_simcore::events::EventQueue;
 use escra_simcore::rng::SimRng;
 use escra_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An opaque endpoint address on the simulated control-plane network.
 ///
 /// Addresses are handed out by [`Network::register`]; higher layers map
 /// them to the Controller, per-node Agents, and per-container kernel
 /// sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Addr(u64);
 
 impl Addr {
@@ -38,7 +38,7 @@ impl Addr {
 /// Defaults model a single-datacenter control plane: 250 µs base,
 /// 100 µs jitter — consistent with the paper's claim that limits are
 /// applied "on the order of 100s of microseconds".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LatencyModel {
     /// Fixed one-way delay component.
     pub base: SimDuration,

@@ -12,11 +12,11 @@ use crate::fabric::Addr;
 use escra_metrics::trace::{NoopSink, TraceEventKind, TraceSink};
 use escra_simcore::rng::SimRng;
 use escra_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A timed bidirectional partition between two endpoints: messages in
 /// either direction are dropped while `start <= now < end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Partition {
     /// One side of the severed link.
     pub a: Addr,
@@ -42,7 +42,7 @@ impl Partition {
 /// default) is guaranteed to be a no-op: no random draws, no drops, no
 /// extra delay — so enabling the machinery cannot perturb a faultless
 /// run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultPlan {
     /// Probability a message is silently dropped.
     pub drop_probability: f64,
@@ -163,7 +163,7 @@ impl FaultDecision {
 }
 
 /// Counters of injected faults, for experiment reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct FaultStats {
     /// Messages dropped by the loss probability.
     pub dropped: u64,

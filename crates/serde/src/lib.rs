@@ -3,14 +3,15 @@
 //! The build container has no access to crates.io, so the workspace
 //! vendors the minimal surface it actually uses: a [`Serialize`] trait
 //! that lowers values into a JSON-like [`Value`] tree (consumed by the
-//! sibling `serde_json` shim), a no-op [`Deserialize`] marker, and
-//! derive macros for both (from the sibling `serde_derive` shim).
+//! sibling `serde_json` shim), and its derive macro (from the sibling
+//! `serde_derive` shim). Nothing in this workspace decodes, so there is
+//! no `Deserialize`.
 //!
-//! The derive macros understand unit/named/tuple structs and enums with
+//! The derive macro understands unit/named/tuple structs and enums with
 //! unit, tuple, and struct variants — exactly the shapes this workspace
 //! defines. Generic types are not supported.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -40,12 +41,6 @@ pub trait Serialize {
     /// Produces the value-tree representation of `self`.
     fn to_value(&self) -> Value;
 }
-
-/// Marker trait emitted by the no-op `#[derive(Deserialize)]`.
-///
-/// Nothing in this workspace deserializes; the derive exists so the
-/// seed code's `#[derive(Serialize, Deserialize)]` lines keep compiling.
-pub trait Deserialize {}
 
 macro_rules! impl_int {
     ($($t:ty => $variant:ident as $as:ty),* $(,)?) => {

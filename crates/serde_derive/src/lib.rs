@@ -1,7 +1,7 @@
-//! Vendored derive macros for the offline `serde` shim.
+//! Vendored `#[derive(Serialize)]` for the offline `serde` shim.
 //!
 //! The container has no registry access, so `syn`/`quote` are
-//! unavailable; the derives below hand-parse the item's token stream.
+//! unavailable; the derive below hand-parses the item's token stream.
 //! Supported shapes (all this workspace uses):
 //!
 //! - unit / named-field / tuple structs
@@ -261,22 +261,4 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     )
     .parse()
     .unwrap()
-}
-
-/// `#[derive(Deserialize)]` — emits the no-op marker impl.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = match parse_item(input) {
-        Ok(item) => item,
-        Err(msg) => return compile_error(&msg),
-    };
-    let name = match item {
-        Item::Unit { name }
-        | Item::NamedStruct { name, .. }
-        | Item::TupleStruct { name, .. }
-        | Item::Enum { name, .. } => name,
-    };
-    format!("impl serde::Deserialize for {name} {{}}")
-        .parse()
-        .unwrap()
 }

@@ -5,7 +5,7 @@
 //! spanning microseconds to minutes can be recorded compactly. The paper's
 //! CDF figures (Figs. 5–7) are produced from these histograms.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of linear sub-buckets per power of two (~1.5 % relative error).
 const SUB_BUCKETS: usize = 64;
@@ -32,7 +32,7 @@ const EDGE_MANTISSAS: u64 = 1 << 11;
 /// assert!(h.percentile(50.0) >= 2.0 && h.percentile(50.0) <= 3.1);
 /// assert!(h.percentile(100.0) >= 99.0);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct LogHistogram {
     /// counts[e][s]: bucket for values in [2^(e-B), 2^(e-B+1)) split into
     /// SUB_BUCKETS linear slots; sparse map keyed by exponent.

@@ -5,7 +5,7 @@
 //! helper for per-second averaging.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::fmt;
 
 /// The sample times of a series. Recorders sample on a grid — once a
@@ -97,7 +97,7 @@ impl Serialize for Times {
 /// assert_eq!(ts.len(), 2);
 /// assert_eq!(ts.last(), Some(6.0));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TimeSeries {
     name: String,
     times: Times,

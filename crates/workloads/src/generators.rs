@@ -12,10 +12,10 @@
 
 use escra_simcore::rng::SimRng;
 use escra_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The workload shapes used in the evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum WorkloadKind {
     /// Constant rate, evenly spaced arrivals.
     Fixed {

@@ -13,10 +13,10 @@
 //! ones, and memory footprints that grow under load.
 
 use escra_simcore::rng::{lognormal_params, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One service tier (a Kubernetes deployment; `replicas` containers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceTier {
     /// Tier name, e.g. `"frontend"`.
     pub name: String,
@@ -116,7 +116,7 @@ impl ServiceTime {
 }
 
 /// A request class: a weighted path through increasing tier indices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RequestClass {
     /// Class name, e.g. `"checkout"`.
     pub name: String,
@@ -127,7 +127,7 @@ pub struct RequestClass {
 }
 
 /// A modelled microservice application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MicroserviceApp {
     /// Application name.
     pub name: String,

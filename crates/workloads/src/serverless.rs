@@ -3,12 +3,12 @@
 
 use escra_simcore::rng::{lognormal_params, SimRng};
 use escra_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// OpenWhisk invoker configuration (paper §VI-F: each user-action pod
 /// gets 1 vCPU and 256 MiB; the invoker `containerPool` memory bounds the
 /// number of concurrent pods).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OpenWhiskConfig {
     /// Static per-pod CPU request/limit, in cores.
     pub pod_cpu_cores: f64,
@@ -49,7 +49,7 @@ impl OpenWhiskConfig {
 }
 
 /// Execution profile of one serverless action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ActionProfile {
     /// Action name.
     pub name: String,
@@ -129,7 +129,7 @@ pub const GRID_SEARCH_TASKS: usize = 960;
 /// job.complete();
 /// assert!(job.is_done());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GridSearchJob {
     total: usize,
     claimed: usize,

@@ -5,10 +5,10 @@
 //! reproduces that demand signal as a deterministic phase schedule.
 
 use escra_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A CPU demand phase: saturate `cores` for `len`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Phase {
     /// Cores of demand during the phase.
     pub cores: f64,
@@ -26,7 +26,7 @@ pub struct Phase {
 /// assert_eq!(load.demand_at(SimTime::ZERO), 1.0);
 /// assert!(load.total_len().as_secs_f64() > 30.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SysbenchLoad {
     phases: Vec<Phase>,
 }

@@ -10,14 +10,14 @@
 
 use escra_simcore::rng::SimRng;
 use escra_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// z-score of the 99th percentile of the standard normal — used to fit
 /// a lognormal from (p50, p99) duration percentiles.
 pub const Z99: f64 = 2.326_347_874_040_841;
 
 /// One traced serverless application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceApp {
     /// Application name (the CSV `app` column, or a generated id).
     pub name: String,
@@ -73,7 +73,7 @@ impl TraceApp {
 
 /// A set of traced apps over a common minute grid — the single input
 /// form of the `trace_sim` driver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceWorkload {
     /// The traced applications.
     pub apps: Vec<TraceApp>,

@@ -53,9 +53,9 @@ echo "== baseline serverless + trace cost smoke (tiny / ARC-V / Escra) =="
 cargo run -q -p escra-bench --release -- baseline_serverless --smoke
 
 echo "== trace dump smoke (decision trace + exposition) =="
-# trace_dump replays a fixed-seed faulty scenario with every component
-# recording trace events; it fails if a recorder wraps or the scenario
-# no longer exercises the OOM-grant path.
+# trace_dump runs one traced microsim cell (Teastore x burst, faulty
+# control plane) with every component recording trace events; it fails
+# if a recorder wraps or the run no longer exercises the OOM-grant path.
 cargo run -q -p escra-bench --release -- trace_dump
 
 echo "== trace mega smoke (10k traced apps vs committed baseline, serial-vs-t4 byte-identity) =="

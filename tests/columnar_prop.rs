@@ -49,9 +49,10 @@
 //!
 //! ## Ragged blocks
 //!
-//! `CpuStatsColumns` derives `Deserialize`, so a block whose columns
-//! disagree in length can arrive off the wire. The third property feeds
-//! such blocks and holds the Controller to refusing them whole.
+//! `CpuStatsColumns`' fields are `pub`, so any caller can build a block
+//! whose columns disagree in length and hand it to the Controller. The
+//! third property feeds such blocks and holds the Controller to refusing
+//! them whole.
 
 use escra::cfs::CpuPeriodStats;
 use escra::cluster::{AppId, ContainerId, NodeId};

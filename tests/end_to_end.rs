@@ -3,7 +3,10 @@
 //! in-the-small on every run.
 
 use escra::cluster::NodeId;
-use escra::harness::{controller_addr, node_addr, run, MicroSimConfig, Policy};
+use escra::harness::{
+    controller_addr, node_addr, run, run_traced, MicroSimConfig, MicroSimOutput, Policy,
+};
+use escra::metrics::trace::{render_merged, TraceRecorder};
 use escra::net::FaultPlan;
 use escra::simcore::time::{SimDuration, SimTime};
 use escra::workloads::{hipster_shop, teastore, WorkloadKind};
@@ -101,6 +104,47 @@ fn inactive_fault_plan_reproduces_the_faultless_run_exactly() {
         a.network.expect("net").total_bytes(),
         b.network.expect("net").total_bytes()
     );
+}
+
+#[test]
+fn traced_runs_equal_untraced_runs() {
+    // Tracing records the Controller, every Agent and the fault injector
+    // and changes nothing: on a faulty cell (the benchmark matrix's plan
+    // plus a partition) the traced run's output is `run`'s, and two
+    // traced runs merge to byte-identical traces.
+    let faults = || {
+        lossy_partitioned()
+            .with_loss(0.05)
+            .with_duplicates(0.02)
+            .with_delay_spikes(0.02, SimDuration::from_millis(150))
+    };
+    let merged = |recorders: &[TraceRecorder]| {
+        assert!(
+            recorders.iter().all(|r| r.dropped() == 0),
+            "a recorder wrapped"
+        );
+        render_merged(&recorders.iter().collect::<Vec<_>>())
+    };
+    for seed in [3, 11] {
+        let ctx = format!("seed {seed}");
+        let cfg = quick(Policy::escra_default(), seed).with_faults(faults());
+        let plain = run(&cfg);
+        let (traced, recorders) = run_traced(&cfg);
+        assert_eq!(recorders.len(), 1 + cfg.worker_nodes + 1, "{ctx}");
+        let faults_fired = recorders.last().expect("fault recorder").emitted();
+        assert!(faults_fired > 0, "{ctx}: no fault was traced");
+        assert_eq!(traced.fault_stats, plain.fault_stats, "{ctx}");
+        assert_eq!(traced.controller_stats, plain.controller_stats, "{ctx}");
+        assert_eq!(traced.sim, plain.sim, "{ctx}");
+        assert_eq!(traced.pump_guard_trips, plain.pump_guard_trips, "{ctx}");
+        let debug = |out: &MicroSimOutput| format!("{:?} {:?}", out.network, out.metrics);
+        assert!(
+            debug(&traced) == debug(&plain),
+            "{ctx}: metrics or network differ"
+        );
+        let (_, again) = run_traced(&cfg);
+        assert!(merged(&recorders) == merged(&again), "{ctx}: traces differ");
+    }
 }
 
 #[test]
