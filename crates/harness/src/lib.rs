@@ -8,7 +8,8 @@
 //!   VPA / tiny autoscaler / ARC-V);
 //! * [`microsim`] — the microservice experiment loop (Figs. 4–6,
 //!   Table I, §VI-I overheads) on a private `control_plane` (Controller,
-//!   Agents and the faulty fabric; [`run_traced`] records all three);
+//!   Agents and the faulty fabric; [`run_traced`] records all three,
+//!   [`run_phased`] times the event loop phase by phase);
 //! * [`serverless_sim`] — the OpenWhisk-style invoker loop
 //!   (Figs. 7–9);
 //! * [`trace_sim`] — the trace-driven mega-scenario driver (one
@@ -36,8 +37,8 @@ pub mod tracking;
 
 pub use control_plane::{controller_addr, node_addr};
 pub use microsim::{
-    profile_run, run, run_traced, run_with_profiles, MicroSimConfig, MicroSimOutput, ReportPlan,
-    SimStats,
+    profile_run, run, run_phased, run_traced, run_with_profiles, MicroSimConfig, MicroSimOutput,
+    Phase, PhaseTimes, ReportPlan, SimStats,
 };
 pub use policy::{BaselineScalerKind, Policy};
 pub use sweep::{default_threads, run_serial, run_sweep, scenario_seed, scenarios, Scenario};
