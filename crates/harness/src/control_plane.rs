@@ -183,7 +183,7 @@ impl<S: TraceSink> ControlPlane<S> {
     ) -> Vec<ContainerId> {
         let mut killed = Vec::new();
         self.send_batch(cluster, now, node, entries, &mut killed);
-        self.pump(cluster, now, &mut killed);
+        self.pump_if_due(cluster, now, &mut killed);
         killed
     }
 
@@ -199,7 +199,7 @@ impl<S: TraceSink> ControlPlane<S> {
         let mut killed = Vec::new();
         let env = Envelope::ToCtl(msg);
         self.send(now, node_addr(node), controller_addr(), env);
-        self.pump(cluster, now, &mut killed);
+        self.pump_if_due(cluster, now, &mut killed);
         killed
     }
 
@@ -210,7 +210,7 @@ impl<S: TraceSink> ControlPlane<S> {
         let mut killed = Vec::new();
         self.controller.tick_into(now, &mut self.actions);
         self.dispatch(cluster, now, &mut killed);
-        self.pump(cluster, now, &mut killed);
+        self.pump_if_due(cluster, now, &mut killed);
         killed
     }
 
@@ -275,9 +275,7 @@ impl<S: TraceSink> ControlPlane<S> {
             controller_addr(),
             &mut self.fault_sink,
         );
-        let fabric_idle =
-            self.ready.is_empty() && self.delayed.peek_time().is_none_or(|due| due > now);
-        if decision == FaultDecision::CLEAN && fabric_idle {
+        if decision == FaultDecision::CLEAN && !self.has_due(now) {
             self.controller
                 .ingest_node_batch(now, node, entries, &mut self.actions);
             entries.clear();
@@ -295,8 +293,12 @@ impl<S: TraceSink> ControlPlane<S> {
     /// Routes the buffered controller actions onto the fabric: Agent
     /// commands travel the wire (and can be dropped/duplicated/delayed);
     /// kills are local to the Controller's authority and take effect
-    /// immediately. The buffer comes back empty.
+    /// immediately. The buffer comes back empty. Most ingests emit
+    /// nothing, and an empty buffer returns at once.
     fn dispatch(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
+        if self.actions.is_empty() {
+            return;
+        }
         let mut actions = std::mem::take(&mut self.actions);
         for action in actions.drain(..) {
             match action {
@@ -313,6 +315,21 @@ impl<S: TraceSink> ControlPlane<S> {
             }
         }
         self.actions = actions;
+    }
+
+    /// Whether a message waits for delivery at `now`: one in `ready`, or
+    /// a delayed one that has fallen due.
+    fn has_due(&self, now: SimTime) -> bool {
+        !self.ready.is_empty() || self.delayed.peek_time().is_some_and(|due| due <= now)
+    }
+
+    /// [`ControlPlane::pump`] when [`ControlPlane::has_due`]: otherwise
+    /// a pump would find nothing to deliver and return, so skipping it
+    /// is exact. Most reports leave the fabric idle.
+    fn pump_if_due(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
+        if self.has_due(now) {
+            self.pump(cluster, now, killed);
+        }
     }
 
     /// Delivers every message due at `now` until the fabric is
@@ -377,11 +394,15 @@ impl<S: TraceSink> ControlPlane<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use escra_cfs::MIB;
+    use escra_cfs::{CpuPeriodStats, MIB};
     use escra_cluster::{AppId, ContainerSpec, NodeSpec};
+    use escra_core::ControllerStats;
 
-    #[test]
-    fn a_tripped_pump_guard_still_credits_the_reports_it_collected() {
+    /// Nine containers on three 20-core nodes behind a fabric faulted by
+    /// `faults`, ticked to 3 s: past the cold start, so reclaim sweeps
+    /// find running containers. Returns the cluster, the plane, the
+    /// containers and that instant.
+    fn deployed(faults: FaultPlan) -> (Cluster, ControlPlane, Vec<ContainerId>, SimTime) {
         let node = NodeSpec {
             cores: 20,
             mem_bytes: 192 * 1024 * MIB,
@@ -396,12 +417,73 @@ mod tests {
             containers: (0..9).map(spec).collect(),
         };
         let ecfg = EscraConfig::default();
-        let (mut plane, containers) =
-            ControlPlane::deploy(&ecfg, &app, &mut cluster, FaultPlan::none(), 1, |_| {
-                NoopSink
-            });
+        let (plane, containers) =
+            ControlPlane::deploy(&ecfg, &app, &mut cluster, faults, 1, |_| NoopSink);
         let now = SimTime::from_secs(3);
-        cluster.tick(now); // past the cold start: the sweeps find running containers
+        cluster.tick(now);
+        (cluster, plane, containers, now)
+    }
+
+    /// A reclaim sweep delayed until `now`, a node-0 datagram whose
+    /// ingest emits no action, and `report` at `now`.
+    fn report_with_a_sweep_due(faults: FaultPlan) -> (ControlPlane, ControllerStats) {
+        let (mut cluster, mut plane, containers, now) = deployed(faults);
+        let node = NodeId::new(0);
+        let sweep = ToAgent::ReclaimMemory { delta_bytes: MIB };
+        plane.delayed.push(now, Envelope::ToNode(node, sweep));
+        let cid = *containers
+            .iter()
+            .find(|&&c| cluster.container(c).expect("container").node() == node)
+            .expect("a container on node 0");
+        let quota_cores = cluster.container(cid).expect("container").cpu.quota_cores();
+        // Busy, but neither throttled nor slack enough to scale down.
+        let period_us = quota_cores * 100_000.0;
+        let busy = CpuPeriodStats {
+            quota_cores,
+            unused_runtime_us: 0.05 * period_us,
+            usage_us: 0.95 * period_us,
+            throttled: false,
+        };
+        let mut entries = vec![CpuStatsEntry {
+            container: cid,
+            stats: busy,
+        }];
+        let before = plane.controller.stats();
+        let killed = plane.report(&mut cluster, now, node, &mut entries);
+        assert!(killed.is_empty() && entries.is_empty());
+        assert!(
+            plane.delayed.is_empty() && plane.ready.is_empty(),
+            "the delayed sweep was never delivered"
+        );
+        (plane, before)
+    }
+
+    #[test]
+    fn a_clean_report_delivers_a_delayed_message_due_now() {
+        // The datagram provokes no action, yet the sweep reaches its
+        // Agent and the Agent's report the Controller.
+        let (plane, before) = report_with_a_sweep_due(FaultPlan::none());
+        let after = plane.controller.stats();
+        assert_eq!(after.cpu_stats_ingested, before.cpu_stats_ingested + 1);
+        assert_eq!(
+            after.quota_updates, before.quota_updates,
+            "the ingest acted"
+        );
+        assert!(after.reclaimed_bytes > before.reclaimed_bytes);
+    }
+
+    #[test]
+    fn a_lost_report_delivers_a_delayed_message_due_now() {
+        // Nothing lands on `ready`: the datagram is dropped, and so is
+        // the sweep's report once the sweep has been delivered.
+        let (plane, before) = report_with_a_sweep_due(FaultPlan::none().with_loss(1.0));
+        assert_eq!(plane.controller.stats(), before);
+        assert_eq!(plane.injector.stats().dropped, 2);
+    }
+
+    #[test]
+    fn a_tripped_pump_guard_still_credits_the_reports_it_collected() {
+        let (mut cluster, mut plane, containers, now) = deployed(FaultPlan::none());
         let nodes = plane.agents.len();
         for n in 0..nodes {
             plane.ready.push_back(Envelope::ToNode(

@@ -16,7 +16,7 @@
 
 use crate::pod_host::PodHost;
 use crate::policy::BaselineScalerKind;
-use escra_cfs::{node::arbitrate, MIB};
+use escra_cfs::{node::arbitrate_into, MIB};
 use escra_cluster::{AppId, ContainerId, ContainerSpec, ContainerState, NodeSpec};
 use escra_core::telemetry::{ToController, CPU_STATS_WIRE_BYTES};
 use escra_core::EscraConfig;
@@ -190,6 +190,11 @@ struct Invoker<'a> {
     peak_pods: usize,
     /// Per-node running Exec pods of the current window, in pod order.
     node_exec: Vec<Vec<usize>>,
+    // Scratch reused by every window, so a steady-state round allocates
+    // nothing: one node's demands, its grants and their sort order.
+    want: Vec<f64>,
+    grants: Vec<f64>,
+    order: Vec<usize>,
     rounds_executed: u64,
     rounds_fast_forwarded: u64,
     /// Final simulated time: the last window boundary reached (or the
@@ -239,6 +244,9 @@ impl<'a> Invoker<'a> {
             cfg,
             profile,
             node_exec: vec![Vec::new(); host.cluster.nodes().len()],
+            want: Vec::new(),
+            grants: Vec::new(),
+            order: Vec::new(),
             host,
             rng: SimRng::new(cfg.seed).fork(0x736c73), // "sls"
             pods: Vec::new(),
@@ -369,21 +377,19 @@ impl<'a> Invoker<'a> {
         }
         let capacity = self.cfg.node_cores as f64 * period_us;
         for members in self.node_exec.iter_mut() {
-            let want: Vec<f64> = members
-                .iter()
-                .map(|&pi| {
-                    let pod = &self.pods[pi];
-                    let PodState::Exec { remaining_us, .. } = pod.state else {
-                        unreachable!("only Exec pods are gathered");
-                    };
-                    let c = self.host.cluster.container(pod.cid).expect("pod container");
-                    remaining_us
-                        .min(ACTION_PARALLELISM * period_us)
-                        .min(c.cpu.runtime_remaining_us())
-                })
-                .collect();
-            let grants = arbitrate(capacity, &want);
-            for (&granted, &pi) in grants.iter().zip(members.iter()) {
+            self.want.clear();
+            self.want.extend(members.iter().map(|&pi| {
+                let pod = &self.pods[pi];
+                let PodState::Exec { remaining_us, .. } = pod.state else {
+                    unreachable!("only Exec pods are gathered");
+                };
+                let c = self.host.cluster.container(pod.cid).expect("pod container");
+                remaining_us
+                    .min(ACTION_PARALLELISM * period_us)
+                    .min(c.cpu.runtime_remaining_us())
+            }));
+            arbitrate_into(capacity, &self.want, &mut self.order, &mut self.grants);
+            for (&granted, &pi) in self.grants.iter().zip(members.iter()) {
                 let pod = &mut self.pods[pi];
                 let PodState::Exec {
                     arrival,
