@@ -1,9 +1,11 @@
-//! The cluster: nodes + containers + deployer + watcher feed.
+//! The cluster: nodes + containers.
 //!
 //! Stands in for Kubernetes as used by the paper: the Application
-//! Deployer creates containers, the Container Watcher observes creations
-//! (to register them with the Escra Controller), and kills/restarts are
-//! driven through the same object.
+//! Deployer creates containers through it, and kills/restarts are driven
+//! through the same object. Registration with the Escra Controller — the
+//! Container Watcher's job in the paper — happens where a container is
+//! deployed (`escra_core::deploy_app`, the harness's pod host), so the
+//! cluster keeps no lifecycle feed.
 
 use crate::container::{Container, ContainerSpec, ContainerState};
 use crate::ids::{ContainerId, NodeId};
@@ -49,21 +51,6 @@ impl core::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// Lifecycle notifications consumed by watchers (the Escra Container
-/// Watcher subscribes to `Created` to register containers with the
-/// Controller).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContainerEvent {
-    /// A container was created and placed.
-    Created(ContainerId, NodeId),
-    /// A container was OOM-killed (and will restart).
-    OomKilled(ContainerId),
-    /// A container finished restarting and is running again.
-    Restarted(ContainerId),
-    /// A container was terminated permanently.
-    Terminated(ContainerId),
-}
-
 /// A simulated cluster of worker nodes and containers.
 ///
 /// ```
@@ -81,13 +68,11 @@ pub struct Cluster {
     nodes: Vec<Node>,
     /// Every container ever deployed, indexed by the raw id. Ids are
     /// minted only by [`Cluster::deploy`], densely from 0, so the index
-    /// needs no map, and iteration is in id order. Only the state the
-    /// per-period passes touch is here; the specs sit in `specs`, the
-    /// parallel slab with the same indexing.
+    /// needs no map, and iteration is in id order. A deployed
+    /// container's spec is not kept: its limits, base memory and restart
+    /// delay are in the [`Container`], and whoever deploys it registers
+    /// it from the spec it holds.
     containers: Slab<Container>,
-    /// The spec each container was deployed with: read when a watcher
-    /// registers it, never by the per-period passes.
-    specs: Slab<ContainerSpec>,
     /// Ids of containers in `Starting` state, ascending — the only ones
     /// [`Cluster::tick`] has to visit. Maintained by `deploy`, `oom_kill`
     /// and `restart`; entries whose container left `Starting` some other
@@ -96,7 +81,6 @@ pub struct Cluster {
     next_container: u64,
     placement: Placement,
     rr_cursor: usize,
-    events: Vec<(SimTime, ContainerEvent)>,
     total_oom_kills: u64,
 }
 
@@ -111,12 +95,10 @@ impl Cluster {
         Cluster {
             nodes,
             containers: Slab::default(),
-            specs: Slab::default(),
             starting: Vec::new(),
             next_container: 0,
             placement: Placement::RoundRobin,
             rr_cursor: 0,
-            events: Vec::new(),
             total_oom_kills: 0,
         }
     }
@@ -163,11 +145,6 @@ impl Cluster {
         self.containers.get_mut(id)
     }
 
-    /// The spec a container was deployed with.
-    pub fn spec(&self, id: ContainerId) -> Option<&ContainerSpec> {
-        self.specs.get(id)
-    }
-
     /// Number of containers ever deployed.
     pub fn container_count(&self) -> usize {
         self.next_container as usize
@@ -210,12 +187,9 @@ impl Cluster {
         let node_id = self.nodes[node_idx].id();
         self.containers
             .push(id, Container::new(&spec, node_id, now));
-        self.specs.push(id, spec);
         self.nodes[node_idx].place(id);
         // The newest id is the largest: appending keeps the list sorted.
         self.starting.push(id);
-        self.events
-            .push((now, ContainerEvent::Created(id, node_id)));
         Ok(id)
     }
 
@@ -232,13 +206,11 @@ impl Cluster {
         c.oom_kill(now);
         self.note_starting(id);
         self.total_oom_kills += 1;
-        self.events.push((now, ContainerEvent::OomKilled(id)));
         Ok(())
     }
 
     /// Restarts a container without an OOM (a VPA-style resize, see
-    /// [`Container::restart`]). Emits no event of its own; `tick` reports
-    /// `Restarted` once the container is back up.
+    /// [`Container::restart`]); `tick` brings it back up.
     ///
     /// # Errors
     ///
@@ -259,26 +231,25 @@ impl Cluster {
         }
     }
 
-    /// Terminates a container permanently and frees its node slot.
+    /// Terminates a container permanently and frees its node slot. The
+    /// time is not needed: termination takes effect at once.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::UnknownContainer`] for unknown ids.
-    pub fn terminate(&mut self, id: ContainerId, now: SimTime) -> Result<(), ClusterError> {
+    pub fn terminate(&mut self, id: ContainerId, _now: SimTime) -> Result<(), ClusterError> {
         let c = self
             .container_mut(id)
             .ok_or(ClusterError::UnknownContainer(id))?;
         let node = c.node();
         c.terminate();
         self.nodes[node.as_u64() as usize].evict(id);
-        self.events.push((now, ContainerEvent::Terminated(id)));
         Ok(())
     }
 
-    /// Advances all container lifecycles to `now` (promoting finished
-    /// restarts) and emits `Restarted` events for promotions, in id
-    /// order. Visits only the pending-start list, not every container
-    /// ever deployed.
+    /// Advances all container lifecycles to `now`, promoting every start
+    /// whose `ready_at` has passed. Visits only the pending-start list,
+    /// not every container ever deployed.
     pub fn tick(&mut self, now: SimTime) {
         debug_assert!(
             self.containers().enumerate().all(|(raw, c)| {
@@ -294,7 +265,6 @@ impl Cluster {
         let Cluster {
             containers,
             starting,
-            events,
             ..
         } = self;
         starting.retain(|&id| {
@@ -303,24 +273,8 @@ impl Cluster {
                 return false;
             }
             c.tick(now);
-            let promoted = c.is_running();
-            if promoted {
-                events.push((now, ContainerEvent::Restarted(id)));
-            }
-            !promoted
+            !c.is_running()
         });
-    }
-
-    /// Drains pending lifecycle events (the watcher feed).
-    pub fn drain_events(&mut self) -> Vec<(SimTime, ContainerEvent)> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Discards pending lifecycle events, keeping the feed's buffer: for
-    /// embeddings with no watcher, which would otherwise grow the feed
-    /// for the whole run.
-    pub fn discard_events(&mut self) {
-        self.events.clear();
     }
 
     /// Calls `f` on every container on `node` that is currently running,
@@ -454,21 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn events_flow_through_watcher_feed() {
-        let mut cl = small_cluster();
-        let a = cl.deploy(spec("a"), SimTime::ZERO).unwrap();
-        cl.tick(SimTime::from_secs(3)); // past the 2s cold start
-        cl.oom_kill(a, SimTime::from_secs(4)).unwrap();
-        let events = cl.drain_events();
-        assert_eq!(events.len(), 3);
-        assert!(matches!(events[0].1, ContainerEvent::Created(_, _)));
-        assert!(matches!(events[1].1, ContainerEvent::Restarted(_)));
-        assert!(matches!(events[2].1, ContainerEvent::OomKilled(_)));
-        assert!(cl.drain_events().is_empty());
-        assert_eq!(cl.total_oom_kills(), 1);
-    }
-
-    #[test]
     fn unknown_container_errors() {
         let mut cl = small_cluster();
         let bogus = ContainerId::new(99);
@@ -492,34 +431,38 @@ mod tests {
                 cl.deploy(s, SimTime::ZERO).unwrap()
             })
             .collect();
-        cl.discard_events();
-        let restarted = |cl: &mut Cluster| -> Vec<ContainerId> {
-            cl.drain_events()
-                .into_iter()
-                .map(|(_, e)| match e {
-                    ContainerEvent::Restarted(id) => id,
-                    other => panic!("unexpected {other:?}"),
-                })
+        let running = |cl: &Cluster| -> Vec<ContainerId> {
+            let ids = (0..cl.container_count() as u64).map(ContainerId::new);
+            ids.filter(|&id| cl.container(id).unwrap().is_running())
                 .collect()
         };
         cl.tick(SimTime::from_millis(99));
-        assert!(restarted(&mut cl).is_empty());
-        // `ready_at == now` counts; several promotions come in id order.
+        assert!(running(&cl).is_empty());
+        // `ready_at == now` counts, for several pods in one tick.
         cl.tick(SimTime::from_millis(100));
-        assert_eq!(restarted(&mut cl), vec![ids[1], ids[3]]);
-        // A kill while others are still starting re-enters the list in
-        // id order, and a terminated starter drops out without an event.
+        assert_eq!(running(&cl), vec![ids[1], ids[3]]);
+        // A kill or a restart while others are still starting re-enters
+        // the start list, and a terminated starter drops out of it.
         cl.oom_kill(ids[1], SimTime::from_millis(150)).unwrap();
         cl.restart(ids[3], SimTime::from_millis(150)).unwrap();
         cl.terminate(ids[2], SimTime::from_millis(150)).unwrap();
-        cl.discard_events();
+        assert!(running(&cl).is_empty());
         cl.tick(SimTime::from_millis(249));
-        assert!(restarted(&mut cl).is_empty());
+        assert!(running(&cl).is_empty());
+        cl.tick(SimTime::from_millis(250));
+        assert_eq!(running(&cl), vec![ids[1], ids[3]]);
         cl.tick(SimTime::from_millis(300));
-        assert_eq!(restarted(&mut cl), vec![ids[0], ids[1], ids[3]]);
-        assert!(!cl.container(ids[2]).unwrap().is_running());
+        assert_eq!(running(&cl), vec![ids[0], ids[1], ids[3]]);
+        assert_eq!(
+            cl.container(ids[2]).unwrap().state(),
+            ContainerState::Terminated
+        );
         cl.tick(SimTime::from_secs(10));
-        assert!(restarted(&mut cl).is_empty());
+        assert_eq!(running(&cl), vec![ids[0], ids[1], ids[3]]);
+        assert!(
+            cl.starting.is_empty(),
+            "every start was promoted or dropped"
+        );
     }
 
     #[test]
@@ -557,18 +500,19 @@ mod tests {
         let mut cl = small_cluster();
         let n = 2 * CHUNK + 5;
         for i in 0..n {
-            let id = cl.deploy(spec(&format!("c{i}")), SimTime::ZERO).unwrap();
+            let s = spec(&format!("c{i}")).with_cpu_limit(1.0 + i as f64);
+            let id = cl.deploy(s, SimTime::ZERO).unwrap();
             assert_eq!(id, ContainerId::new(i as u64));
         }
         assert_eq!(cl.container_count(), n);
         for i in 0..n {
             let id = ContainerId::new(i as u64);
-            assert_eq!(cl.spec(id).unwrap().name, format!("c{i}"));
-            assert_eq!(cl.container(id).unwrap().node(), NodeId::new(i as u64 % 2));
+            let c = cl.container(id).unwrap();
+            assert_eq!(c.node(), NodeId::new(i as u64 % 2));
+            assert_eq!(c.cpu.quota_cores(), 1.0 + i as f64);
             assert!(cl.container_mut(id).is_some());
         }
         assert!(cl.container(ContainerId::new(n as u64)).is_none());
-        assert!(cl.spec(ContainerId::new(n as u64)).is_none());
         assert!(cl.container_mut(ContainerId::new(u64::MAX)).is_none());
         assert_eq!(cl.containers().count(), n);
         // The first chunk grew to full size; the later ones were born

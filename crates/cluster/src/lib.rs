@@ -9,8 +9,9 @@
 //!   memory cgroups, with the start → run → OOM-kill → restart lifecycle
 //!   (restarts carry the cold-start penalty that Escra's OOM trap avoids);
 //! * [`cluster`] — the deployer (round-robin / least-loaded placement),
-//!   the watcher event feed the Escra Container Watcher consumes, and
-//!   cluster-wide OOM accounting (paper §VI-E).
+//!   the pending-start list `tick` promotes from, and cluster-wide OOM
+//!   accounting (paper §VI-E). It keeps no lifecycle feed: whoever
+//!   deploys a container registers it with the Escra Controller.
 //!
 //! Execution (who gets CPU this period, what memory is charged) is driven
 //! by the harness crate; this crate owns structure and lifecycle.
@@ -24,14 +25,14 @@ pub mod container;
 pub mod ids;
 pub mod node;
 
-pub use cluster::{Cluster, ClusterError, ContainerEvent, Placement};
+pub use cluster::{Cluster, ClusterError, Placement};
 pub use container::{Container, ContainerSpec, ContainerState};
 pub use ids::{AppId, ContainerId, NodeId};
 pub use node::{Node, NodeSpec};
 
 /// Convenient re-exports of the most used types.
 pub mod prelude {
-    pub use crate::cluster::{Cluster, ClusterError, ContainerEvent, Placement};
+    pub use crate::cluster::{Cluster, ClusterError, Placement};
     pub use crate::container::{Container, ContainerSpec, ContainerState};
     pub use crate::ids::{AppId, ContainerId, NodeId};
     pub use crate::node::{Node, NodeSpec};

@@ -194,79 +194,64 @@ impl Agent {
         cmd: ToAgent,
         sink: &mut S,
     ) -> AgentReport {
-        match cmd {
-            ToAgent::SetCpuQuota {
-                container,
-                quota_cores,
-                seq,
-            } => {
-                if !self.advance(container, seq, Resource::Cpu) {
-                    self.stale_discarded += 1;
-                    if S::ENABLED {
-                        sink.emit(
-                            now,
-                            TraceEventKind::AgentStaleDrop {
-                                container: container.as_u64(),
-                            },
-                        );
-                    }
-                    return AgentReport::Stale;
-                }
-                if let Some(c) = cluster.container_mut(container) {
-                    if c.node() == self.node {
-                        c.cpu.set_quota_cores(quota_cores);
-                    }
-                }
-                AgentReport::Applied
-            }
-            ToAgent::SetMemLimit {
-                container,
-                limit_bytes,
-                seq,
-            } => {
-                if !self.advance(container, seq, Resource::Mem) {
-                    self.stale_discarded += 1;
-                    if S::ENABLED {
-                        sink.emit(
-                            now,
-                            TraceEventKind::AgentStaleDrop {
-                                container: container.as_u64(),
-                            },
-                        );
-                    }
-                    return AgentReport::Stale;
-                }
-                if let Some(c) = cluster.container_mut(container) {
-                    if c.node() == self.node {
-                        // Safety valve: when the Controller is cut off it
-                        // may act on a stale picture and ask for a limit
-                        // below what the container already uses. Applying
-                        // that verbatim would OOM-kill on the spot, so
-                        // the agent never shrinks below live usage — the
-                        // next reconciliation re-synchronises the books.
-                        let usage = c.mem.usage_bytes();
-                        if limit_bytes < usage {
-                            self.valve_clamps += 1;
-                            if S::ENABLED {
-                                sink.emit(
-                                    now,
-                                    TraceEventKind::AgentValveClamp {
-                                        container: container.as_u64(),
-                                        limit_bytes,
-                                        usage_bytes: usage,
-                                    },
-                                );
-                            }
-                        }
-                        c.mem.set_limit_bytes(limit_bytes.max(usage).max(1));
-                    }
-                }
-                AgentReport::Applied
-            }
+        let (container, seq, resource) = match cmd {
+            ToAgent::SetCpuQuota { container, seq, .. } => (container, seq, Resource::Cpu),
+            ToAgent::SetMemLimit { container, seq, .. } => (container, seq, Resource::Mem),
             ToAgent::ReclaimMemory { delta_bytes } => {
-                AgentReport::Reclaimed(self.reclaim_sweep_traced(now, cluster, delta_bytes, sink))
+                return AgentReport::Reclaimed(self.reclaim_sweep_traced(
+                    now,
+                    cluster,
+                    delta_bytes,
+                    sink,
+                ));
             }
+        };
+        if !self.advance(container, seq, resource) {
+            self.stale_discarded += 1;
+            if S::ENABLED {
+                sink.emit(
+                    now,
+                    TraceEventKind::AgentStaleDrop {
+                        container: container.as_u64(),
+                    },
+                );
+            }
+            return AgentReport::Stale;
         }
+        let Some(c) = cluster
+            .container_mut(container)
+            .filter(|c| c.node() == self.node)
+        else {
+            return AgentReport::Applied;
+        };
+        match cmd {
+            ToAgent::SetCpuQuota { quota_cores, .. } => c.cpu.set_quota_cores(quota_cores),
+            ToAgent::SetMemLimit { limit_bytes, .. } => {
+                // Safety valve: when the Controller is cut off it may act
+                // on a stale picture and ask for a limit below what the
+                // container already uses. Applying that verbatim would
+                // OOM-kill on the spot, so the agent never shrinks below
+                // live usage — the next reconciliation re-synchronises
+                // the books.
+                let usage = c.mem.usage_bytes();
+                if limit_bytes < usage {
+                    self.valve_clamps += 1;
+                    if S::ENABLED {
+                        sink.emit(
+                            now,
+                            TraceEventKind::AgentValveClamp {
+                                container: container.as_u64(),
+                                limit_bytes,
+                                usage_bytes: usage,
+                            },
+                        );
+                    }
+                }
+                c.mem.set_limit_bytes(limit_bytes.max(usage).max(1));
+            }
+            ToAgent::ReclaimMemory { .. } => unreachable!("answered before the seq check"),
+        }
+        AgentReport::Applied
     }
 
     /// The reclamation sweep (paper §IV-C): for every container `C(i)` on

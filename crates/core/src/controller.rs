@@ -17,7 +17,6 @@ use crate::allocator::{AllocatorError, CpuDecision, OomDecision, ResourceAllocat
 use crate::columnar::{self, ColumnScratch};
 use crate::config::EscraConfig;
 use crate::telemetry::{CpuStatsColumns, CpuStatsEntry, ToAgent, ToController};
-use escra_cfs::CpuPeriodStats;
 use escra_cluster::{AppId, ContainerId, NodeId};
 use escra_metrics::fingerprint::StateHash;
 use escra_metrics::trace::{NoopSink, TraceEventKind, TraceSink};
@@ -220,14 +219,16 @@ impl<S: TraceSink> Controller<S> {
         self.next_seq
     }
 
-    /// Builds a `SetMemLimit` for an OOM grant and records it as pending
-    /// until the Agent acks it.
+    /// Builds a `SetMemLimit` carrying `container`'s memory limit and
+    /// records it as pending until the Agent acks it: a fresh grant or
+    /// reconcile (`retries` 0) or the `retries`-th re-send of one.
     fn mem_grant_action(
         &mut self,
         now: SimTime,
         node: NodeId,
         container: ContainerId,
         limit_bytes: u64,
+        retries: u32,
     ) -> Action {
         let seq = self.next_seq();
         self.pending_mem_grants.insert(
@@ -235,7 +236,7 @@ impl<S: TraceSink> Controller<S> {
             PendingGrant {
                 seq,
                 sent_at: now,
-                retries: 0,
+                retries,
             },
         );
         Action::Agent {
@@ -246,6 +247,47 @@ impl<S: TraceSink> Controller<S> {
                 seq,
             },
         }
+    }
+
+    /// An OOM the pool absorbed: counts it, traces the grant and sends
+    /// the raised limit (tracked until acked).
+    fn grant_oom(
+        &mut self,
+        now: SimTime,
+        container: ContainerId,
+        new_limit_bytes: u64,
+        out: &mut Vec<Action>,
+    ) {
+        self.stats.mem_grants += 1;
+        self.stats.ooms_absorbed += 1;
+        if S::ENABLED {
+            self.sink.emit(
+                now,
+                TraceEventKind::GrantIssued {
+                    container: container.as_u64(),
+                    new_limit_bytes,
+                },
+            );
+        }
+        if let Some(node) = self.allocator.node_of(container) {
+            let action = self.mem_grant_action(now, node, container, new_limit_bytes, 0);
+            out.push(action);
+        }
+    }
+
+    /// An OOM no memory could be found for: counts it, traces it and
+    /// lets the OS kill the container.
+    fn kill_oom(&mut self, now: SimTime, container: ContainerId, out: &mut Vec<Action>) {
+        self.stats.ooms_fatal += 1;
+        if S::ENABLED {
+            self.sink.emit(
+                now,
+                TraceEventKind::OomKill {
+                    container: container.as_u64(),
+                },
+            );
+        }
+        out.push(Action::KillContainer(container));
     }
 
     /// Read access to the embedded allocator (pools, quotas).
@@ -418,20 +460,14 @@ impl<S: TraceSink> Controller<S> {
                 }
             }
             ToController::CpuStats { container, stats } => {
-                self.ingest_cpu_stats(now, container, stats, out);
+                self.ingest_cpu_batch_at(now, &[CpuStatsEntry { container, stats }], out);
             }
             ToController::CpuStatsBatch { node, entries } => {
                 self.ingest_node_batch(now, node, &entries, out);
             }
             ToController::CpuStatsColumns { node, columns } => {
-                if S::ENABLED && columns.is_well_formed() {
-                    self.sink.emit(
-                        now,
-                        TraceEventKind::BatchIngest {
-                            node: node.as_u64(),
-                            entries: columns.len() as u32,
-                        },
-                    );
+                if columns.is_well_formed() {
+                    self.trace_batch(now, node, columns.len());
                 }
                 self.ingest_cpu_columns_at(now, &columns, out);
             }
@@ -470,29 +506,14 @@ impl<S: TraceSink> Controller<S> {
                                 },
                             );
                         }
-                        let action = self.mem_grant_action(now, node, container, tracked);
+                        let action = self.mem_grant_action(now, node, container, tracked, 0);
                         out.push(action);
                         return;
                     }
                 }
                 match self.allocator.on_oom(container, shortfall_bytes) {
                     Ok(OomDecision::Grant { new_limit_bytes }) => {
-                        self.stats.mem_grants += 1;
-                        self.stats.ooms_absorbed += 1;
-                        if S::ENABLED {
-                            self.sink.emit(
-                                now,
-                                TraceEventKind::GrantIssued {
-                                    container: container.as_u64(),
-                                    new_limit_bytes,
-                                },
-                            );
-                        }
-                        if let Some(node) = self.allocator.node_of(container) {
-                            let action =
-                                self.mem_grant_action(now, node, container, new_limit_bytes);
-                            out.push(action);
-                        }
+                        self.grant_oom(now, container, new_limit_bytes, out);
                     }
                     Ok(OomDecision::NeedReclaim) => {
                         if S::ENABLED {
@@ -540,9 +561,8 @@ impl<S: TraceSink> Controller<S> {
 
     /// Ingests one node's batched per-period statistics, exactly as if
     /// each entry had arrived as its own [`ToController::CpuStats`]
-    /// message in entry order (a property test holds the two paths to
-    /// decision-for-decision equality). Appends actions to `out` without
-    /// clearing it.
+    /// message in entry order (a single message *is* a one-entry batch).
+    /// Appends actions to `out` without clearing it.
     ///
     /// Timeless compatibility wrapper over
     /// [`Controller::ingest_cpu_batch_at`]: trace events (if any) are
@@ -552,15 +572,22 @@ impl<S: TraceSink> Controller<S> {
     }
 
     /// [`Controller::ingest_cpu_batch`] with the arrival time, so the
-    /// per-decision trace is stamped correctly. Before deciding an entry
-    /// the walk prefetches the track of the entry `LOOKAHEAD` places
-    /// further on.
+    /// per-decision trace is stamped correctly.
+    ///
+    /// The row walk: each entry's slab slot is resolved once, its
+    /// statistic converted to cores, and the shared decision step
+    /// ([`Controller::decide_into`]) does the rest. Unknown reporters
+    /// (deregistered with telemetry in flight) are counted as ingested
+    /// and skipped. Before deciding an entry the walk prefetches the
+    /// track of the entry `LOOKAHEAD` places further on.
     pub fn ingest_cpu_batch_at(
         &mut self,
         now: SimTime,
         entries: &[CpuStatsEntry],
         out: &mut Vec<Action>,
     ) {
+        let period = self.allocator.config().report_period;
+        self.stats.cpu_stats_ingested += entries.len() as u64;
         for (i, entry) in entries.iter().enumerate() {
             if let Some(ahead) = entries
                 .get(i + LOOKAHEAD)
@@ -568,7 +595,19 @@ impl<S: TraceSink> Controller<S> {
             {
                 self.allocator.prefetch_slot(ahead);
             }
-            self.ingest_cpu_stats(now, entry.container, entry.stats, out);
+            let Some(slot) = self.allocator.slot_of(entry.container) else {
+                continue;
+            };
+            let stats = entry.stats;
+            self.decide_into(
+                now,
+                slot,
+                entry.container,
+                stats.usage_cores(period),
+                stats.unused_cores(period),
+                stats.throttled,
+                out,
+            );
         }
     }
 
@@ -584,16 +623,21 @@ impl<S: TraceSink> Controller<S> {
         entries: &[CpuStatsEntry],
         out: &mut Vec<Action>,
     ) {
+        self.trace_batch(now, node, entries.len());
+        self.ingest_cpu_batch_at(now, entries, out);
+    }
+
+    /// Traces the arrival of one node's telemetry datagram (either form).
+    fn trace_batch(&mut self, now: SimTime, node: NodeId, entries: usize) {
         if S::ENABLED {
             self.sink.emit(
                 now,
                 TraceEventKind::BatchIngest {
                     node: node.as_u64(),
-                    entries: entries.len() as u32,
+                    entries: entries as u32,
                 },
             );
         }
-        self.ingest_cpu_batch_at(now, entries, out);
     }
 
     /// Ingests one node's period statistics in columnar (struct-of-arrays)
@@ -609,17 +653,16 @@ impl<S: TraceSink> Controller<S> {
 
     /// [`Controller::ingest_cpu_columns`] with the arrival time.
     ///
-    /// The hot path runs in two phases. Phase A is columnar and
+    /// The columnar walk runs in two phases. Phase A is columnar and
     /// branch-free: slab slots are gathered straight off the allocator's
     /// direct-mapped index, and the fixed-point `usage_us`/`unused_us`
     /// columns are converted to cores in bulk by one plain loop the
-    /// compiler vectorises (see [`crate::columnar`]).
-    /// Phase B walks the precomputed columns and runs the sequential
-    /// decision procedure per entry; pool state is inherently sequential
-    /// (each grant changes what the next entry can take), so only this
-    /// phase is serial, and it touches nothing but resolved slots and
-    /// ready-made `f64`s. Before deciding an entry it prefetches the
-    /// track of the entry `LOOKAHEAD` places further on.
+    /// compiler vectorises (see [`crate::columnar`]). Phase B walks the
+    /// resolved columns and hands each known entry to the same decision
+    /// step as the row walk ([`Controller::decide_into`]); pool state is
+    /// inherently sequential (each grant changes what the next entry can
+    /// take), so only this phase is serial. Before deciding an entry it
+    /// prefetches the track of the entry `LOOKAHEAD` places further on.
     ///
     /// A block that is not [`CpuStatsColumns::is_well_formed`] has no
     /// row reading to be identical to: it is refused whole, deciding
@@ -649,12 +692,11 @@ impl<S: TraceSink> Controller<S> {
         columnar::u32_to_cores(&columns.unused_us, period_us, &mut scratch.unused_cores);
         // Phase B: the sequential decision loop over resolved columns.
         // Every entry counts as ingested (known or not), exactly like the
-        // row paths — tallied up front to keep the loop lean. The columns
-        // are walked as zipped iterators (no per-entry bounds checks) and
-        // the packed throttle words as a shifting cursor: entry `i`'s bit
-        // is the low bit of the current word, refilled every 64 entries —
-        // the same LSB-first order [`CpuStatsColumns::throttled_bit`]
-        // reads.
+        // row walk. The columns are walked as zipped iterators (no
+        // per-entry bounds checks) and the packed throttle words as a
+        // shifting cursor: entry `i`'s bit is the low bit of the current
+        // word, refilled every 64 entries — the same LSB-first order
+        // [`CpuStatsColumns::throttled_bit`] reads.
         self.stats.cpu_stats_ingested += columns.len() as u64;
         let mut thr_words = columns.throttled.iter();
         let mut thr_cursor = 0u64;
@@ -674,75 +716,49 @@ impl<S: TraceSink> Controller<S> {
             let throttled = thr_cursor & 1 == 1;
             thr_cursor >>= 1;
             if slot == NO_SLOT {
-                // Unknown reporter (deregistered with telemetry in
-                // flight): counted and skipped, like the row paths.
                 continue;
             }
-            let decision =
-                self.allocator
-                    .decide_at_slot(slot, usage_cores, unused_cores, throttled);
-            let (new_quota_cores, is_scale_up) = match decision {
-                CpuDecision::ScaleUp { new_quota_cores } => (new_quota_cores, true),
-                CpuDecision::ScaleDown { new_quota_cores } => (new_quota_cores, false),
-                CpuDecision::Hold => continue,
-            };
-            let node = self.allocator.node_at_slot(slot);
-            self.stats.quota_updates += 1;
-            if is_scale_up {
-                self.stats.scale_ups += 1;
-            } else {
-                self.stats.scale_downs += 1;
-            }
-            if S::ENABLED {
-                let (throttle_rate, unused_mean_cores) =
-                    self.allocator.decision_inputs_at_slot(slot);
-                self.sink.emit(
-                    now,
-                    TraceEventKind::CpuDecision {
-                        container: raw as u64,
-                        scale_up: is_scale_up,
-                        new_quota_cores,
-                        throttle_rate,
-                        unused_mean_cores,
-                    },
-                );
-            }
-            let seq = self.next_seq();
-            out.push(Action::Agent {
-                node,
-                cmd: ToAgent::SetCpuQuota {
-                    container: ContainerId::new(raw as u64),
-                    quota_cores: new_quota_cores,
-                    seq,
-                },
-            });
+            self.decide_into(
+                now,
+                slot,
+                ContainerId::new(raw as u64),
+                usage_cores,
+                unused_cores,
+                throttled,
+                out,
+            );
         }
         self.scratch = scratch;
     }
 
-    /// One container's end-of-period statistic: feed the Allocator and,
-    /// if it decides to move the quota, emit the Agent command.
-    ///
-    /// Counters are bumped only when an [`Action`] is actually emitted:
-    /// a decision for a container whose node is unknown (deregistered
-    /// with telemetry in flight) changes nothing on any Agent, so it
-    /// must not inflate `quota_updates`/`scale_ups`/`scale_downs` — the
-    /// §VI-I overhead tables derive messages-on-the-wire from them.
-    fn ingest_cpu_stats(
+    /// The decision step both telemetry walks share: the end-of-period
+    /// statistic of the registered container in slab `slot` goes to the
+    /// Allocator and, if it moves the quota, becomes one `SetCpuQuota` to
+    /// the container's node, counted in `quota_updates` and
+    /// `scale_ups`/`scale_downs` and traced as a `CpuDecision`. A Hold
+    /// changes nothing on any Agent and counts nothing — the §VI-I
+    /// overhead tables derive messages-on-the-wire from these counters.
+    /// Always inlined: it runs once per telemetry entry, inside both
+    /// walks' loops.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn decide_into(
         &mut self,
         now: SimTime,
+        slot: u32,
         container: ContainerId,
-        stats: CpuPeriodStats,
+        usage_cores: f64,
+        unused_cores: f64,
+        throttled: bool,
         out: &mut Vec<Action>,
     ) {
-        self.stats.cpu_stats_ingested += 1;
-        let (new_quota_cores, is_scale_up) = match self.allocator.on_cpu_stats(container, stats) {
-            Ok(CpuDecision::ScaleUp { new_quota_cores }) => (new_quota_cores, true),
-            Ok(CpuDecision::ScaleDown { new_quota_cores }) => (new_quota_cores, false),
-            Ok(CpuDecision::Hold) | Err(_) => return,
-        };
-        let Some(node) = self.allocator.node_of(container) else {
-            return;
+        let decision = self
+            .allocator
+            .decide_at_slot(slot, usage_cores, unused_cores, throttled);
+        let (new_quota_cores, is_scale_up) = match decision {
+            CpuDecision::ScaleUp { new_quota_cores } => (new_quota_cores, true),
+            CpuDecision::ScaleDown { new_quota_cores } => (new_quota_cores, false),
+            CpuDecision::Hold => return,
         };
         self.stats.quota_updates += 1;
         if is_scale_up {
@@ -751,10 +767,7 @@ impl<S: TraceSink> Controller<S> {
             self.stats.scale_downs += 1;
         }
         if S::ENABLED {
-            let (throttle_rate, unused_mean_cores) = self
-                .allocator
-                .decision_inputs(container)
-                .unwrap_or((0.0, 0.0));
+            let (throttle_rate, unused_mean_cores) = self.allocator.decision_inputs_at_slot(slot);
             self.sink.emit(
                 now,
                 TraceEventKind::CpuDecision {
@@ -768,7 +781,7 @@ impl<S: TraceSink> Controller<S> {
         }
         let seq = self.next_seq();
         out.push(Action::Agent {
-            node,
+            node: self.allocator.node_at_slot(slot),
             cmd: ToAgent::SetCpuQuota {
                 container,
                 quota_cores: new_quota_cores,
@@ -858,23 +871,8 @@ impl<S: TraceSink> Controller<S> {
                     },
                 );
             }
-            let seq = self.next_seq();
-            self.pending_mem_grants.insert(
-                container,
-                PendingGrant {
-                    seq,
-                    sent_at: now,
-                    retries: grant.retries + 1,
-                },
-            );
-            out.push(Action::Agent {
-                node,
-                cmd: ToAgent::SetMemLimit {
-                    container,
-                    limit_bytes: limit,
-                    seq,
-                },
-            });
+            let action = self.mem_grant_action(now, node, container, limit, grant.retries + 1);
+            out.push(action);
         }
         self.due_scratch = due;
     }
@@ -920,45 +918,12 @@ impl<S: TraceSink> Controller<S> {
         for (container, shortfall) in pending {
             match self.allocator.retry_oom_after_reclaim(container, shortfall) {
                 Ok(OomDecision::Grant { new_limit_bytes }) => {
-                    self.stats.mem_grants += 1;
-                    self.stats.ooms_absorbed += 1;
-                    if S::ENABLED {
-                        self.sink.emit(
-                            now,
-                            TraceEventKind::GrantIssued {
-                                container: container.as_u64(),
-                                new_limit_bytes,
-                            },
-                        );
-                    }
-                    if let Some(node) = self.allocator.node_of(container) {
-                        actions.push(self.mem_grant_action(now, node, container, new_limit_bytes));
-                    }
+                    self.grant_oom(now, container, new_limit_bytes, &mut actions);
                 }
-                Ok(OomDecision::Kill) => {
-                    self.stats.ooms_fatal += 1;
-                    if S::ENABLED {
-                        self.sink.emit(
-                            now,
-                            TraceEventKind::OomKill {
-                                container: container.as_u64(),
-                            },
-                        );
-                    }
-                    actions.push(Action::KillContainer(container));
-                }
-                Ok(OomDecision::NeedReclaim) | Err(_) => {
-                    // Cannot happen from retry, but stay safe: kill.
-                    self.stats.ooms_fatal += 1;
-                    if S::ENABLED {
-                        self.sink.emit(
-                            now,
-                            TraceEventKind::OomKill {
-                                container: container.as_u64(),
-                            },
-                        );
-                    }
-                    actions.push(Action::KillContainer(container));
+                // `NeedReclaim` and an unknown container cannot come out
+                // of a retry; should they, the container is killed too.
+                Ok(OomDecision::Kill | OomDecision::NeedReclaim) | Err(_) => {
+                    self.kill_oom(now, container, &mut actions);
                 }
             }
         }
@@ -1517,7 +1482,7 @@ mod tests {
             c.register_container(ContainerId::new(i), APP, N0, 1.0, 64 * MIB)
                 .unwrap();
         }
-        let mut emitted = 0u64;
+        let (mut ups, mut downs) = (0u64, 0u64);
         for round in 0..50u64 {
             for i in 0..4u64 {
                 let quota = c.allocator().quota_of(ContainerId::new(i)).unwrap();
@@ -1531,30 +1496,32 @@ mod tests {
                         throttled: false,
                     }
                 };
-                emitted += handle(
+                let actions = handle(
                     &mut c,
                     SimTime::from_millis(round * 100),
                     ToController::CpuStats {
                         container: ContainerId::new(i),
                         stats,
                     },
-                )
-                .iter()
-                .filter(|a| {
-                    matches!(
-                        a,
-                        Action::Agent {
-                            cmd: ToAgent::SetCpuQuota { .. },
-                            ..
+                );
+                for a in actions {
+                    if let Action::Agent {
+                        cmd: ToAgent::SetCpuQuota { quota_cores, .. },
+                        ..
+                    } = a
+                    {
+                        if quota_cores > quota {
+                            ups += 1;
+                        } else {
+                            downs += 1;
                         }
-                    )
-                })
-                .count() as u64;
+                    }
+                }
             }
         }
         let s = c.stats();
-        assert!(emitted > 0, "workload must trigger some quota updates");
-        assert_eq!(s.quota_updates, emitted);
+        assert!(ups > 0 && downs > 0, "workload must move quotas both ways");
+        assert_eq!((s.scale_ups, s.scale_downs), (ups, downs));
         assert_eq!(s.scale_ups + s.scale_downs, s.quota_updates);
     }
 

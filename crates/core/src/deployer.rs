@@ -145,7 +145,7 @@ mod tests {
         // Initial CPU: 8/4 = 2 cores each, fully allocating the pool.
         for id in &ids {
             assert_eq!(controller.allocator().quota_of(*id), Some(2.0));
-            assert_eq!(cluster.spec(*id).unwrap().cpu_limit_cores, 2.0);
+            assert_eq!(cluster.container(*id).unwrap().cpu.quota_cores(), 2.0);
         }
         let pool = controller.allocator().app_pool(AppId::new(0)).unwrap();
         assert!(pool.unallocated_cpu_cores() < 1e-9);

@@ -14,15 +14,16 @@
 //!   statistics and the scale-up / scale-down / OOM decision rules of
 //!   §IV-D;
 //! * [`controller`] — the logically centralized Controller of §IV-C:
-//!   registration, telemetry fan-in, decision fan-out, the 5-second
-//!   proactive reclamation loop, and the reclaim-then-grant-or-kill OOM
-//!   path;
+//!   registration, telemetry fan-in (every telemetry form ends in one
+//!   decision step that turns the Allocator's decision into one Agent
+//!   command), the 5-second proactive reclamation loop, and the
+//!   reclaim-then-grant-or-kill OOM path;
 //! * [`agent`] — the per-node Agent applying limit updates without
 //!   restarts and running reclamation sweeps (reporting ψ);
 //! * [`deployer`] — the Application Deployer with the paper's
-//!   initial-limit formulas (eqs. 1–2);
-//! * [`watcher`] — the Container Watcher keeping the Controller's
-//!   registry in sync with runtime container creation/teardown;
+//!   initial-limit formulas (eqs. 1–2); it registers each container with
+//!   the Controller as it creates it, which is the Container Watcher's
+//!   role in the paper (Fig. 1 ①);
 //! * [`telemetry`] — control-plane message types and wire sizes for the
 //!   §VI-I network-overhead accounting;
 //! * [`sharded`] — the §VI-I per-shard capacity model: N Controller
@@ -75,7 +76,6 @@ pub mod deployer;
 pub mod distributed_container;
 pub mod sharded;
 pub mod telemetry;
-pub mod watcher;
 
 pub use agent::{Agent, AgentReport, ReclaimEntry};
 pub use allocator::{
@@ -87,7 +87,6 @@ pub use deployer::{deploy_app, initial_cpu_limit, initial_mem_limit, AppConfig};
 pub use distributed_container::DistributedContainer;
 pub use sharded::ShardedController;
 pub use telemetry::{CpuStatsColumns, CpuStatsEntry, ToAgent, ToController};
-pub use watcher::ContainerWatcher;
 
 // Trace plumbing re-exported so embedders of `Controller<S>` need not
 // depend on `escra-metrics` directly.

