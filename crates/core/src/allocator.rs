@@ -135,7 +135,6 @@ impl DecisionWindows {
     /// oldest pair when full. `ring` is the unused ring; its length is
     /// the capacity.
     #[inline]
-    #[allow(unsafe_code)]
     fn push(&mut self, ring: &mut [f64], throttled: bool, unused: f64) {
         let cap = ring.len();
         let fill = self.fill();
@@ -146,15 +145,15 @@ impl DecisionWindows {
         let next = if fill + 1 == 2 * cap { cap } else { fill + 1 };
         let bits = (self.0 & DecisionWindows::BITS & !(1 << pos)) | ((throttled as u32) << pos);
         self.0 = bits | ((next as u32) << DecisionWindows::FILL_SHIFT);
-        // SAFETY: `pos < cap == ring.len()`: it is the fill state below
-        // `cap`, or that state less `cap`, which the wrap above keeps
-        // below `cap` — given `cap >= 1`, which `ResourceAllocator::new`
-        // asserts for every window of the allocator (an empty ring would
-        // never wrap). This is the allocator's hottest store; a checked
-        // index here read +2 % per ingested entry.
+        // `pos < cap` always (the wrap keeps it there), so the store
+        // always happens. It has no panic path: a sizing run read plain
+        // `ring[pos]` at +36 % `decision_p50_us` on `ctl_mixed`, and this
+        // form stays within the bounds (EXPERIMENTS.md, "Safe decision
+        // rings").
         debug_assert!(pos < cap, "ring position {pos} past capacity {cap}");
-        let slot = unsafe { ring.get_unchecked_mut(pos) };
-        *slot = unused;
+        if let Some(slot) = ring.get_mut(pos) {
+            *slot = unused;
+        }
     }
 
     /// Retained sample count (both rings) of a `cap`-period window.
@@ -429,9 +428,8 @@ impl ResourceAllocator {
     /// # Panics
     ///
     /// Panics if `cfg.window_periods` is 0 or exceeds 24, at construction
-    /// rather than at the first registration. The ring code relies on
-    /// this bound: every ring position it writes is below a capacity of
-    /// at least 1.
+    /// rather than at the first registration: an empty window has no
+    /// statistic to decide on, and the throttle bits hold 24 periods.
     pub fn new(cfg: EscraConfig) -> Self {
         assert!(
             (1..=DecisionWindows::MAX_CAPACITY).contains(&cfg.window_periods),

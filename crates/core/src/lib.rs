@@ -63,6 +63,8 @@
 //! # }
 //! ```
 
+// One `unsafe` site is allowed, on `ResourceAllocator::prefetch_slot`:
+// a cache hint that reads nothing. Everything else is safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -8,8 +8,9 @@
 //!   tie-breaking;
 //! * [`rng`] — a seeded, forkable [`rng::SimRng`] with the distributions
 //!   the workloads need (uniform, exponential, normal, log-normal);
-//! * [`window`] — the sliding-window statistics the Escra Resource
-//!   Allocator runs on (paper §IV-D1);
+//! * [`window`] — the two sliding-window statistics of the Escra
+//!   Resource Allocator (paper §IV-D1) as standalone types, the
+//!   reference the allocator's fused ring is tested against;
 //! * [`histogram`] — HDR-style log-bucketed histograms for latency and
 //!   slack CDFs (paper Figs. 5–7);
 //! * [`timeseries`] — limit-over-time recorders (paper Figs. 2, 8, 9);
@@ -29,7 +30,8 @@
 //! }
 //! ```
 
-#![deny(unsafe_code)]
+// Safe code only: the window rings index with checks.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

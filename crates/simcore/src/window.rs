@@ -1,10 +1,14 @@
 //! Fixed-capacity sliding-window statistics.
 //!
-//! The Escra Resource Allocator tracks two windowed statistics per
+//! The Escra Resource Allocator decides on two windowed statistics per
 //! container: the average throttle indicator and the average unused
 //! runtime over the last `n` CFS periods (paper §IV-D1). [`BitWindow`]
-//! and [`InlineWindow`] provide exactly those in O(1) per update, with
-//! the ring inline in the struct.
+//! and [`InlineWindow`] are those two windows as standalone types, each
+//! O(1) per update with its ring inline in the struct. The allocator
+//! itself keeps both in one fused ring per container
+//! (`escra_core::allocator`); these types are the reference its ring
+//! test holds it to, and what the benchmark's `simcore.window` probe
+//! times.
 
 /// Evictions between drift-guard re-sums of [`InlineWindow`]'s plain
 /// running sum: each eviction can move the sum by an ulp, and a fresh
@@ -14,12 +18,12 @@ const RESUM_INTERVAL: u32 = 4096;
 /// A sliding window over the last `capacity` 0/1 indicator samples,
 /// packed one bit per sample with an incrementally maintained popcount.
 ///
-/// This is the throttle-rate window of the allocator hot loop in its
-/// cheapest possible form: a push is a masked bit store plus two integer
-/// adds — no heap indirection, no floating-point accumulation. The mean
-/// is the exact `ones as f64 / len as f64` division: what any f64
-/// summation of the same stream as `0.0`/`1.0` samples arrives at, since
-/// every partial sum of small integers is exact in f64.
+/// The throttle-rate window in its cheapest form: a push is a masked bit
+/// store plus two integer adds — no heap indirection, no floating-point
+/// accumulation. The mean is the exact `ones as f64 / len as f64`
+/// division: what any f64 summation of the same stream as `0.0`/`1.0`
+/// samples arrives at, since every partial sum of small integers is
+/// exact in f64.
 #[derive(Debug, Clone)]
 pub struct BitWindow {
     /// Bit ring, LSB-first; sample `i` (in ring position, not age) is
@@ -35,8 +39,7 @@ pub struct BitWindow {
 }
 
 impl BitWindow {
-    /// Largest supported window, bounded so the whole ring is one word
-    /// inline in the allocator's per-container track.
+    /// Largest supported window: the whole ring is one `u64`.
     pub const MAX_CAPACITY: usize = 64;
 
     /// Creates a window keeping the last `capacity` indicator samples.
@@ -135,10 +138,9 @@ impl BitWindow {
 }
 
 /// A sliding window over the last `capacity` samples with O(1) mean and
-/// sum, sized for a per-container telemetry hot loop: the ring lives
-/// inline in the struct (no heap indirection) and the running sum is a
-/// plain two-add update, not a compensated one, which keeps the serial
-/// FP dependency chain of a push short.
+/// sum: the ring lives inline in the struct (no heap indirection) and
+/// the running sum is a plain two-add update, not a compensated one,
+/// which keeps the serial FP dependency chain of a push short.
 ///
 /// The accuracy trade is deliberate and bounded. The running sum can
 /// drift from the exact sum by an ulp per eviction; a full re-summation
@@ -165,9 +167,9 @@ pub struct InlineWindow {
 }
 
 impl InlineWindow {
-    /// Largest supported window — sized for the allocator's decision
-    /// windows (paper default 5 periods; the ablation sweep probes up
-    /// to 20), not for general statistics.
+    /// Largest supported window: the allocator's longest decision
+    /// window (paper default 5 periods; the ablation sweep probes up
+    /// to 20).
     pub const MAX_CAPACITY: usize = 24;
 
     /// Creates a window keeping the last `capacity` samples.
@@ -207,7 +209,6 @@ impl InlineWindow {
 
     /// Adds a sample, evicting the oldest when full.
     #[inline]
-    #[allow(unsafe_code)]
     pub fn push(&mut self, value: f64) {
         if self.len < self.cap {
             self.buf[self.len as usize] = value;
@@ -216,12 +217,7 @@ impl InlineWindow {
             return;
         }
         let head = self.head as usize;
-        // SAFETY: `head < cap <= MAX_CAPACITY` is a constructor-checked
-        // invariant maintained by the wrap below; the steady-state push
-        // is the allocator's hottest load, so the bound is not re-proved
-        // per call.
-        let slot = unsafe { self.buf.get_unchecked_mut(head) };
-        let old = std::mem::replace(slot, value);
+        let old = std::mem::replace(&mut self.buf[head], value);
         self.head = if head + 1 == self.cap as usize {
             0
         } else {
