@@ -1,10 +1,17 @@
 //! The Fig. 2 experiment: Escra's CPU limit tracking a dynamic
 //! sysbench-style load on a single container.
+//!
+//! The container runs under the control plane every `microsim` cell
+//! runs under, on a fault-free fabric: each period's statistic goes to
+//! the Controller as its node's datagram, and the Controller's commands,
+//! its reclaim sweeps and the Agent's reclaim reports all travel it.
 
+use crate::control_plane::ControlPlane;
 use escra_cfs::MIB;
-use escra_cluster::{AppId, Cluster, ContainerSpec, NodeSpec};
-use escra_core::telemetry::ToController;
-use escra_core::{deploy_app, Action, Agent, AppConfig, Controller, EscraConfig};
+use escra_cluster::{AppId, Cluster, ContainerId, ContainerSpec, NodeSpec};
+use escra_core::{AppConfig, CpuStatsEntry, EscraConfig};
+use escra_metrics::trace::NoopSink;
+use escra_net::FaultPlan;
 use escra_simcore::time::{SimDuration, SimTime};
 use escra_simcore::timeseries::TimeSeries;
 use escra_workloads::SysbenchLoad;
@@ -45,12 +52,22 @@ pub fn run_tracking(
     global_cpu_cores: f64,
     duration: SimDuration,
 ) -> TrackingResult {
+    track(cfg, load, global_cpu_cores, duration).0
+}
+
+/// [`run_tracking`], also returning the plane, the cluster and the
+/// container it ran.
+fn track(
+    cfg: &EscraConfig,
+    load: &SysbenchLoad,
+    global_cpu_cores: f64,
+    duration: SimDuration,
+) -> (TrackingResult, ControlPlane, Cluster, ContainerId) {
     let app_id = AppId::new(0);
     let mut cluster = Cluster::new(vec![NodeSpec {
         cores: 8,
         mem_bytes: 16 * 1024 * MIB,
     }]);
-    let mut controller = Controller::new(cfg.clone());
     let app = AppConfig {
         app: app_id,
         name: "sysbench".into(),
@@ -60,15 +77,10 @@ pub fn run_tracking(
             ContainerSpec::new("sysbench", app_id).with_restart_delay(SimDuration::ZERO)
         ],
     };
-    let (ids, actions) =
-        deploy_app(cfg, &app, &mut cluster, &mut controller, SimTime::ZERO).expect("deploy");
+    let (mut plane, ids) =
+        ControlPlane::deploy(cfg, &app, &mut cluster, FaultPlan::none(), 0, |_| NoopSink);
     let cid = ids[0];
-    let mut agent = Agent::new(cluster.nodes()[0].id());
-    for a in &actions {
-        if let Action::Agent { cmd, .. } = a {
-            agent.apply(&mut cluster, *cmd);
-        }
-    }
+    let node = cluster.nodes()[0].id();
     cluster.tick(SimTime::ZERO);
 
     let period = cfg.report_period;
@@ -78,7 +90,7 @@ pub fn run_tracking(
     let mut throttles = 0;
     let mut backlog_us = 0.0f64;
 
-    let mut actions = Vec::new();
+    let mut entries = Vec::with_capacity(1);
     let mut t = SimTime::ZERO;
     while t < SimTime::ZERO + duration {
         let t_next = t + period;
@@ -94,27 +106,20 @@ pub fn run_tracking(
         }
         limit.record(t_next, stats.quota_cores);
         usage.record(t_next, stats.usage_us / period_us);
-        controller.handle_into(
-            t_next,
-            ToController::CpuStats {
-                container: cid,
-                stats,
-            },
-            &mut actions,
-        );
-        controller.tick_into(t_next, &mut actions);
-        for a in actions.drain(..) {
-            if let Action::Agent { cmd, .. } = a {
-                agent.apply(&mut cluster, cmd);
-            }
-        }
+        entries.push(CpuStatsEntry {
+            container: cid,
+            stats,
+        });
+        plane.report(&mut cluster, t_next, node, &mut entries);
+        plane.tick(&mut cluster, t_next);
         t = t_next;
     }
-    TrackingResult {
+    let result = TrackingResult {
         limit,
         usage,
         throttles,
-    }
+    };
+    (result, plane, cluster, cid)
 }
 
 #[cfg(test)]
@@ -159,6 +164,25 @@ mod tests {
             "slack {}",
             result.mean_slack_cores()
         );
+    }
+
+    #[test]
+    fn the_books_match_the_cgroups_after_a_reclaim_sweep() {
+        // Past the first 5 s sweep: the Agent shrank the container's
+        // memory limit, and its report returned ψ to the pool.
+        let (_, plane, cluster, cid) = track(
+            &EscraConfig::default(),
+            &SysbenchLoad::paper_fig2(),
+            5.0,
+            SimDuration::from_secs(6),
+        );
+        let cgroup = cluster.container(cid).expect("container");
+        let books = plane.controller.allocator();
+        assert!(plane.controller.stats().reclaimed_bytes > 0);
+        assert_eq!(books.mem_limit_of(cid), Some(cgroup.mem.limit_bytes()));
+        let pool = books.app_pool(AppId::new(0)).expect("pool");
+        assert_eq!(pool.allocated_mem_bytes(), cgroup.mem.limit_bytes());
+        assert_eq!(books.quota_of(cid), Some(cgroup.cpu.quota_cores()));
     }
 
     #[test]
