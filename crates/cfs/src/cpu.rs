@@ -79,11 +79,6 @@ impl CpuPeriodStats {
         self.usage_us / period.as_micros() as f64
     }
 
-    /// Slack in cores: quota minus usage (the paper's *absolute slack*).
-    pub fn slack_cores(&self, period: SimDuration) -> f64 {
-        (self.quota_cores - self.usage_cores(period)).max(0.0)
-    }
-
     /// Unused runtime in cores over the period (the windowed scale-down
     /// statistic the Resource Allocator ingests).
     #[inline]
@@ -298,7 +293,6 @@ mod tests {
         assert_eq!(s.usage_us, 40_000.0);
         assert_eq!(s.unused_runtime_us, 60_000.0);
         assert!((s.usage_cores(bw.period()) - 0.4).abs() < 1e-12);
-        assert!((s.slack_cores(bw.period()) - 0.6).abs() < 1e-12);
         assert!((s.unused_cores(bw.period()) - 0.6).abs() < 1e-12);
     }
 

@@ -93,11 +93,6 @@ impl MemCgroup {
         self.nr_oom_events
     }
 
-    /// Absolute memory slack in bytes: limit minus usage (never negative).
-    pub fn slack_bytes(&self) -> u64 {
-        self.limit_bytes.saturating_sub(self.usage_bytes)
-    }
-
     /// Attempts to charge `bytes` against the limit.
     ///
     /// On overflow nothing is charged and [`ChargeOutcome::WouldOom`] is
@@ -162,7 +157,6 @@ mod tests {
         let mut m = MemCgroup::new(100 * MIB);
         assert!(m.try_charge(60 * MIB).is_charged());
         assert_eq!(m.usage_bytes(), 60 * MIB);
-        assert_eq!(m.slack_bytes(), 40 * MIB);
         m.uncharge(10 * MIB);
         assert_eq!(m.usage_bytes(), 50 * MIB);
         assert_eq!(m.peak_bytes(), 60 * MIB);

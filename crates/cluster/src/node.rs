@@ -51,11 +51,6 @@ impl Node {
         self.spec
     }
 
-    /// CPU capacity in core-microseconds per CFS period of `period_us`.
-    pub fn cpu_capacity_us(&self, period_us: u64) -> f64 {
-        self.spec.cores as f64 * period_us as f64
-    }
-
     /// Containers currently placed on this node.
     pub fn containers(&self) -> &[ContainerId] {
         &self.containers
@@ -81,18 +76,6 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn capacity_math() {
-        let n = Node::new(
-            NodeId::new(0),
-            NodeSpec {
-                cores: 4,
-                mem_bytes: 1 << 30,
-            },
-        );
-        assert_eq!(n.cpu_capacity_us(100_000), 400_000.0);
-    }
 
     #[test]
     fn place_and_evict() {

@@ -121,11 +121,6 @@ impl DistributedContainer {
     pub fn release_mem(&mut self, bytes: u64) {
         self.allocated_mem_bytes = self.allocated_mem_bytes.saturating_sub(bytes);
     }
-
-    /// Fraction of the CPU limit currently allocated, in `[0, 1]`.
-    pub fn cpu_utilization_of_limit(&self) -> f64 {
-        self.allocated_cpu_cores / self.cpu_limit_cores
-    }
 }
 
 #[cfg(test)]
@@ -166,13 +161,6 @@ mod tests {
         p.release_mem(300); // ψ returned by an Agent
         assert_eq!(p.unallocated_mem_bytes(), 300);
         assert_eq!(p.allocated_mem_bytes(), 700);
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut p = dc();
-        p.try_allocate_cpu(2.0);
-        assert_eq!(p.cpu_utilization_of_limit(), 0.5);
     }
 
     #[test]
