@@ -21,6 +21,9 @@
 //! `quota − usage` of exactly γ, and a window of unused runtime whose
 //! mean is exactly γ. `the_stream_reaches_every_rule` holds the
 //! generator to reaching each rule and both edges.
+//!
+//! The reference is `Pool`, `Track` and `Reference` below, some 200
+//! lines; the rest of the file draws the stream and compares.
 
 use escra::cluster::{AppId, ContainerId, NodeId};
 use escra::core::telemetry::{CpuStatsColumns, ToController};
@@ -311,10 +314,6 @@ fn same<T: PartialEq + std::fmt::Debug>(
 /// waits for reclaim, kills, and decisions at the two γ edges.
 type Coverage = [u64; 7];
 
-fn below(rng: &mut SimRng, n: u64) -> u64 {
-    rng.next_below(n)
-}
-
 /// One period's fixed-point statistic `(usage_us, unused_us, throttled)`
 /// for a container booked at `quota` cores: throttled at its quota,
 /// throttled anyhow, idle, at the headroom edge, at the mean edge, or
@@ -323,22 +322,22 @@ fn draw_stat(rng: &mut SimRng, quota: f64, cfg: &EscraConfig) -> (u32, u32, bool
     let period = cfg.report_period.as_micros() as f64;
     let q = (quota * period) as u64;
     let gamma = (cfg.gamma_cores * period) as u32;
-    let usage = below(rng, q + 1) as u32;
-    match below(rng, 6) {
+    let usage = rng.next_below(q + 1) as u32;
+    match rng.next_below(6) {
         0 => (q as u32, 0, true),
-        1 => (usage, below(rng, q + 1) as u32, true),
+        1 => (usage, rng.next_below(q + 1) as u32, true),
         2 => (usage, (q - usage as u64) as u32, false),
         3 => {
             let u = ((quota - cfg.gamma_cores) * period).round().max(0.0) as u32;
             let exact = quota - u as f64 / period == cfg.gamma_cores;
             let u = if exact { u } else { usage };
-            (u, gamma * below(rng, 3) as u32, false)
+            (u, gamma * rng.next_below(3) as u32, false)
         }
-        4 => (below(rng, 20_000) as u32, gamma, false),
+        4 => (rng.next_below(20_000) as u32, gamma, false),
         _ => (
-            below(rng, 400_000) as u32,
-            below(rng, 400_000) as u32,
-            below(rng, 2) == 0,
+            rng.next_below(400_000) as u32,
+            rng.next_below(400_000) as u32,
+            rng.next_below(2) == 0,
         ),
     }
 }
@@ -349,9 +348,9 @@ fn draw_stat(rng: &mut SimRng, quota: f64, cfg: &EscraConfig) -> (u32, u32, bool
 fn run_case(seed: u64, window: usize, steps: usize) -> Result<Coverage, TestCaseError> {
     let mut rng = SimRng::new(seed);
     let mut cfg = EscraConfig::default().with_window(window);
-    cfg.kappa = [1.0, 0.8][below(&mut rng, 2) as usize];
-    cfg.upsilon = [20.0, 35.0][below(&mut rng, 2) as usize];
-    cfg.max_quota_growth_factor = [1.5, 2.5][below(&mut rng, 2) as usize];
+    cfg.kappa = [1.0, 0.8][rng.next_below(2) as usize];
+    cfg.upsilon = [20.0, 35.0][rng.next_below(2) as usize];
+    cfg.max_quota_growth_factor = [1.5, 2.5][rng.next_below(2) as usize];
     let period = cfg.report_period.as_micros() as f64;
     let mut rows = Controller::new(cfg.clone());
     let mut cols = Controller::new(cfg.clone());
@@ -364,8 +363,8 @@ fn run_case(seed: u64, window: usize, steps: usize) -> Result<Coverage, TestCase
         edges: [0; 2],
     };
     for app in 0..3u64 {
-        let cpu = [1.5, 4.0, 12.0][below(&mut rng, 3) as usize];
-        let mem = [128, 256, 1024][below(&mut rng, 3) as usize] * MIB;
+        let cpu = [1.5, 4.0, 12.0][rng.next_below(3) as usize];
+        let mem = [128, 256, 1024][rng.next_below(3) as usize] * MIB;
         rows.register_app(AppId::new(app), cpu, mem);
         cols.register_app(AppId::new(app), cpu, mem);
         let pool = Pool {
@@ -385,21 +384,21 @@ fn run_case(seed: u64, window: usize, steps: usize) -> Result<Coverage, TestCase
         let live: Vec<u64> = r.tracks.keys().copied().collect();
         let pick = |rng: &mut SimRng| match live.len() {
             0 => dead[0],
-            n if below(rng, 10) > 0 => live[below(rng, n as u64) as usize],
-            _ => dead[below(rng, dead.len() as u64) as usize],
+            n if rng.next_below(10) > 0 => live[rng.next_below(n as u64) as usize],
+            _ => dead[rng.next_below(dead.len() as u64) as usize],
         };
         let mut want: Vec<Effect> = Vec::new();
         let (mut leaving, mut fresh): (Vec<u64>, u64) = (Vec::new(), 0);
         match if step < 12 || live.is_empty() {
             9
         } else {
-            below(&mut rng, 10)
+            rng.next_below(10)
         } {
             // A datagram of 1–80 entries.
             0..=4 => {
                 let mut entries = Vec::new();
                 let mut block = CpuStatsColumns::new();
-                for _ in 0..1 + below(&mut rng, 80) {
+                for _ in 0..1 + rng.next_below(80) {
                     let id = pick(&mut rng);
                     let quota = r.tracks.get(&id).map_or(1.0, |t| t.quota);
                     let (usage, unused, throttled) = draw_stat(&mut rng, quota, &cfg);
@@ -429,24 +428,24 @@ fn run_case(seed: u64, window: usize, steps: usize) -> Result<Coverage, TestCase
             }
             // Churn: one or two leave, and fresh ids take their slots.
             5 => {
-                for _ in 0..1 + below(&mut rng, 2) {
+                for _ in 0..1 + rng.next_below(2) {
                     if let Some(&id) = r
                         .tracks
                         .keys()
-                        .nth(below(&mut rng, r.tracks.len() as u64) as usize)
+                        .nth(rng.next_below(r.tracks.len() as u64) as usize)
                     {
                         leaving.push(id);
                     }
                 }
-                fresh = below(&mut rng, 3);
+                fresh = rng.next_below(3);
             }
             // OOM events, some reporting a limit the books are above.
             6 => {
-                for _ in 0..1 + below(&mut rng, 3) {
+                for _ in 0..1 + rng.next_below(3) {
                     let id = pick(&mut rng);
                     let tracked = r.tracks.get(&id).map_or(64 * MIB, |t| t.mem_limit);
-                    let current = tracked - below(&mut rng, 2) * (tracked / 2);
-                    let shortfall = 1 + below(&mut rng, 48 * MIB);
+                    let current = tracked - rng.next_below(2) * (tracked / 2);
+                    let shortfall = 1 + rng.next_below(48 * MIB);
                     let waiting = r.pending.len();
                     match r.oom(id, shortfall, current) {
                         Some(limit) => {
@@ -468,10 +467,10 @@ fn run_case(seed: u64, window: usize, steps: usize) -> Result<Coverage, TestCase
             // stale (at or above the books, or for unknown ids).
             7 => {
                 let mut report = Vec::new();
-                for _ in 0..below(&mut rng, 5) {
+                for _ in 0..rng.next_below(5) {
                     let id = pick(&mut rng);
                     let tracked = r.tracks.get(&id).map_or(64 * MIB, |t| t.mem_limit);
-                    let new_limit = tracked + MIB - below(&mut rng, tracked / 2 + MIB);
+                    let new_limit = tracked + MIB - rng.next_below(tracked / 2 + MIB);
                     report.push((id, new_limit));
                 }
                 want = r.reclaim(&report);
@@ -515,10 +514,10 @@ fn run_case(seed: u64, window: usize, steps: usize) -> Result<Coverage, TestCase
             dead.push(id);
         }
         for _ in 0..fresh {
-            let (id, app) = (next_id, below(&mut rng, 3));
+            let (id, app) = (next_id, rng.next_below(3));
             next_id += 1;
-            let cpu = [0.02, 0.25, 0.5, 1.0, 1.5][below(&mut rng, 5) as usize];
-            let mem = [8, 64, 128][below(&mut rng, 3) as usize] * MIB;
+            let cpu = [0.02, 0.25, 0.5, 1.0, 1.5][rng.next_below(5) as usize];
+            let mem = [8, 64, 128][rng.next_below(3) as usize] * MIB;
             r.register(id, app, cpu, mem);
             for c in [&mut rows, &mut cols] {
                 c.register_container(
