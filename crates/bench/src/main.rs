@@ -30,6 +30,7 @@ const SMOKE: &[&str] = &["--smoke"];
 const SWEEP: &[&str] = &["--smoke", "--serial", "--threads"];
 const GATED: &[&str] = &["--smoke", "--check", "--record"];
 const GATED_SHARDS: &[&str] = &["--smoke", "--threads", "--check", "--record"];
+const BAND: &[&str] = &["--serial", "--threads", "--check", "--record"];
 
 /// One module per experiment (`src/exp/<name>.rs`), each exposing
 /// `run(&Args)`.
@@ -49,6 +50,7 @@ mod exp {
     pub mod overhead_network;
     pub mod report_period_sweep;
     pub mod robustness_sweep;
+    pub mod seed_band;
     pub mod sim_scale;
     pub mod static_provisioning_study;
     pub mod table1_summary;
@@ -92,6 +94,7 @@ experiments! {
     trace_mega, &FLAGS, "10k-20k-app trace-driven scale run (BENCH_trace.json)";
     trace_dump, NONE, "decision trace + Prometheus exposition";
     mc_explore, SMOKE, "exhaustive model check of the control protocol";
+    seed_band, BAND, "16-seed band of the golden cells' named quantities (tests/golden/seed_band.txt)";
 }
 
 /// The index printed when no known experiment is named.
@@ -139,7 +142,7 @@ mod tests {
                 assert!(FLAGS.contains(f), "{}: {f}", e.name);
             }
         }
-        assert_eq!(EXPERIMENTS.len(), 21);
+        assert_eq!(EXPERIMENTS.len(), 22);
     }
 
     #[test]

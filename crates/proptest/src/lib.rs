@@ -2,8 +2,9 @@
 //!
 //! The build container has no registry access, so this shim provides
 //! the subset of proptest this workspace uses: the [`proptest!`] macro,
-//! [`prop_assert!`]/[`prop_assert_eq!`], range and tuple strategies,
-//! `any::<bool>()`, and `collection::vec`. Sampling is driven by a
+//! [`prop_assert!`]/[`prop_assert_eq!`]/[`prop_assert_ne!`] (a failing
+//! `_eq`/`_ne` prints both values, after the message if one is given),
+//! range and tuple strategies, `any::<bool>()`, and `collection::vec`. Sampling is driven by a
 //! splitmix64 generator seeded from the test name, so every run of a
 //! given test explores the same deterministic case set (no shrinking).
 
@@ -116,7 +117,7 @@ macro_rules! prop_assert_eq {
         let (l, r) = (&$left, &$right);
         if !(*l == *r) {
             return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(
-                format!($($fmt)+),
+                format!("{}: {:?} == {:?}", format_args!($($fmt)+), l, r),
             ));
         }
     }};
@@ -134,4 +135,29 @@ macro_rules! prop_assert_ne {
             )));
         }
     }};
+    ($left:expr, $right:expr, $($fmt:tt)+) => {{
+        let (l, r) = (&$left, &$right);
+        if *l == *r {
+            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(
+                format!("{}: {:?} != {:?}", format_args!($($fmt)+), l, r),
+            ));
+        }
+    }};
+}
+
+#[cfg(test)]
+mod tests {
+    proptest! {
+        #[test]
+        #[should_panic(expected = "row 3 diverged: 41 == 42")]
+        fn eq_with_a_message_prints_both_values(x in 0u64..1) {
+            prop_assert_eq!(x + 41, 42u64, "row {} diverged", 3);
+        }
+
+        #[test]
+        #[should_panic(expected = "seq reused: 7 != 7")]
+        fn ne_with_a_message_prints_both_values(x in 0u64..1) {
+            prop_assert_ne!(x + 7, 7u64, "seq reused");
+        }
+    }
 }

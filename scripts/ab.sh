@@ -3,11 +3,15 @@
 #
 #   scripts/ab.sh <rev> [--workload w[,w...]] [--pairs 10] [--seed s] [--seconds 10]
 #
-# Exports <rev> with `git archive` into a temporary directory (no
-# worktree is registered in .git), then runs `benchmark/run.sh --workload
-# w` on that tree and on the working tree, alternating, `--pairs` times,
-# flipping which side runs first each pair. Without --workload it does
-# this for each of the five workloads in turn.
+# Exports <rev> (A) and a snapshot of the working tree (B: `git stash
+# create` records the tracked files as they stand at start, so `git add`
+# new files first) with `git archive` into a temporary directory (no
+# worktree is registered in .git), so edits made while it runs cannot
+# reach B. Each side builds into its own target directory there,
+# whatever CARGO_TARGET_DIR holds, so neither can run the other's
+# binary. Then it runs `benchmark/run.sh --workload w` on the two trees,
+# alternating, `--pairs` times, flipping which side runs first each pair.
+# Without --workload it does this for each of the five workloads in turn.
 #
 # For every host metric it prints each side's median [q1, q3], B's
 # median against A's in %, whether that difference exceeds A's
@@ -18,7 +22,9 @@
 # they do and exits 1 when they do not.
 #
 # --seed and --seconds pass through to run.sh (defaults: the
-# benchmark's, 20220701 and 10 s). The temporary directory goes at exit.
+# benchmark's, 20220701 and 10 s). The temporary directory goes at exit;
+# the per-run values (`side pair metric value` lines, one file per
+# workload) stay in target/ab/<UTC time>/.
 set -euo pipefail
 
 usage() {
@@ -48,26 +54,37 @@ done
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
 
 sha="$(git -C "$root" rev-parse --verify "$rev^{commit}")"
+snap="$(git -C "$root" stash create)"
+snap="${snap:-$(git -C "$root" rev-parse HEAD)}"
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")"
-trap 'rm -rf "$tmp"' EXIT
-mkdir "$tmp/a"
-git -C "$root" archive "$sha" | tar -x -C "$tmp/a"
-tree_a="$tmp/a"
-tree_b="$root"
+keep="$root/target/ab/$(date -u +%Y%m%dT%H%M%SZ)"
+finish() {
+    if compgen -G "$tmp/*.runs" >/dev/null; then
+        mkdir -p "$keep"
+        cp "$tmp"/*.runs "$keep"/
+        echo "per-run values kept in $keep" >&2
+    fi
+    rm -rf "$tmp"
+}
+trap finish EXIT
+mkdir "$tmp/A" "$tmp/B"
+git -C "$root" archive "$sha" | tar -x -C "$tmp/A"
+git -C "$root" archive "$snap" | tar -x -C "$tmp/B"
 
-echo "A = $rev ($(git -C "$root" rev-parse --short "$sha")), B = working tree;" \
-    "$pairs pairs, seed $seed, ${seconds} s runs" >&2
-for tree in "$tree_a" "$tree_b"; do
-    echo "building $tree/benchmark" >&2
-    cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml" >&2
+echo "A = $rev ($(git -C "$root" rev-parse --short "$sha")), B = working tree" \
+    "($(git -C "$root" rev-parse --short "$snap")); $pairs pairs, seed $seed, ${seconds} s runs" >&2
+for side in A B; do
+    echo "building $side" >&2
+    CARGO_TARGET_DIR="$tmp/target-$side" cargo build --release --offline --quiet \
+        --manifest-path "$tmp/$side/benchmark/Cargo.toml" >&2
 done
 
 # One run of workload $2 on side $1 (A or B) as pair $3: appends
 # `side pair name value` lines to $tmp/$2.runs.
 run_one() {
-    local side="$1" w="$2" pair="$3" tree out
-    if [ "$side" = A ]; then tree="$tree_a"; else tree="$tree_b"; fi
-    out="$(bash "$tree/benchmark/run.sh" --workload "$w" --seed "$seed" --seconds "$seconds")"
+    local side="$1" w="$2" pair="$3" tree="$tmp/$1" out
+    out="$(CARGO_TARGET_DIR="$tmp/target-$side" bash "$tree/benchmark/run.sh" \
+        --workload "$w" --seed "$seed" --seconds "$seconds")"
     awk -v s="$side" -v p="$pair" -v w="$w" '$1 == w && NF == 4 { print s, p, $2, $3 }' \
         <<<"$out" >>"$tmp/$w.runs"
     sed -n 's/.*"digest": "\([0-9a-f]*\)".*/digest \1/p' \

@@ -45,9 +45,11 @@ echo "== parallel sweep identity (parallel vs serial, byte-for-byte) =="
 # The matrix experiments run on the parallel sweep runner; --serial re-runs
 # the same grid serially and fails unless the JSON dumps are identical.
 # table1 covers the enlarged 5-policy matrix (tiny + ARC-V rows with the
-# cost columns) on 4 workers vs the serial reference.
+# cost columns) on 4 workers vs the serial reference; seed_band holds
+# the golden cells' 16-seed medians to tests/golden/seed_band.txt.
 cargo run -q -p escra-bench --release -- report_period_sweep --smoke --serial
 cargo run -q -p escra-bench --release -- table1_summary --smoke --serial --threads 4
+cargo run -q -p escra-bench --release -- seed_band --check --serial
 
 echo "== baseline serverless + trace cost smoke (tiny / ARC-V / Escra) =="
 # Both OpenWhisk-style apps and a trace mega-mix smoke under the
