@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 ///
 /// ```
 /// use escra_baselines::static_alloc::StaticPolicy;
-/// use escra_baselines::types::ContainerProfile;
+/// use escra_baselines::types::{ContainerProfile, PeriodicScaler};
 /// use escra_cluster::ContainerId;
 ///
 /// let mut profiles = std::collections::BTreeMap::new();
@@ -25,8 +25,8 @@ use std::collections::BTreeMap;
 ///     ContainerId::new(0),
 ///     ContainerProfile { peak_cpu_cores: 2.0, peak_mem_bytes: 100 << 20 },
 /// );
-/// let policy = StaticPolicy::from_profiles(&profiles, 1.5);
-/// let updates = policy.initial_limits();
+/// let mut policy = StaticPolicy::from_profiles(&profiles, 1.5);
+/// let updates = policy.recommend();
 /// assert_eq!(updates[0].cpu_limit_cores, Some(3.0));
 /// ```
 #[derive(Debug, Clone)]
@@ -60,7 +60,7 @@ impl StaticPolicy {
     }
 
     /// The fixed limits, as one-shot updates applied at deployment.
-    pub fn initial_limits(&self) -> Vec<LimitUpdate> {
+    fn initial_limits(&self) -> Vec<LimitUpdate> {
         self.limits
             .iter()
             .map(|(id, p)| LimitUpdate {
@@ -70,11 +70,6 @@ impl StaticPolicy {
                 requires_restart: false,
             })
             .collect()
-    }
-
-    /// The fixed CPU limit for one container, if profiled.
-    pub fn cpu_limit_of(&self, container: ContainerId) -> Option<f64> {
-        self.limits.get(&container).map(|p| p.peak_cpu_cores)
     }
 
     /// The fixed memory limit for one container, if profiled.
@@ -131,7 +126,7 @@ mod tests {
     #[test]
     fn applies_factor_to_every_container() {
         let p = StaticPolicy::from_profiles(&profiles(), 1.5);
-        assert_eq!(p.cpu_limit_of(ContainerId::new(0)), Some(1.5));
+        assert_eq!(p.initial_limits()[0].cpu_limit_cores, Some(1.5));
         assert_eq!(p.mem_limit_of(ContainerId::new(1)), Some(300));
         assert_eq!(p.factor(), 1.5);
         assert_eq!(p.initial_limits().len(), 2);
@@ -149,7 +144,7 @@ mod tests {
     #[test]
     fn unknown_container_is_none() {
         let p = StaticPolicy::from_profiles(&profiles(), 1.0);
-        assert_eq!(p.cpu_limit_of(ContainerId::new(9)), None);
+        assert_eq!(p.mem_limit_of(ContainerId::new(9)), None);
     }
 
     #[test]

@@ -68,7 +68,7 @@ const PEAK_DECAY: f64 = 0.9;
 
 /// The VPA-style scaler.
 ///
-/// The harness must seed current limits via [`VpaScaler::set_limits`]
+/// The harness must seed current limits via [`PeriodicScaler::track`]
 /// (VPA reads them from the pod spec) and honour
 /// [`LimitUpdate::requires_restart`] when applying recommendations.
 #[derive(Debug)]
@@ -97,14 +97,6 @@ impl VpaScaler {
             samples_per_gap,
             containers: BTreeMap::new(),
         }
-    }
-
-    /// Seeds the scaler's view of a container's current limits.
-    pub fn set_limits(&mut self, container: ContainerId, cpu_cores: f64, mem_bytes: u64) {
-        let st = self.containers.entry(container).or_default();
-        st.cpu_limit = cpu_cores;
-        st.mem_limit = mem_bytes;
-        st.samples_since_rescale = u64::MAX / 2; // eligible immediately
     }
 }
 
@@ -154,7 +146,10 @@ impl PeriodicScaler for VpaScaler {
     }
 
     fn track(&mut self, container: ContainerId, cpu_limit_cores: f64, mem_limit_bytes: u64) {
-        self.set_limits(container, cpu_limit_cores, mem_limit_bytes);
+        let st = self.containers.entry(container).or_default();
+        st.cpu_limit = cpu_limit_cores;
+        st.mem_limit = mem_limit_bytes;
+        st.samples_since_rescale = u64::MAX / 2; // eligible immediately
     }
 
     fn forget(&mut self, container: ContainerId) {
@@ -174,7 +169,7 @@ mod tests {
 
     fn scaler() -> VpaScaler {
         let mut v = VpaScaler::new(VpaConfig::default());
-        v.set_limits(C, 1.0, 256 * escra_cfs::MIB);
+        v.track(C, 1.0, 256 * escra_cfs::MIB);
         v
     }
 

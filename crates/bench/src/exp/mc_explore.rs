@@ -14,50 +14,93 @@
 //!   the seeded mutations are caught on (clean under the real
 //!   protocol).
 //!
+//! Every delivery goes through `escra_core`'s delivery step, the glue
+//! the drivers' control plane runs too, so the checker explores the
+//! plane's own reply rule (only `SetMemLimit` is acked) and routing.
+//!
 //! In `--smoke` mode (wired into `scripts/check.sh`) it asserts that
 //! all four configurations verify clean (zero invariant violations),
 //! that BFS and DFS visit the *same* canonical state set, that each
 //! state count matches a pinned constant (exploration is deterministic
-//! — any drift means the model or the protocol changed), and that two
-//! seeded protocol mutations are each caught by both strategies with a
+//! — any drift means the model or the protocol changed), and that three
+//! seeded mutations are each caught by both strategies with a
 //! counterexample that replays to the same violation:
 //!
 //! * `SkipStaleDiscard` — agents apply stale seqs; caught as **I5**
 //!   (the safety valve fires re-applying an old limit below live
 //!   usage);
-//! * `AckClearsBySeqLe` — acks retire pending grants by
-//!   `pending.seq <= ack.seq`, the exact controller bug fixed in this
-//!   change; caught as **I4** (a dropped grant is silently lost because
-//!   a later CPU ack cleared its retry state).
+//! * `NeverAckMemLimit` — the step's `LimitAck` reply is dropped;
+//!   caught as **I6** (a grant the fault-free closure re-sent is never
+//!   acked);
+//! * `DropReclaimReports` — the step's sweep report is dropped; caught
+//!   as **I7** (the OOM parked behind the sweep is never decided).
+//!
+//! It also asserts that `AckClearsBySeqLe` (acks retire pending grants
+//! by `pending.seq <= ack.seq`, the pre-fix controller bug) is
+//! unreachable: with memory-only acks no ack carries a seq above its
+//! container's pending grant, so on six configurations the mutated
+//! protocol visits exactly the honest state set.
 //!
 //! The default mode additionally prints each minimal counterexample
 //! script and its merged decision trace.
 
 use escra_bench::Args;
-use escra_mc::{explore, McConfig, Mutation, Strategy, Violation};
+use escra_mc::{explore, ExploreResult, McConfig, Mutation, Strategy, Violation};
 
 /// Pinned reachable-state counts. Exploration is deterministic, so
 /// these are exact; update them (and say why in the commit) whenever
 /// the model or the protocol semantics change.
-const SMOKE_EXPECTED_STATES: usize = 442_429;
+const SMOKE_EXPECTED_STATES: usize = 288_503;
 /// [`McConfig::tight_pool`]'s pinned count.
 const TIGHT_EXPECTED_STATES: usize = 7_652;
 /// [`McConfig::stale_window`]'s pinned count.
 const STALE_EXPECTED_STATES: usize = 215;
 /// [`McConfig::cross_kind`]'s pinned count.
-const CROSS_EXPECTED_STATES: usize = 76;
+const CROSS_EXPECTED_STATES: usize = 55;
+/// [`cross_kind_enlarged`]'s pinned count.
+const CROSS_ENLARGED_EXPECTED_STATES: usize = 704_423;
+/// [`stale_window_enlarged`]'s pinned count.
+const STALE_ENLARGED_EXPECTED_STATES: usize = 21_420;
+
+/// `cross_kind` with 2 OOMs, 2 drops, 2 ticks and a duplicate: room for
+/// a second grant, and so for its ack, behind the first.
+fn cross_kind_enlarged() -> McConfig {
+    McConfig {
+        ooms_per_container: 2,
+        drops: 2,
+        ticks: 2,
+        duplicates: 1,
+        ..McConfig::cross_kind()
+    }
+}
+
+/// `stale_window` with a drop and 2 ticks: retries race the stale copy.
+fn stale_window_enlarged() -> McConfig {
+    McConfig {
+        drops: 1,
+        ticks: 2,
+        ..McConfig::stale_window()
+    }
+}
 
 pub fn run(args: &Args) {
     let verbose = !args.smoke;
 
-    run_clean("smoke", &McConfig::smoke(), SMOKE_EXPECTED_STATES);
-    run_clean("tight_pool", &McConfig::tight_pool(), TIGHT_EXPECTED_STATES);
-    run_clean(
-        "stale_window",
-        &McConfig::stale_window(),
-        STALE_EXPECTED_STATES,
-    );
-    run_clean("cross_kind", &McConfig::cross_kind(), CROSS_EXPECTED_STATES);
+    let pinned = [
+        ("smoke", McConfig::smoke(), SMOKE_EXPECTED_STATES),
+        ("tight_pool", McConfig::tight_pool(), TIGHT_EXPECTED_STATES),
+        (
+            "stale_window",
+            McConfig::stale_window(),
+            STALE_EXPECTED_STATES,
+        ),
+        ("cross_kind", McConfig::cross_kind(), CROSS_EXPECTED_STATES),
+    ];
+    let mut honest = Vec::new();
+    for (name, cfg, expected) in pinned {
+        let bfs = run_clean(name, &cfg, expected);
+        honest.push((name, cfg, bfs));
+    }
 
     run_mutation(
         "SkipStaleDiscard",
@@ -66,19 +109,69 @@ pub fn run(args: &Args) {
         verbose,
     );
     run_mutation(
-        "AckClearsBySeqLe",
-        McConfig::cross_kind().with_mutation(Mutation::AckClearsBySeqLe),
-        |v| matches!(v, Violation::AckDivergence { .. }),
+        "NeverAckMemLimit",
+        McConfig::stale_window().with_mutation(Mutation::NeverAckMemLimit),
+        |v| matches!(v, Violation::GrantUnacked { .. }),
+        verbose,
+    );
+    run_mutation(
+        "DropReclaimReports",
+        McConfig::tight_pool().with_mutation(Mutation::DropReclaimReports),
+        |v| matches!(v, Violation::OomParked { .. }),
         verbose,
     );
 
+    let enlarged = [
+        (
+            "cross_kind_enlarged",
+            cross_kind_enlarged(),
+            CROSS_ENLARGED_EXPECTED_STATES,
+        ),
+        (
+            "stale_window_enlarged",
+            stale_window_enlarged(),
+            STALE_ENLARGED_EXPECTED_STATES,
+        ),
+    ];
+    for (name, cfg, expected) in enlarged {
+        let bfs = explore(&cfg, Strategy::Bfs);
+        assert_eq!(bfs.violation, None, "{name}: honest protocol violated");
+        assert_eq!(
+            bfs.states, expected,
+            "{name}: state count drifted from the pinned constant"
+        );
+        honest.push((name, cfg, bfs));
+    }
+    for (name, cfg, bfs) in &honest {
+        run_unreachable(Mutation::AckClearsBySeqLe, name, cfg, bfs);
+    }
+
     println!("mc_explore: OK");
+}
+
+/// Asserts that `mutation` is unreachable on `cfg`: under BFS the
+/// mutated protocol visits exactly `honest`'s state set, so no schedule
+/// ever takes the mutated branch.
+fn run_unreachable(mutation: Mutation, name: &str, cfg: &McConfig, honest: &ExploreResult) {
+    let mutated = explore(&cfg.clone().with_mutation(mutation), Strategy::Bfs);
+    assert_eq!(mutated.violation, None, "{mutation:?} on {name}: violated");
+    assert!(
+        mutated.fingerprints == honest.fingerprints,
+        "{mutation:?} on {name}: {} states, the honest protocol {}",
+        mutated.states,
+        honest.states
+    );
+    println!(
+        "{mutation:?} on {name}: unreachable ({} states, as honest)",
+        mutated.states
+    );
 }
 
 /// Explores `cfg` under both strategies and asserts it verifies clean
 /// with BFS ≡ DFS on the reachable set and the pinned state count
 /// (which, two traversal orders agreeing, is the determinism gate).
-fn run_clean(name: &str, cfg: &McConfig, expected_states: usize) {
+/// Returns the BFS result.
+fn run_clean(name: &str, cfg: &McConfig, expected_states: usize) -> ExploreResult {
     let bfs = explore(cfg, Strategy::Bfs);
     if let Some(ce) = &bfs.violation {
         eprintln!("{name}: UNEXPECTED violation: {}", ce.violation);
@@ -102,6 +195,7 @@ fn run_clean(name: &str, cfg: &McConfig, expected_states: usize) {
         "{name}: {} states, {} transitions, depth {} — clean (BFS == DFS)",
         bfs.states, bfs.transitions, bfs.max_depth
     );
+    bfs
 }
 
 /// Asserts the seeded mutation is caught by both strategies, that the

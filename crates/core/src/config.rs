@@ -104,13 +104,6 @@ impl EscraConfig {
         self
     }
 
-    /// Sets κ (builder style).
-    pub fn with_kappa(mut self, kappa: f64) -> Self {
-        assert!(kappa > 0.0 && kappa <= 1.0, "κ must be in (0,1]");
-        self.kappa = kappa;
-        self
-    }
-
     /// Sets the sliding-window length (builder style).
     pub fn with_window(mut self, periods: usize) -> Self {
         assert!(periods > 0, "window must be non-empty");
@@ -163,21 +156,13 @@ mod tests {
         let c = EscraConfig::default()
             .with_upsilon(35.0)
             .with_gamma(0.1)
-            .with_kappa(0.5)
             .with_window(10)
             .with_report_period(SimDuration::from_millis(50))
             .with_delta_bytes(10 * escra_cfs::MIB);
         assert_eq!(c.upsilon, 35.0);
         assert_eq!(c.gamma_cores, 0.1);
-        assert_eq!(c.kappa, 0.5);
         assert_eq!(c.window_periods, 10);
         assert_eq!(c.report_period.as_millis(), 50);
         assert_eq!(c.delta_bytes, 10 * escra_cfs::MIB);
-    }
-
-    #[test]
-    #[should_panic(expected = "κ must be in (0,1]")]
-    fn kappa_validated() {
-        EscraConfig::default().with_kappa(0.0);
     }
 }

@@ -20,6 +20,9 @@
 //!   reclaim-then-grant-or-kill OOM path;
 //! * [`agent`] — the per-node Agent applying limit updates without
 //!   restarts and running reclamation sweeps (reporting ψ);
+//! * [`delivery`] — the one delivery step between them: the message
+//!   envelope, the Agent's reply rule, action routing and reclaim-report
+//!   rounds, shared by the drivers' control plane and the model checker;
 //! * [`deployer`] — the Application Deployer with the paper's
 //!   initial-limit formulas (eqs. 1–2); it registers each container with
 //!   the Controller as it creates it, which is the Container Watcher's
@@ -74,6 +77,7 @@ pub mod allocator;
 pub mod columnar;
 pub mod config;
 pub mod controller;
+pub mod delivery;
 pub mod deployer;
 pub mod distributed_container;
 pub mod sharded;
@@ -85,6 +89,7 @@ pub use allocator::{
 };
 pub use config::EscraConfig;
 pub use controller::{Action, Controller, ControllerStats};
+pub use delivery::{Delivery, Envelope};
 pub use deployer::{deploy_app, initial_cpu_limit, initial_mem_limit, AppConfig};
 pub use distributed_container::DistributedContainer;
 pub use sharded::ShardedController;

@@ -33,10 +33,10 @@ pub const REGISTER_WIRE_BYTES: u64 = 128;
 pub const OOM_EVENT_WIRE_BYTES: u64 = 96;
 
 /// Wire size of a Controller→Agent limit-update RPC.
-pub const LIMIT_UPDATE_WIRE_BYTES: u64 = 160;
+const LIMIT_UPDATE_WIRE_BYTES: u64 = 160;
 
 /// Wire size of a reclamation request/response RPC pair.
-pub const RECLAIM_RPC_WIRE_BYTES: u64 = 192;
+const RECLAIM_RPC_WIRE_BYTES: u64 = 192;
 
 /// One container's per-period CPU statistic inside a per-node batch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -263,7 +263,7 @@ pub enum ToController {
     ///
     /// On the real control plane this is the gRPC response of the
     /// limit-update call, not a separate message — so its wire size is
-    /// zero (the response is priced into [`LIMIT_UPDATE_WIRE_BYTES`]).
+    /// zero (the response is priced into the limit update's bytes).
     LimitAck {
         /// The container whose limit was set.
         container: ContainerId,

@@ -7,6 +7,14 @@
 //! is delivered synchronously, which keeps faultless runs bit-identical
 //! to the pre-fault-layer simulator.
 //!
+//! What a message does once it arrives is not decided here: the plane
+//! delivers its FIFO queue through `escra_core`'s delivery step
+//! ([`Delivery`]: the Agent's reply rule, action routing, one
+//! reclaim-report credit per delivery round), the same step the model
+//! checker explores. The plane keeps the wire: fault decisions, delay
+//! spikes, byte accounting, the [`PUMP_GUARD`] and the clean-datagram
+//! fast path of [`ControlPlane::send_batch`].
+//!
 //! # Tracing
 //!
 //! The plane is generic over a [`TraceSink`], the way
@@ -20,8 +28,8 @@ use crate::pod_host::agent_for;
 use escra_cluster::{Cluster, ContainerId, NodeId};
 use escra_core::telemetry::{cpu_batch_wire_bytes, ToController};
 use escra_core::{
-    deploy_app, Action, Agent, AgentReport, AppConfig, Controller, CpuStatsEntry, EscraConfig,
-    ReclaimEntry, ToAgent,
+    deploy_app, Action, Agent, AgentReport, AppConfig, Controller, CpuStatsEntry, Delivery,
+    Envelope, EscraConfig, ToAgent,
 };
 use escra_metrics::trace::{NoopSink, TraceSink};
 use escra_net::{Addr, BandwidthAccountant, FaultDecision, FaultInjector, FaultPlan};
@@ -50,28 +58,6 @@ pub fn node_addr(node: NodeId) -> Addr {
     Addr::from_raw(1 + node.as_u64())
 }
 
-/// A message in flight on the Escra control plane.
-#[derive(Debug, Clone)]
-enum Envelope {
-    /// Node → Controller (telemetry, OOM events, limit acks).
-    ToCtl(ToController),
-    /// Controller → Agent command.
-    ToNode(NodeId, ToAgent),
-    /// Agent → Controller reclamation report (the gRPC response of the
-    /// reclaim RPC; its bytes are priced into the request pair).
-    Report(Vec<ReclaimEntry>),
-}
-
-impl Envelope {
-    fn wire_bytes(&self) -> u64 {
-        match self {
-            Envelope::ToCtl(msg) => msg.wire_bytes(),
-            Envelope::ToNode(_, cmd) => cmd.wire_bytes(),
-            Envelope::Report(_) => 0,
-        }
-    }
-}
-
 /// The Escra control plane: the Controller, one Agent per node, and the
 /// simulated fabric between them, each recording into a sink of type
 /// `S` (see the module docs).
@@ -80,6 +66,21 @@ pub(crate) struct ControlPlane<S: TraceSink = NoopSink> {
     agents: Vec<Agent>,
     /// One trace sink per Agent, in node order.
     agent_sinks: Vec<S>,
+    pub(crate) wire: Wire<S>,
+    /// The delivery step's buffers: empty between calls, their capacity
+    /// reused so the steady-state telemetry and timer paths allocate
+    /// nothing per message.
+    step: Delivery,
+    /// Messages one [`ControlPlane::pump`] delivers before it gives up
+    /// ([`PUMP_GUARD`]; a test shrinks it to trip the guard on purpose).
+    pump_guard: u32,
+    /// Pumps cut short by the guard.
+    pub(crate) guard_trips: u64,
+}
+
+/// The simulated fabric: every message's bytes, fault decision and
+/// delay, and the queues of messages awaiting delivery.
+pub(crate) struct Wire<S: TraceSink> {
     pub(crate) accountant: BandwidthAccountant,
     pub(crate) injector: FaultInjector,
     fault_sink: S,
@@ -87,15 +88,6 @@ pub(crate) struct ControlPlane<S: TraceSink = NoopSink> {
     delayed: EventQueue<Envelope>,
     /// Messages ready for delivery now, in FIFO order.
     ready: VecDeque<Envelope>,
-    /// Controller output awaiting [`ControlPlane::dispatch`]; empty
-    /// between calls, its capacity reused so the steady-state telemetry
-    /// and timer paths allocate nothing per message.
-    actions: Vec<Action>,
-    /// Messages one [`ControlPlane::pump`] delivers before it gives up
-    /// ([`PUMP_GUARD`]; a test shrinks it to trip the guard on purpose).
-    pump_guard: u32,
-    /// Pumps cut short by the guard.
-    pub(crate) guard_trips: u64,
 }
 
 /// Backstop against a (non-existent today) message cycle; real cascades
@@ -118,32 +110,37 @@ impl<S: TraceSink> ControlPlane<S> {
         let mut controller = Controller::with_sink(ecfg.clone(), sink(CLASS_CONTROLLER));
         let (containers, actions) =
             deploy_app(ecfg, app, cluster, &mut controller, SimTime::ZERO).expect("deploy app");
-        let agents: Vec<Agent> = cluster
+        let mut agents: Vec<Agent> = cluster
             .nodes()
             .iter()
             .map(|nd| Agent::new(nd.id()))
             .collect();
-        let mut plane = ControlPlane {
-            controller,
-            agent_sinks: agents.iter().map(|_| sink(CLASS_AGENT)).collect(),
-            agents,
-            accountant: BandwidthAccountant::new(),
-            injector: FaultInjector::new(faults, seed),
-            fault_sink: sink(CLASS_FAULT),
-            delayed: EventQueue::new(),
-            ready: VecDeque::new(),
-            actions: Vec::new(),
-            pump_guard: PUMP_GUARD,
-            guard_trips: 0,
-        };
+        let mut agent_sinks: Vec<S> = agents.iter().map(|_| sink(CLASS_AGENT)).collect();
+        let mut accountant = BandwidthAccountant::new();
         // Deployment registration runs over per-container TCP sockets
         // before the workload starts; runtime faults do not apply to it.
         for a in &actions {
             if let Action::Agent { node, cmd } = a {
-                plane.accountant.record(SimTime::ZERO, cmd.wire_bytes());
-                plane.apply(cluster, SimTime::ZERO, *node, *cmd);
+                accountant.record(SimTime::ZERO, cmd.wire_bytes());
+                let (now, sinks) = (SimTime::ZERO, &mut agent_sinks);
+                apply(&mut agents, sinks, now, cluster, *node, *cmd);
             }
         }
+        let plane = ControlPlane {
+            controller,
+            agents,
+            agent_sinks,
+            wire: Wire {
+                accountant,
+                injector: FaultInjector::new(faults, seed),
+                fault_sink: sink(CLASS_FAULT),
+                delayed: EventQueue::new(),
+                ready: VecDeque::new(),
+            },
+            step: Delivery::default(),
+            pump_guard: PUMP_GUARD,
+            guard_trips: 0,
+        };
         (plane, containers)
     }
 
@@ -155,20 +152,8 @@ impl<S: TraceSink> ControlPlane<S> {
     {
         let mut sinks = vec![self.controller.replace_sink(S::default())];
         sinks.append(&mut self.agent_sinks);
-        sinks.push(self.fault_sink);
+        sinks.push(self.wire.fault_sink);
         sinks
-    }
-
-    /// `node`'s Agent applies `cmd`, tracing into the node's sink.
-    fn apply(
-        &mut self,
-        cluster: &mut Cluster,
-        now: SimTime,
-        node: NodeId,
-        cmd: ToAgent,
-    ) -> AgentReport {
-        let sink = &mut self.agent_sinks[node.as_u64() as usize];
-        agent_for(&mut self.agents, node).apply_traced(now, cluster, cmd, sink)
     }
 
     /// Sends `node`'s telemetry datagram, leaves `entries` empty and
@@ -198,7 +183,7 @@ impl<S: TraceSink> ControlPlane<S> {
     ) -> Vec<ContainerId> {
         let mut killed = Vec::new();
         let env = Envelope::ToCtl(msg);
-        self.send(now, node_addr(node), controller_addr(), env);
+        self.wire.send(now, node_addr(node), controller_addr(), env);
         self.pump_if_due(cluster, now, &mut killed);
         killed
     }
@@ -208,12 +193,132 @@ impl<S: TraceSink> ControlPlane<S> {
     /// containers killed.
     pub(crate) fn tick(&mut self, cluster: &mut Cluster, now: SimTime) -> Vec<ContainerId> {
         let mut killed = Vec::new();
-        self.controller.tick_into(now, &mut self.actions);
-        self.dispatch(cluster, now, &mut killed);
+        self.controller.tick_into(now, &mut self.step.actions);
+        self.route(cluster, now, &mut killed);
         self.pump_if_due(cluster, now, &mut killed);
         killed
     }
 
+    /// Sends `node`'s telemetry datagram and leaves `entries` empty.
+    ///
+    /// The fabric is asked exactly as [`Wire::send`] asks it. When its
+    /// answer is one copy with no extra delay, and no other message is
+    /// queued ahead of the datagram or falls due with it, the Controller
+    /// reads the entries where they lie and the node keeps its buffer:
+    /// delivering an envelope would do the same things in the same
+    /// order. (A delayed message due at `now` is delivered *after* the
+    /// datagram but *before* the commands it provokes, which only the
+    /// envelope path gets right.) Any other answer moves the entries
+    /// into an envelope.
+    fn send_batch(
+        &mut self,
+        cluster: &mut Cluster,
+        now: SimTime,
+        node: NodeId,
+        entries: &mut Vec<CpuStatsEntry>,
+        killed: &mut Vec<ContainerId>,
+    ) {
+        let wire = &mut self.wire;
+        wire.accountant
+            .record(now, cpu_batch_wire_bytes(entries.len()));
+        let decision = wire.injector.decide_traced(
+            now,
+            node_addr(node),
+            controller_addr(),
+            &mut wire.fault_sink,
+        );
+        if decision == FaultDecision::CLEAN && !wire.has_due(now) {
+            self.controller
+                .ingest_node_batch(now, node, entries, &mut self.step.actions);
+            entries.clear();
+            self.route(cluster, now, killed);
+        } else {
+            let entries = std::mem::take(entries);
+            let env = Envelope::ToCtl(ToController::CpuStatsBatch { node, entries });
+            wire.enqueue(now, decision, env);
+        }
+    }
+
+    /// Routes the Controller's buffered actions through the delivery
+    /// step: commands onto the wire, kills to `killed`. Most ingests
+    /// emit nothing, and an empty buffer returns at once.
+    fn route(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
+        if self.step.actions.is_empty() {
+            return;
+        }
+        let wire = &mut self.wire;
+        self.step
+            .route(now, cluster, |node, cmd| wire.command(now, node, cmd));
+        killed.append(&mut self.step.killed);
+    }
+
+    /// [`ControlPlane::pump`] when [`Wire::has_due`]: otherwise a pump
+    /// would find nothing to deliver and return, so skipping it is
+    /// exact. Most reports leave the fabric idle.
+    fn pump_if_due(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
+        if self.wire.has_due(now) {
+            self.pump(cluster, now, killed);
+        }
+    }
+
+    /// Delivers every message due at `now` through the delivery step
+    /// until the fabric is quiescent. The messages ready at the start of
+    /// a round are one delivery round: the step credits all its
+    /// reclamation reports in one `on_reclaim_report` call, so
+    /// grant-vs-kill decisions see the whole round's reclaimed total.
+    ///
+    /// A pump that has delivered `pump_guard` messages stops there: the
+    /// reports it has collected are still credited, the trip is counted,
+    /// and what is left in the queue waits for the next pump.
+    fn pump(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
+        let ControlPlane {
+            controller,
+            agents,
+            agent_sinks,
+            wire,
+            step,
+            pump_guard,
+            guard_trips,
+        } = self;
+        let mut budget = *pump_guard;
+        loop {
+            while let Some((_, env)) = wire.delayed.pop_due(now) {
+                wire.ready.push_back(env);
+            }
+            if wire.ready.is_empty() {
+                break;
+            }
+            while budget > 0 {
+                let Some(env) = wire.ready.pop_front() else {
+                    break;
+                };
+                budget -= 1;
+                let reply = step.deliver(
+                    now,
+                    env,
+                    controller,
+                    cluster,
+                    |cluster, node, cmd| apply(agents, agent_sinks, now, cluster, node, cmd),
+                    |node, cmd| wire.command(now, node, cmd),
+                );
+                if let Some((node, reply)) = reply {
+                    wire.send(now, node_addr(node), controller_addr(), reply);
+                }
+                killed.append(&mut step.killed);
+            }
+            step.end_round(now, controller, cluster, |node, cmd| {
+                wire.command(now, node, cmd)
+            });
+            killed.append(&mut step.killed);
+            if budget == 0 && !wire.ready.is_empty() {
+                *guard_trips += 1;
+                return;
+            }
+        }
+    }
+}
+
+impl<S: TraceSink> Wire<S> {
     /// Puts `env` on the wire. Bytes are charged at send time (they
     /// leave the sender even if the fabric then drops the message).
     fn send(&mut self, now: SimTime, from: Addr, to: Addr, env: Envelope) {
@@ -222,6 +327,12 @@ impl<S: TraceSink> ControlPlane<S> {
             .injector
             .decide_traced(now, from, to, &mut self.fault_sink);
         self.enqueue(now, decision, env);
+    }
+
+    /// Sends `cmd` from the Controller to `node`'s Agent.
+    fn command(&mut self, now: SimTime, node: NodeId, cmd: ToAgent) {
+        let env = Envelope::ToNode(node, cmd);
+        self.send(now, controller_addr(), node_addr(node), env);
     }
 
     /// Queues `env` as the fabric decided: nowhere on a drop, else every
@@ -248,147 +359,24 @@ impl<S: TraceSink> ControlPlane<S> {
         put(env);
     }
 
-    /// Sends `node`'s telemetry datagram and leaves `entries` empty.
-    ///
-    /// The fabric is asked exactly as [`ControlPlane::send`] asks it.
-    /// When its answer is one copy with no extra delay, and no other
-    /// message is queued ahead of the datagram or falls due with it, the
-    /// Controller reads the entries where they lie and the node keeps
-    /// its buffer: delivering an envelope would do the same things in
-    /// the same order. (A delayed message due at `now` is delivered
-    /// *after* the datagram but *before* the commands it provokes, which
-    /// only the envelope path gets right.) Any other answer moves the
-    /// entries into an envelope.
-    fn send_batch(
-        &mut self,
-        cluster: &mut Cluster,
-        now: SimTime,
-        node: NodeId,
-        entries: &mut Vec<CpuStatsEntry>,
-        killed: &mut Vec<ContainerId>,
-    ) {
-        self.accountant
-            .record(now, cpu_batch_wire_bytes(entries.len()));
-        let decision = self.injector.decide_traced(
-            now,
-            node_addr(node),
-            controller_addr(),
-            &mut self.fault_sink,
-        );
-        if decision == FaultDecision::CLEAN && !self.has_due(now) {
-            self.controller
-                .ingest_node_batch(now, node, entries, &mut self.actions);
-            entries.clear();
-            self.dispatch(cluster, now, killed);
-        } else {
-            let entries = std::mem::take(entries);
-            self.enqueue(
-                now,
-                decision,
-                Envelope::ToCtl(ToController::CpuStatsBatch { node, entries }),
-            );
-        }
-    }
-
-    /// Routes the buffered controller actions onto the fabric: Agent
-    /// commands travel the wire (and can be dropped/duplicated/delayed);
-    /// kills are local to the Controller's authority and take effect
-    /// immediately. The buffer comes back empty. Most ingests emit
-    /// nothing, and an empty buffer returns at once.
-    fn dispatch(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
-        if self.actions.is_empty() {
-            return;
-        }
-        let mut actions = std::mem::take(&mut self.actions);
-        for action in actions.drain(..) {
-            match action {
-                Action::Agent { node, cmd } => self.send(
-                    now,
-                    controller_addr(),
-                    node_addr(node),
-                    Envelope::ToNode(node, cmd),
-                ),
-                Action::KillContainer(cid) => {
-                    let _ = cluster.oom_kill(cid, now);
-                    killed.push(cid);
-                }
-            }
-        }
-        self.actions = actions;
-    }
-
     /// Whether a message waits for delivery at `now`: one in `ready`, or
     /// a delayed one that has fallen due.
     fn has_due(&self, now: SimTime) -> bool {
         !self.ready.is_empty() || self.delayed.peek_time().is_some_and(|due| due <= now)
     }
+}
 
-    /// [`ControlPlane::pump`] when [`ControlPlane::has_due`]: otherwise
-    /// a pump would find nothing to deliver and return, so skipping it
-    /// is exact. Most reports leave the fabric idle.
-    fn pump_if_due(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
-        if self.has_due(now) {
-            self.pump(cluster, now, killed);
-        }
-    }
-
-    /// Delivers every message due at `now` until the fabric is
-    /// quiescent, feeding aggregated reclamation reports back into the
-    /// controller exactly as the synchronous pre-fault simulator did:
-    /// all sweep responses arriving in one delivery round are merged
-    /// into one `on_reclaim_report` call, so grant-vs-kill decisions see
-    /// the whole round's reclaimed total.
-    ///
-    /// A pump that has delivered `pump_guard` messages stops there: the
-    /// reports it has collected are still credited, the trip is counted,
-    /// and what is left in the queue waits for the next pump.
-    fn pump(&mut self, cluster: &mut Cluster, now: SimTime, killed: &mut Vec<ContainerId>) {
-        let mut budget = self.pump_guard;
-        loop {
-            while let Some((_, env)) = self.delayed.pop_due(now) {
-                self.ready.push_back(env);
-            }
-            if self.ready.is_empty() {
-                break;
-            }
-            let mut reclaim_entries: Vec<ReclaimEntry> = Vec::new();
-            while budget > 0 {
-                let Some(env) = self.ready.pop_front() else {
-                    break;
-                };
-                budget -= 1;
-                match env {
-                    Envelope::ToCtl(msg) => {
-                        self.controller.handle_into(now, msg, &mut self.actions);
-                        self.dispatch(cluster, now, killed);
-                    }
-                    Envelope::ToNode(node, cmd) => {
-                        let reply = match self.apply(cluster, now, node, cmd) {
-                            AgentReport::Applied => match cmd {
-                                ToAgent::SetMemLimit { container, seq, .. } => {
-                                    Envelope::ToCtl(ToController::LimitAck { container, seq })
-                                }
-                                _ => continue,
-                            },
-                            AgentReport::Reclaimed(entries) => Envelope::Report(entries),
-                            AgentReport::Stale => continue,
-                        };
-                        self.send(now, node_addr(node), controller_addr(), reply);
-                    }
-                    Envelope::Report(entries) => reclaim_entries.extend(entries),
-                }
-            }
-            if !reclaim_entries.is_empty() {
-                self.actions
-                    .extend(self.controller.on_reclaim_report(now, &reclaim_entries));
-                self.dispatch(cluster, now, killed);
-            }
-            if budget == 0 && !self.ready.is_empty() {
-                self.guard_trips += 1;
-                return;
-            }
-        }
-    }
+/// `node`'s Agent applies `cmd`, tracing into the node's sink.
+fn apply<S: TraceSink>(
+    agents: &mut [Agent],
+    sinks: &mut [S],
+    now: SimTime,
+    cluster: &mut Cluster,
+    node: NodeId,
+    cmd: ToAgent,
+) -> AgentReport {
+    let sink = &mut sinks[node.as_u64() as usize];
+    agent_for(agents, node).apply_traced(now, cluster, cmd, sink)
 }
 
 #[cfg(test)]
@@ -430,7 +418,7 @@ mod tests {
         let (mut cluster, mut plane, containers, now) = deployed(faults);
         let node = NodeId::new(0);
         let sweep = ToAgent::ReclaimMemory { delta_bytes: MIB };
-        plane.delayed.push(now, Envelope::ToNode(node, sweep));
+        plane.wire.delayed.push(now, Envelope::ToNode(node, sweep));
         let cid = *containers
             .iter()
             .find(|&&c| cluster.container(c).expect("container").node() == node)
@@ -452,7 +440,7 @@ mod tests {
         let killed = plane.report(&mut cluster, now, node, &mut entries);
         assert!(killed.is_empty() && entries.is_empty());
         assert!(
-            plane.delayed.is_empty() && plane.ready.is_empty(),
+            plane.wire.delayed.is_empty() && plane.wire.ready.is_empty(),
             "the delayed sweep was never delivered"
         );
         (plane, before)
@@ -478,7 +466,7 @@ mod tests {
         // the sweep's report once the sweep has been delivered.
         let (plane, before) = report_with_a_sweep_due(FaultPlan::none().with_loss(1.0));
         assert_eq!(plane.controller.stats(), before);
-        assert_eq!(plane.injector.stats().dropped, 2);
+        assert_eq!(plane.wire.injector.stats().dropped, 2);
     }
 
     #[test]
@@ -486,7 +474,7 @@ mod tests {
         let (mut cluster, mut plane, containers, now) = deployed(FaultPlan::none());
         let nodes = plane.agents.len();
         for n in 0..nodes {
-            plane.ready.push_back(Envelope::ToNode(
+            plane.wire.ready.push_back(Envelope::ToNode(
                 NodeId::new(n as u64),
                 ToAgent::ReclaimMemory { delta_bytes: MIB },
             ));
@@ -497,14 +485,18 @@ mod tests {
         let mut killed = Vec::new();
         plane.pump(&mut cluster, now, &mut killed);
         assert_eq!(plane.guard_trips, 1);
-        assert_eq!(plane.ready.len(), nodes - 1, "undelivered reports wait");
+        assert_eq!(
+            plane.wire.ready.len(),
+            nodes - 1,
+            "undelivered reports wait"
+        );
         let credited = plane.controller.stats().reclaimed_bytes;
         assert!(credited > 0, "the collected report was dropped");
 
         plane.pump_guard = PUMP_GUARD;
         plane.pump(&mut cluster, now, &mut killed);
         assert_eq!(plane.guard_trips, 1);
-        assert!(plane.ready.is_empty() && killed.is_empty());
+        assert!(plane.wire.ready.is_empty() && killed.is_empty());
         assert!(plane.controller.stats().reclaimed_bytes > credited);
         // Every ψ the Agents shrank away is back in the pool: the
         // Controller's books match the cgroups.

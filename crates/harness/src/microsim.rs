@@ -1490,9 +1490,9 @@ impl<'a, S: TraceSink, P: PhaseClock> Sim<'a, S, P> {
             .collect();
         let (network, controller_stats, fault_stats, pump_guard_trips) = match &self.mode {
             Mode::Escra(plane) => (
-                Some(plane.accountant.clone()),
+                Some(plane.wire.accountant.clone()),
                 Some(plane.controller.stats()),
-                Some(plane.injector.stats()),
+                Some(plane.wire.injector.stats()),
                 plane.guard_trips,
             ),
             _ => (None, None, None, 0),

@@ -184,8 +184,10 @@ impl PodHost {
     /// answers one with a `LimitAck`; this loop drops the report). So
     /// the Controller re-sends every OOM grant of a pod driver
     /// `grant_max_retries` times and then counts it in
-    /// `grants_abandoned`. Routing these drivers through the control
-    /// plane fixes it, with one regeneration of both fixtures.
+    /// `grants_abandoned`. The fix is to deliver through
+    /// `escra_core`'s delivery step ([`escra_core::Delivery`], which the
+    /// control plane and the model checker already share) and delete
+    /// this loop, with one regeneration of both fixtures.
     pub(crate) fn drive_actions(&mut self, now: SimTime) -> bool {
         let mut killed = false;
         let mut depth = 0;

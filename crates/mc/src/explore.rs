@@ -56,7 +56,8 @@ pub struct ExploreResult {
 /// Exhaustively explores every schedule of `cfg`'s bounded
 /// configuration. The cheap per-state invariants (limit ≥ usage, pool
 /// conservation — [`check_step`]) run in **every** distinct state; the
-/// quiescence closure (grant resolution, ack convergence —
+/// quiescence closure (grant resolution, ack convergence, an ack for
+/// every grant the closure sent, no OOM left parked —
 /// `check_quiescence`, which clones the world and drains it fault-free)
 /// runs only in **terminal** states, where every budget is spent and
 /// the network is empty. Every maximal schedule ends in a terminal

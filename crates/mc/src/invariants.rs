@@ -75,6 +75,22 @@ pub enum Violation {
         /// How many clamps it has performed.
         clamps: u64,
     },
+    /// A memory grant the fault-free closure (re)sent was still pending
+    /// once the closure had delivered everything: with no fault left to
+    /// lose it, only a missing or mismatched ack can leave it so.
+    GrantUnacked {
+        /// The container whose grant went unacked.
+        container: ContainerId,
+        /// The grant's seq.
+        seq: u64,
+    },
+    /// After closing the state out, OOM events are still parked behind
+    /// a reclamation sweep: no sweep's report reached the Controller to
+    /// decide them (grant or kill).
+    OomParked {
+        /// How many OOM events are still parked.
+        parked: usize,
+    },
     /// The fault-free closure did not drain the network within its
     /// round bound — messages regenerate forever (a livelock).
     ClosureDiverged {
@@ -123,6 +139,14 @@ impl core::fmt::Display for Violation {
             Violation::ValveClamped { node, clamps } => write!(
                 f,
                 "I5 valve-clamped: agent on {node} clamped {clamps} stale limit(s) below live usage"
+            ),
+            Violation::GrantUnacked { container, seq } => write!(
+                f,
+                "I6 grant-unacked: {container}'s grant seq {seq}, sent during the fault-free closure, was not acked within it"
+            ),
+            Violation::OomParked { parked } => write!(
+                f,
+                "I7 oom-parked: {parked} OOM event(s) still parked behind a reclamation sweep after closure"
             ),
             Violation::ClosureDiverged { in_flight } => write!(
                 f,
@@ -188,7 +212,9 @@ pub fn check_step<S: TraceSink>(world: &World<S>) -> Option<Violation> {
 }
 
 /// Closes a **clone** of `world` out fault-free and checks the
-/// quiescence invariants (I3 no-lost-grant, I4 ack convergence).
+/// quiescence invariants (I3 no-lost-grant, I4 ack convergence, I6
+/// every grant sent in the closure acked within it, I7 no OOM left
+/// parked).
 ///
 /// The closure delivers every in-flight message (no drops, duplicates
 /// already in the multiset still deliver — they are real traffic), and
@@ -202,6 +228,12 @@ pub fn check_step<S: TraceSink>(world: &World<S>) -> Option<Violation> {
 /// * bounded by `grant_max_retries + 4` timer rounds — enough for any
 ///   grant to exhaust its retries — so divergence is detected, not
 ///   looped on.
+///
+/// Every drain ends with every message delivered, so a grant the
+/// closure (re)sent must have been acked by then (I6): a grant still
+/// pending with a seq it did not have when the closure began fails.
+/// Once the closure settles, no OOM event may still wait on a sweep
+/// (I7).
 ///
 /// Convergence is judged on memory only: `tracked == enforced` for each
 /// live tracked container, or `tracked > enforced` with at least one
@@ -218,6 +250,7 @@ where
     let mut w = world.clone();
     let max_rounds = w.cfg.escra.grant_max_retries + 4;
     let mut deliveries = 0usize;
+    let seqs_before: Vec<Option<u64>> = pending_seqs(&w).collect();
     for _ in 0..=max_rounds {
         // Drain the network fault-free (responses may enqueue more).
         while !w.net.is_empty() {
@@ -228,6 +261,14 @@ where
                     in_flight: w.net.len(),
                 });
             }
+        }
+        // I6: whatever the closure sent has been delivered, acks too.
+        let sent_in_closure = pending_seqs(&w)
+            .zip(&seqs_before)
+            .zip(&w.containers)
+            .find_map(|((now, before), &c)| now.filter(|s| Some(*s) != *before).map(|s| (c, s)));
+        if let Some((container, seq)) = sent_in_closure {
+            return Some(Violation::GrantUnacked { container, seq });
         }
         if w.controller.pending_grant_count() > 0 {
             // Let the retry timer fire (or abandon) and loop.
@@ -244,6 +285,11 @@ where
     }
     if let Some((container, seq)) = first_pending_grant(&w) {
         return Some(Violation::GrantUnresolved { container, seq });
+    }
+    // I7: every parked OOM was decided by a sweep's report.
+    let parked = w.controller.pending_oom_count();
+    if parked > 0 {
+        return Some(Violation::OomParked { parked });
     }
     // I4: books vs nodes, per live tracked container.
     let abandons = w.controller.stats().grants_abandoned;
@@ -270,6 +316,13 @@ where
         });
     }
     None
+}
+
+/// Each model container's pending grant seq, in container order.
+fn pending_seqs<S: TraceSink>(w: &World<S>) -> impl Iterator<Item = Option<u64>> + '_ {
+    w.containers
+        .iter()
+        .map(|&c| w.controller.pending_grant_seq(c))
 }
 
 fn first_pending_grant<S: TraceSink>(w: &World<S>) -> Option<(ContainerId, u64)> {
@@ -359,13 +412,13 @@ mod tests {
     }
 
     #[test]
-    fn seeded_ack_seq_le_bug_loses_a_dropped_grant() {
-        // The cross_kind hunt: a dropped memory grant stays pending (the
-        // retry timer will re-send it) until a later CPU-quota ack —
-        // whose seq is higher — arrives. The fixed controller requires
-        // an exact seq match and keeps the grant pending; the mutated
-        // one retires it (`pending.seq <= ack.seq`) and the closure
-        // finds tracked > enforced with no abandon on the books.
+    fn the_cross_kind_schedule_has_no_cpu_ack_left_to_misuse() {
+        // The old cross_kind witness: a dropped memory grant stays
+        // pending while a later CPU quota command applies. The Agent
+        // acked that command once, and the pre-fix `pending.seq <= seq`
+        // rule let its higher seq retire the grant. Only `SetMemLimit`
+        // is acked now: the quota applies silently, the network is
+        // empty, and the mutated controller is in the honest state.
         let script = |mutation: Mutation| {
             let mut w = World::new(McConfig::cross_kind().with_mutation(mutation));
             w.apply(Choice::Oom(0)); // trap
@@ -373,17 +426,56 @@ mod tests {
             w.apply(Choice::Drop(0)); // the network eats the grant
             w.apply(Choice::CpuReport(0)); // throttled period
             w.apply(Choice::Deliver(0)); // stats → SetCpuQuota (seq + 1)
-            w.apply(Choice::Deliver(0)); // quota applied, ack in flight
-            w.apply(Choice::Deliver(0)); // the cross-kind ack lands
-            check_all(&w)
+            w.apply(Choice::Deliver(0)); // quota applied, nothing sent back
+            assert!(w.net.is_empty(), "a CPU command was answered");
+            assert_eq!(check_all(&w), None, "the retry re-sends the grant");
+            w.fingerprint()
         };
-        assert_eq!(script(Mutation::None), None, "exact match keeps the grant");
+        assert_eq!(script(Mutation::None), script(Mutation::AckClearsBySeqLe));
+    }
+
+    #[test]
+    fn a_grant_never_acked_is_caught_once_the_closure_resends_it() {
+        // One OOM, its grant applied. The honest Agent's ack is in
+        // flight and the closure delivers it; the mutated Agent sent
+        // none, so the retry timer re-sends the grant inside the
+        // closure, and that copy goes unacked too.
+        let script = |mutation: Mutation| {
+            let mut w = World::new(McConfig::tiny().with_mutation(mutation));
+            w.apply(Choice::Oom(0)); // trap
+            w.apply(Choice::Deliver(0)); // OomEvent → grant in flight
+            w.apply(Choice::Deliver(0)); // grant applied
+            check_quiescence(&w)
+        };
+        assert_eq!(script(Mutation::None), None);
         assert!(
             matches!(
-                script(Mutation::AckClearsBySeqLe),
-                Some(Violation::AckDivergence { .. })
+                script(Mutation::NeverAckMemLimit),
+                Some(Violation::GrantUnacked { .. })
             ),
-            "seq <= match retires the pending grant and the limit is lost"
+            "the re-sent grant was never acked"
+        );
+    }
+
+    #[test]
+    fn an_oom_behind_a_lost_report_is_caught_parked() {
+        // The pool is too tight to grant: the OOM parks behind a sweep
+        // of both nodes. The honest reports reach the Controller, which
+        // decides the OOM; the mutated ones never do, and the periodic
+        // sweeps the closure runs lose their reports as well.
+        let script = |mutation: Mutation| {
+            let mut w = World::new(McConfig::tight_pool().with_mutation(mutation));
+            w.apply(Choice::Oom(0)); // trap
+            w.apply(Choice::Deliver(0)); // OomEvent → parked, two sweeps
+            assert_eq!(w.controller.pending_oom_count(), 1);
+            w.apply(Choice::Deliver(0)); // sweep of node 0
+            w.apply(Choice::Deliver(0)); // sweep of node 1
+            check_quiescence(&w)
+        };
+        assert_eq!(script(Mutation::None), None);
+        assert_eq!(
+            script(Mutation::DropReclaimReports),
+            Some(Violation::OomParked { parked: 1 })
         );
     }
 }

@@ -3,19 +3,22 @@
 //!
 //! Nothing here re-implements protocol logic — the [`World`] steps the
 //! production [`Controller`], [`Agent`] and [`Cluster`] (live memory
-//! cgroups included) and only supplies what the checker must control:
-//! which in-flight message moves next, when OOMs trap, when timers fire.
-//! Known-bad protocol [`Mutation`]s can be seeded to prove the
-//! invariants have teeth.
+//! cgroups included), and it delivers through `escra_core`'s delivery
+//! step ([`Delivery`]), the same glue the drivers' control plane runs:
+//! the Agent's reply rule, action routing and reclaim-report crediting.
+//! A round here is one delivery. The model only supplies what the
+//! checker must control — which in-flight message moves next, when OOMs
+//! trap, when timers fire — and three hooks around the step: the
+//! mutation filters, the trapped charge retried after an applied grant,
+//! and the kill bookkeeping. Known-bad [`Mutation`]s can be seeded to
+//! prove the invariants have teeth.
 
 use escra_cfs::CpuPeriodStats;
 use escra_cluster::{AppId, Cluster, ContainerId, ContainerSpec, ContainerState, NodeId, NodeSpec};
-use escra_core::{
-    Action, Agent, AgentReport, Controller, EscraConfig, ReclaimEntry, ToAgent, ToController,
-};
+use escra_core::{Agent, Controller, Delivery, Envelope, EscraConfig, ToAgent, ToController};
 use escra_metrics::fingerprint::{fingerprint128, Fingerprint, StateHash};
 use escra_metrics::trace::{NoopSink, TraceEventKind, TraceSink};
-use escra_net::inflight::{InFlightSet, WireEncode};
+use escra_net::inflight::InFlightSet;
 use escra_simcore::time::{SimDuration, SimTime};
 
 /// The single application all model containers share (pool interaction
@@ -129,12 +132,12 @@ impl McConfig {
         }
     }
 
-    /// The [`Mutation::AckClearsBySeqLe`] hunt configuration: 1 agent ×
-    /// 1 container, one OOM, one throttled CPU period, one drop. The
-    /// CPU ack's seq is higher than the pending memory grant's; when the
-    /// grant itself is dropped, the mutated controller lets the CPU ack
-    /// retire the grant (`pending.seq <= seq`) and the retry machine
-    /// never fires — the lost limit is silent until quiescence flags it.
+    /// The cross-kind configuration: 1 agent × 1 container, one OOM,
+    /// one throttled CPU period, one drop. The quota command takes a seq
+    /// above the pending memory grant's. When Agents acked CPU commands,
+    /// that ack retired a dropped grant under the pre-fix
+    /// [`Mutation::AckClearsBySeqLe`] rule; only `SetMemLimit` is acked
+    /// now, and here the mutation explores exactly the honest states.
     pub fn cross_kind() -> Self {
         McConfig {
             agents: 1,
@@ -194,141 +197,19 @@ pub enum Mutation {
     /// one after the grant's ack already retired it.
     SkipStaleDiscard,
     /// The controller clears a pending grant on any ack with
-    /// `seq >= pending.seq` — the exact pre-fix `LimitAck` bug: the ack
-    /// of a later CPU command retires an unapplied (dropped) memory
-    /// grant and no retry ever fires.
+    /// `seq >= pending.seq` — the pre-fix `LimitAck` bug, found when
+    /// Agents acked CPU commands too. Only `SetMemLimit` is acked now,
+    /// and no ack can carry a seq above its container's pending grant,
+    /// so this mutation is unreachable: it explores exactly the honest
+    /// state space (`mc_explore --smoke` asserts that).
     AckClearsBySeqLe,
-}
-
-/// An in-flight control-plane message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Msg {
-    /// Agent/container → Controller (telemetry, OOM events, acks).
-    ToCtl(ToController),
-    /// Controller → the Agent on a node (limit commands, sweeps).
-    ToNode(NodeId, ToAgent),
-    /// A finished reclamation sweep's report (modelled reliable: it is
-    /// the response of the blocking sweep RPC — losing the call itself
-    /// is modelled by dropping the `ReclaimMemory` command).
-    Report(NodeId, Vec<ReclaimEntry>),
-}
-
-fn encode_to_ctl(m: &ToController, out: &mut Vec<u8>) {
-    match m {
-        ToController::Register {
-            container,
-            app,
-            node,
-        } => {
-            out.push(0);
-            out.extend(container.as_u64().to_le_bytes());
-            out.extend(app.as_u64().to_le_bytes());
-            out.extend(node.as_u64().to_le_bytes());
-        }
-        ToController::CpuStats { container, stats } => {
-            out.push(1);
-            out.extend(container.as_u64().to_le_bytes());
-            encode_stats(stats, out);
-        }
-        ToController::CpuStatsBatch { node, entries } => {
-            out.push(2);
-            out.extend(node.as_u64().to_le_bytes());
-            out.extend((entries.len() as u64).to_le_bytes());
-            for e in entries {
-                out.extend(e.container.as_u64().to_le_bytes());
-                encode_stats(&e.stats, out);
-            }
-        }
-        ToController::CpuStatsColumns { node, columns } => {
-            out.push(5);
-            out.extend(node.as_u64().to_le_bytes());
-            out.extend((columns.len() as u64).to_le_bytes());
-            for i in 0..columns.len() {
-                out.extend((columns.container_raw[i] as u64).to_le_bytes());
-                out.extend(columns.quota_mcores[i].to_le_bytes());
-                out.extend(columns.unused_us[i].to_le_bytes());
-                out.extend(columns.usage_us[i].to_le_bytes());
-                out.push(columns.throttled_bit(i) as u8);
-            }
-        }
-        ToController::OomEvent {
-            container,
-            shortfall_bytes,
-            current_limit_bytes,
-        } => {
-            out.push(3);
-            out.extend(container.as_u64().to_le_bytes());
-            out.extend(shortfall_bytes.to_le_bytes());
-            out.extend(current_limit_bytes.to_le_bytes());
-        }
-        ToController::LimitAck { container, seq } => {
-            out.push(4);
-            out.extend(container.as_u64().to_le_bytes());
-            out.extend(seq.to_le_bytes());
-        }
-    }
-}
-
-fn encode_stats(s: &CpuPeriodStats, out: &mut Vec<u8>) {
-    out.extend(s.quota_cores.to_bits().to_le_bytes());
-    out.extend(s.unused_runtime_us.to_bits().to_le_bytes());
-    out.extend(s.usage_us.to_bits().to_le_bytes());
-    out.push(s.throttled as u8);
-}
-
-fn encode_to_agent(cmd: &ToAgent, out: &mut Vec<u8>) {
-    match cmd {
-        ToAgent::SetCpuQuota {
-            container,
-            quota_cores,
-            seq,
-        } => {
-            out.push(0);
-            out.extend(container.as_u64().to_le_bytes());
-            out.extend(quota_cores.to_bits().to_le_bytes());
-            out.extend(seq.to_le_bytes());
-        }
-        ToAgent::SetMemLimit {
-            container,
-            limit_bytes,
-            seq,
-        } => {
-            out.push(1);
-            out.extend(container.as_u64().to_le_bytes());
-            out.extend(limit_bytes.to_le_bytes());
-            out.extend(seq.to_le_bytes());
-        }
-        ToAgent::ReclaimMemory { delta_bytes } => {
-            out.push(2);
-            out.extend(delta_bytes.to_le_bytes());
-        }
-    }
-}
-
-impl WireEncode for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::ToCtl(m) => {
-                out.push(0);
-                encode_to_ctl(m, out);
-            }
-            Msg::ToNode(node, cmd) => {
-                out.push(1);
-                out.extend(node.as_u64().to_le_bytes());
-                encode_to_agent(cmd, out);
-            }
-            Msg::Report(node, entries) => {
-                out.push(2);
-                out.extend(node.as_u64().to_le_bytes());
-                out.extend((entries.len() as u64).to_le_bytes());
-                for e in entries {
-                    out.extend(e.container.as_u64().to_le_bytes());
-                    out.extend(e.new_limit_bytes.to_le_bytes());
-                    out.extend(e.psi_bytes.to_le_bytes());
-                }
-            }
-        }
-    }
+    /// Agents apply a `SetMemLimit` but never ack it: the step's
+    /// `LimitAck` reply is dropped (the pod drivers' old glue).
+    NeverAckMemLimit,
+    /// Agents run a reclamation sweep but its report never reaches the
+    /// Controller: the step's `Report` reply is dropped (Fig. 2's old
+    /// loop).
+    DropReclaimReports,
 }
 
 /// One branching choice of the transition relation. Indices are over
@@ -375,8 +256,11 @@ pub struct World<S: TraceSink = NoopSink> {
     pub controller: Controller<S>,
     /// One real Agent per node (seq maps, valve, sweeps).
     pub agents: Vec<Agent>,
-    /// The network as a canonical multiset.
-    pub net: InFlightSet<Msg>,
+    /// The network as a canonical multiset. Sweep reports are modelled
+    /// reliable: one is the response of the blocking sweep RPC, and
+    /// losing the call itself is modelled by dropping the
+    /// `ReclaimMemory` command.
+    pub net: InFlightSet<Envelope>,
     /// Model time; advances only on [`Choice::Tick`].
     pub now: SimTime,
     /// Sink for agent-side and network-fault trace events (the
@@ -386,6 +270,8 @@ pub struct World<S: TraceSink = NoopSink> {
     pub containers: Vec<ContainerId>,
     /// Unsatisfied charge demand per container (bytes).
     pub want: Vec<u64>,
+    /// The delivery step's buffers, empty between transitions.
+    step: Delivery,
     oom_budget: Vec<u32>,
     cpu_budget: Vec<u32>,
     tick_budget: u32,
@@ -440,18 +326,21 @@ impl<S: TraceSink> World<S> {
             .map(|i| Agent::new(NodeId::new(i as u64)))
             .collect();
         let mut side_sink = side_sink;
+        let mut step = Delivery::default();
         for &id in &containers {
             let node = cluster.container(id).expect("deployed").node();
             let bootstrap = controller
                 .register_container(id, APP, node, 1.0, cfg.container_mem_bytes)
                 .expect("register");
-            // Bootstrap commands apply synchronously: the initial sync
-            // is not part of the explored chaos.
-            for action in bootstrap {
-                if let Action::Agent { node, cmd } = action {
-                    let ai = node.as_u64() as usize;
-                    let _ = agents[ai].apply_traced(start, &mut cluster, cmd, &mut side_sink);
-                }
+            // Bootstrap commands apply synchronously and their replies
+            // are dropped: the initial sync is not part of the explored
+            // chaos.
+            let mut cmds = Vec::new();
+            step.actions.extend(bootstrap);
+            step.route(start, &mut cluster, |node, cmd| cmds.push((node, cmd)));
+            for (node, cmd) in cmds {
+                let ai = node.as_u64() as usize;
+                let _ = agents[ai].apply_traced(start, &mut cluster, cmd, &mut side_sink);
             }
         }
 
@@ -465,6 +354,7 @@ impl<S: TraceSink> World<S> {
             side_sink,
             containers,
             want: vec![0; n],
+            step,
             oom_budget: vec![cfg.ooms_per_container; n],
             cpu_budget: (0..n)
                 .map(|i| {
@@ -496,9 +386,9 @@ impl<S: TraceSink> World<S> {
     }
 
     /// Whether the i-th distinct message may be dropped/duplicated
-    /// (sweep reports are modelled reliable, see [`Msg::Report`]).
+    /// (sweep reports are modelled reliable, see [`World::net`]).
     fn faultable(&self, i: usize) -> bool {
-        !matches!(self.net.get(i).0, Msg::Report(..))
+        !matches!(self.net.get(i).0, Envelope::Report(..))
     }
 
     /// Enumerates every enabled transition of this state, in a
@@ -577,8 +467,8 @@ impl<S: TraceSink> World<S> {
     pub fn apply(&mut self, choice: Choice) {
         match choice {
             Choice::Deliver(i) => {
-                let msg = self.net.take(i as usize);
-                self.deliver(msg);
+                let env = self.net.take(i as usize);
+                self.deliver_round(env);
             }
             Choice::Drop(i) => {
                 let msg = self.net.take(i as usize);
@@ -625,7 +515,7 @@ impl<S: TraceSink> World<S> {
                     .cpu
                     .quota_cores();
                 let period_us = self.cfg.escra.report_period.as_micros() as f64;
-                self.send(Msg::ToCtl(ToController::CpuStats {
+                self.send(Envelope::ToCtl(ToController::CpuStats {
                     container: cid,
                     stats: CpuPeriodStats {
                         quota_cores: quota,
@@ -648,104 +538,101 @@ impl<S: TraceSink> World<S> {
     pub fn clean_tick_to(&mut self, t: SimTime) {
         self.now = t;
         self.cluster.tick(t);
-        let mut actions = Vec::new();
-        self.controller.tick_into(t, &mut actions);
-        self.dispatch(actions);
+        self.controller.tick_into(t, &mut self.step.actions);
+        let (net, sent) = (&mut self.net, &mut self.msgs_sent);
+        self.step.route(t, &mut self.cluster, |node, cmd| {
+            command(net, sent, node, cmd)
+        });
+        self.settle_kills();
     }
 
-    fn send(&mut self, msg: Msg) {
+    fn send(&mut self, env: Envelope) {
         self.msgs_sent += 1;
-        self.net.insert(msg);
+        self.net.insert(env);
     }
 
-    fn addr_of(msg: &Msg) -> (u64, u64) {
+    fn addr_of(env: &Envelope) -> (u64, u64) {
         // Controller = 0, node n = 1 + n; good enough for trace lines.
-        match msg {
-            Msg::ToCtl(_) => (1, 0),
-            Msg::ToNode(n, _) => (0, 1 + n.as_u64()),
-            Msg::Report(n, _) => (1 + n.as_u64(), 0),
+        match env {
+            Envelope::ToCtl(_) => (1, 0),
+            Envelope::ToNode(n, _) => (0, 1 + n.as_u64()),
+            Envelope::Report(n, _) => (1 + n.as_u64(), 0),
         }
     }
 
-    /// Delivers a message to its destination, collecting any messages
-    /// sent in response into the network.
-    pub fn deliver(&mut self, msg: Msg) {
-        match msg {
-            Msg::ToCtl(mut m) => {
-                if self.cfg.mutation == Mutation::AckClearsBySeqLe {
-                    // Re-introduce the pre-fix `pending.seq <= seq` rule
-                    // by rewriting any not-older ack to the pending seq.
-                    if let ToController::LimitAck { container, seq } = m {
-                        if let Some(p) = self.controller.pending_grant_seq(container) {
-                            if p <= seq {
-                                m = ToController::LimitAck { container, seq: p };
-                            }
-                        }
+    /// Delivers `env` through the delivery step as a round of its own,
+    /// with the model's hooks around the step: the mutation filters,
+    /// the trapped charge retried once a grant applies, and the kill
+    /// bookkeeping.
+    fn deliver_round(&mut self, mut env: Envelope) {
+        let now = self.now;
+        let mutation = self.cfg.mutation;
+        if mutation == Mutation::AckClearsBySeqLe {
+            // Re-introduce the pre-fix `pending.seq <= seq` rule by
+            // rewriting any not-older ack to the pending seq.
+            if let Envelope::ToCtl(ToController::LimitAck { container, seq }) = env {
+                if let Some(p) = self.controller.pending_grant_seq(container) {
+                    if p <= seq {
+                        env = Envelope::ToCtl(ToController::LimitAck { container, seq: p });
                     }
                 }
-                let mut actions = Vec::new();
-                self.controller.handle_into(self.now, m, &mut actions);
-                self.dispatch(actions);
-            }
-            Msg::ToNode(node, cmd) => {
-                let ai = node.as_u64() as usize;
-                if self.cfg.mutation == Mutation::SkipStaleDiscard {
-                    match cmd {
-                        ToAgent::SetCpuQuota { container, .. }
-                        | ToAgent::SetMemLimit { container, .. } => {
-                            // Wipe the high-water mark so the stale check
-                            // always passes: the seeded bug.
-                            self.agents[ai].forget_container(container);
-                        }
-                        ToAgent::ReclaimMemory { .. } => {}
-                    }
-                }
-                let report = self.agents[ai].apply_traced(
-                    self.now,
-                    &mut self.cluster,
-                    cmd,
-                    &mut self.side_sink,
-                );
-                match (report, cmd) {
-                    (AgentReport::Applied, ToAgent::SetMemLimit { container, seq, .. }) => {
-                        // The ack is the response of the limit-update
-                        // RPC; it travels the faulty network like any
-                        // other message.
-                        self.send(Msg::ToCtl(ToController::LimitAck { container, seq }));
-                        // A raised limit may satisfy the trapped charge.
-                        if let Some(idx) = self.index_of(container) {
-                            self.attempt_charge(idx, false);
-                        }
-                    }
-                    (AgentReport::Applied, ToAgent::SetCpuQuota { container, seq, .. }) => {
-                        self.send(Msg::ToCtl(ToController::LimitAck { container, seq }));
-                    }
-                    (AgentReport::Reclaimed(entries), _) => {
-                        self.send(Msg::Report(node, entries));
-                    }
-                    _ => {}
-                }
-            }
-            Msg::Report(_node, entries) => {
-                let actions = self.controller.on_reclaim_report(self.now, &entries);
-                self.dispatch(actions);
             }
         }
-    }
-
-    fn dispatch(&mut self, actions: Vec<Action>) {
-        for action in actions {
-            match action {
-                Action::Agent { node, cmd } => self.send(Msg::ToNode(node, cmd)),
-                Action::KillContainer(c) => {
-                    let _ = self.cluster.oom_kill(c, self.now);
-                    if let Some(idx) = self.index_of(c) {
-                        // The kill resolves the trapped charge; no more
-                        // OOMs from this container inside the bound.
-                        self.want[idx] = 0;
-                        self.oom_budget[idx] = 0;
+        let World {
+            step,
+            controller,
+            cluster,
+            agents,
+            side_sink,
+            net,
+            msgs_sent,
+            ..
+        } = self;
+        let mut send = |node, cmd| command(net, msgs_sent, node, cmd);
+        let apply = |cluster: &mut Cluster, node: NodeId, cmd| {
+            let agent = &mut agents[node.as_u64() as usize];
+            if mutation == Mutation::SkipStaleDiscard {
+                match cmd {
+                    ToAgent::SetCpuQuota { container, .. }
+                    | ToAgent::SetMemLimit { container, .. } => {
+                        // Wipe the high-water mark so the stale check
+                        // always passes: the seeded bug.
+                        agent.forget_container(container);
+                    }
+                    ToAgent::ReclaimMemory { .. } => {}
+                }
+            }
+            agent.apply_traced(now, cluster, cmd, side_sink)
+        };
+        let reply = step.deliver(now, env, controller, cluster, apply, &mut send);
+        step.end_round(now, controller, cluster, send);
+        if let Some((_, reply)) = reply {
+            match reply {
+                Envelope::ToCtl(ToController::LimitAck { container, .. }) => {
+                    // A raised limit may satisfy the trapped charge.
+                    if let Some(idx) = self.index_of(container) {
+                        self.attempt_charge(idx, false);
+                    }
+                    if mutation != Mutation::NeverAckMemLimit {
+                        self.send(reply);
                     }
                 }
+                Envelope::Report(..) if mutation == Mutation::DropReclaimReports => {}
+                // The reply travels the faulty network like any other
+                // message.
+                _ => self.send(reply),
+            }
+        }
+        self.settle_kills();
+    }
+
+    /// Settles the kills the step routed: a kill resolves the trapped
+    /// charge, and the container fires no more OOMs inside the bound.
+    fn settle_kills(&mut self) {
+        for c in self.step.killed.drain(..) {
+            if let Some(idx) = self.containers.iter().position(|&m| m == c) {
+                self.want[idx] = 0;
+                self.oom_budget[idx] = 0;
             }
         }
     }
@@ -773,7 +660,7 @@ impl<S: TraceSink> World<S> {
             debug_assert!(outcome.is_charged());
             self.want[idx] = 0;
         } else if trap {
-            self.send(Msg::ToCtl(ToController::OomEvent {
+            self.send(Envelope::ToCtl(ToController::OomEvent {
                 container: cid,
                 shortfall_bytes: want - headroom,
                 current_limit_bytes: limit,
@@ -828,6 +715,12 @@ impl<S: TraceSink> World<S> {
     pub fn fingerprint(&self) -> Fingerprint {
         fingerprint128(|h| self.fingerprint_into(h))
     }
+}
+
+/// Puts the Controller's `cmd` to `node` in flight.
+fn command(net: &mut InFlightSet<Envelope>, sent: &mut u64, node: NodeId, cmd: ToAgent) {
+    *sent += 1;
+    net.insert(Envelope::ToNode(node, cmd));
 }
 
 #[cfg(test)]

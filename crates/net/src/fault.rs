@@ -30,7 +30,7 @@ pub struct Partition {
 
 impl Partition {
     /// Whether this partition severs a `from → to` send at `now`.
-    pub fn severs(&self, from: Addr, to: Addr, now: SimTime) -> bool {
+    fn severs(&self, from: Addr, to: Addr, now: SimTime) -> bool {
         let pair_matches = (self.a == from && self.b == to) || (self.a == to && self.b == from);
         pair_matches && now >= self.start && now < self.end
     }

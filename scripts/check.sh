@@ -75,11 +75,10 @@ cmp target/escra-results/trace_mega_serial.shards.json \
     target/escra-results/trace_mega_t4.shards.json
 
 echo "== model check (exhaustive, pinned state counts, mutations caught) =="
-# mc_explore explores every schedule (reorder + drop + duplicate + OOM +
-# timer branching) of four bounded control-plane configurations: all
-# must verify clean with BFS == DFS on the exact pinned state counts,
-# and the two seeded protocol mutations must each be caught with a
-# replayable counterexample.
+# mc_explore explores every schedule of four bounded configurations through
+# the delivery step the drivers run: clean with BFS == DFS on the pinned
+# state counts, three seeded mutations caught with replayable
+# counterexamples, and AckClearsBySeqLe unreachable on six configurations.
 cargo run -q -p escra-bench --release -- mc_explore --smoke
 
 echo "== clippy (workspace, deny warnings) =="

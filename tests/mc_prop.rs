@@ -11,13 +11,17 @@
 //! * **Honest protocol verifies clean.** No sampled budget combination
 //!   (OOMs, CPU reports, drops, duplicates, timer firings) produces an
 //!   invariant violation without a seeded mutation.
-//! * **Seeded mutations stay caught.** The two protocol mutations are
-//!   found by both strategies on their hunt configurations, and stay
-//!   found when the fault budgets are *enlarged* (more choices only add
-//!   schedules — they can never hide the bad one). Each counterexample
-//!   replays to the same violation with a non-empty decision trace.
+//! * **Seeded mutations stay caught.** The three catchable mutations
+//!   (stale applies, a `SetMemLimit` never acked, sweep reports lost)
+//!   are found by both strategies on their hunt configurations, and
+//!   stay found when the fault budgets are *enlarged* (more choices only
+//!   add schedules — they can never hide the bad one). Each
+//!   counterexample replays to the same violation with a non-empty
+//!   decision trace. The fourth, `AckClearsBySeqLe`, has no schedule to
+//!   act on once only memory grants are acked: it explores exactly the
+//!   honest state set, enlarged budgets included.
 
-use escra::mc::{explore, replay, McConfig, Mutation, Strategy, Violation};
+use escra::mc::{explore, replay, Choice, McConfig, Mutation, Strategy, Violation, World};
 use proptest::prelude::*;
 
 /// A small honest configuration drawn from the sampled budgets: one
@@ -75,6 +79,16 @@ fn bfs_and_dfs_agree_and_the_honest_protocol_is_clean() {
     assert_eq!(checked, 47, "lattice coverage drifted");
 }
 
+/// Whether `v` is the violation `mutation` is caught by.
+fn catches(mutation: Mutation, v: &Violation) -> bool {
+    match mutation {
+        Mutation::SkipStaleDiscard => matches!(v, Violation::ValveClamped { .. }),
+        Mutation::NeverAckMemLimit => matches!(v, Violation::GrantUnacked { .. }),
+        Mutation::DropReclaimReports => matches!(v, Violation::OomParked { .. }),
+        Mutation::None | Mutation::AckClearsBySeqLe => false,
+    }
+}
+
 proptest! {
     #[test]
     fn seeded_mutations_stay_caught_under_enlarged_budgets(
@@ -85,28 +99,28 @@ proptest! {
         // Enlarging budgets adds schedules; the catching schedule is
         // still among them, so the mutation must still be caught (by
         // both strategies — DFS may find a different, longer witness).
-        let grow = |mut cfg: McConfig, mutation: Mutation| {
+        let grow = |mut cfg: McConfig| {
             cfg.drops += extra_drops;
             cfg.duplicates += extra_dups;
             cfg.ticks += extra_ticks;
-            cfg.with_mutation(mutation)
+            cfg
         };
-        for (cfg, wants_valve) in [
-            (grow(McConfig::stale_window(), Mutation::SkipStaleDiscard), true),
-            (grow(McConfig::cross_kind(), Mutation::AckClearsBySeqLe), false),
+        for (cfg, mutation) in [
+            (McConfig::stale_window(), Mutation::SkipStaleDiscard),
+            (McConfig::stale_window(), Mutation::NeverAckMemLimit),
+            (McConfig::tight_pool(), Mutation::DropReclaimReports),
         ] {
+            let cfg = grow(cfg).with_mutation(mutation);
             let bfs = explore(&cfg, Strategy::Bfs);
             let ce = bfs.violation.clone();
-            prop_assert!(ce.is_some(), "BFS missed the mutation");
+            prop_assert!(ce.is_some(), "BFS missed {:?}", mutation);
             let ce = ce.unwrap();
-            if wants_valve {
-                prop_assert!(matches!(ce.violation, Violation::ValveClamped { .. }));
-            } else {
-                prop_assert!(matches!(
-                    ce.violation,
-                    Violation::AckDivergence { .. } | Violation::GrantUnresolved { .. }
-                ));
-            }
+            prop_assert!(
+                catches(mutation, &ce.violation),
+                "{:?}: {}",
+                mutation,
+                ce.violation
+            );
             prop_assert!(
                 explore(&cfg, Strategy::Dfs).violation.is_some(),
                 "DFS missed the mutation"
@@ -123,24 +137,56 @@ proptest! {
     }
 }
 
-/// The exact pre-fix controller bug (`pending.seq <= ack.seq`) is found
-/// as a minimal, human-checkable counterexample: drop the grant, let
-/// the later CPU ack retire it, and the limit is silently lost.
+/// The pre-fix controller bug (`pending.seq <= ack.seq`) needs an ack
+/// whose seq is above its container's pending grant. Its only witness
+/// was the ack of a later CPU command; only `SetMemLimit` is acked now,
+/// and a memory ack never outruns the grant it answers, so the mutation
+/// is unreachable: the mutated controller explores exactly the honest
+/// state set on `cross_kind` under every enlargement the proptest above
+/// samples (exhaustively here: +0–1 drops × duplicates × ticks), and
+/// the old witness's schedule ends with nothing in flight for it to
+/// misread.
 #[test]
-fn ack_seq_le_counterexample_is_minimal_and_replayable() {
+fn ack_seq_le_mutation_is_unreachable_with_memory_only_acks() {
+    for extra in 0..8u32 {
+        let honest = McConfig {
+            drops: McConfig::cross_kind().drops + (extra & 1),
+            duplicates: extra >> 1 & 1,
+            ticks: extra >> 2,
+            ..McConfig::cross_kind()
+        };
+        let mutated = honest.clone().with_mutation(Mutation::AckClearsBySeqLe);
+        let honest = explore(&honest, Strategy::Bfs);
+        let mutated = explore(&mutated, Strategy::Bfs);
+        assert_eq!(mutated.violation, None, "enlargement {extra:03b}");
+        assert_eq!(mutated.states, honest.states, "enlargement {extra:03b}");
+        assert!(mutated.fingerprints == honest.fingerprints);
+    }
     let cfg = McConfig::cross_kind().with_mutation(Mutation::AckClearsBySeqLe);
-    let bfs = explore(&cfg, Strategy::Bfs);
-    let ce = bfs.violation.expect("mutation must be caught");
-    // BFS yields a shortest witness: trap, deliver, drop, report,
-    // deliver stats, deliver quota, deliver ack — seven steps.
-    assert_eq!(ce.steps.len(), 7, "steps: {:?}", ce.steps);
-    let r = replay(&cfg, &ce.steps);
-    assert_eq!(r.violation, Some(ce.violation));
+    // The old witness: trap, deliver the OOM event, drop the grant,
+    // report a throttled period, deliver the stats, deliver the quota.
+    // Its seventh step delivered the CPU ack; there is none to deliver.
+    let steps = [
+        Choice::Oom(0),
+        Choice::Deliver(0),
+        Choice::Drop(0),
+        Choice::CpuReport(0),
+        Choice::Deliver(0),
+        Choice::Deliver(0),
+    ];
+    let r = replay(&cfg, &steps);
+    assert_eq!(r.violation, None);
     assert!(r.trace.contains("grant_issued"), "trace:\n{}", r.trace);
     assert!(r.trace.contains("fault_drop"));
-    // The same schedule against the *fixed* controller is clean.
-    let honest = replay(&McConfig::cross_kind(), &ce.steps);
-    assert_eq!(honest.violation, None);
+    let w = steps.iter().fold(World::new(cfg), |mut w, &c| {
+        w.apply(c);
+        w
+    });
+    assert!(
+        w.enabled_choices().is_empty(),
+        "left: {:?}",
+        w.enabled_choices()
+    );
 }
 
 /// The stale-discard mutation's witness replays against the honest
